@@ -14,7 +14,7 @@ import sys
 import warnings
 
 from . import specht, verify
-from .exactlin import field_by_name, field_name, row_reduce
+from .exactlin import QQ, echelon_insert, field_by_name, field_name
 from .rootsys import build_root_system, format_root, parse_root, root_system_to_json
 from .subsystem import closure_from_simples, subsystem_to_json
 from .weyl import DEFAULT_GROUP_LIMIT, GroupLimitError, generate_group, word_to_element
@@ -125,10 +125,13 @@ def cmd_tabloids(args) -> int:
     psi = _closure(system, _simples(system, args.J))
     space = specht.enumerate_tabloids(system, psi, group)
     if args.json:
+        psi_doc = subsystem_to_json(system, psi)
+        psi_doc["normalizer_order"] = len(space.n_psi)
+        psi_doc["index"] = len(space)
         doc = {
             "schema": SCHEMA,
             "ambient": system.label,
-            "psi": subsystem_to_json(system, psi, group),
+            "psi": psi_doc,
             "count": len(space),
             "tabloids": [
                 {"word": list(t.rep_word), "display": specht.format_tabloid(space, t)}
@@ -151,17 +154,13 @@ def cmd_tabloids(args) -> int:
 
 def _independent_generators(module):
     # first generators whose polytabloids are independent, in group order
+    by_pivot: dict = {}
     picked = []
-    rank = 0
     for d, vec in module.generators:
-        if vec.is_zero():
-            continue
-        trial = row_reduce(module.field, [v for _, v in picked] + [vec], dim=module.tabloid_count)
-        if trial.rank > rank:
+        if echelon_insert(module.field, by_pivot, vec):
             picked.append((d, vec))
-            rank = trial.rank
-        if rank == module.dimension:
-            break
+            if len(picked) == module.dimension:
+                break
     return picked
 
 
@@ -182,15 +181,20 @@ def cmd_specht(args) -> int:
         if name not in ("useful", "good", "probe"):
             raise CommandError(f"unknown check {name!r}")
         checks.append(name)
+    if args.probe_trials < 1:
+        raise CommandError(f"--probe-trials must be at least 1, got {args.probe_trials}")
     words = _collect_words(system, args.char)
 
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         module = specht.build_specht_module(system, psi, psi_prime, field, group=group)
-    dims = specht.quotient_dimension(module)
-    useful = verify.is_useful_subsystem(system, psi, psi_prime, group=group)
-    good = verify.is_good_subsystem(system, psi, psi_prime, group=group)
-    witness = verify.vanishing_obstruction(system, psi, psi_prime, group=group)
+    space = module.space
+    useful = space.useful
+    e_vec = module.generators[0][1]
+    # goodness reads the integer polytabloid, which over Q is e_vec itself
+    base = e_vec if field == QQ else specht.polytabloid(space, QQ, group.identity)
+    good = verify.good_from_space(space, base)
+    witness = verify.obstruction_from_space(space)
     probe = None
     if "probe" in checks:
         probe = verify.submodule_theorem_probe(
@@ -205,7 +209,6 @@ def cmd_specht(args) -> int:
     if probe is not None and not probe.ok:
         failed = True
 
-    space = module.space
     if args.json:
         doc = {"schema": SCHEMA}
         doc.update(specht.specht_report(module, sample_words=words))
@@ -244,10 +247,10 @@ def cmd_specht(args) -> int:
     )
     print(f"field {field_name(field)}")
     print(f"tabloids: {len(space)}")
+    dims = specht.quotient_dimension(module)
     print(f"dim S = {dims[0]}, dim radical = {dims[1]}, dim D = {dims[2]}")
     print(f"useful sub-system: {'yes' if useful else 'no'}")
     print(f"good sub-system: {'yes' if good.is_good else 'no'}")
-    e_vec = specht.polytabloid(space, field, group.identity)
     print(f"e_{{J,J'}} = {specht.format_module_vector(space, field, e_vec)}")
     if module.dimension:
         print("independent generators:")

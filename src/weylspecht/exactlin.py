@@ -226,6 +226,18 @@ def _reduce(field, entries: dict, by_pivot: dict) -> dict:
     return entries
 
 
+def echelon_insert(field, by_pivot: dict, v: SparseVector) -> bool:
+    """Reduce v against the monic rows in `by_pivot` (pivot -> entries) and
+    add the remainder as a new monic row; False if v lies in their span."""
+    e = _reduce(field, dict(v.entries), by_pivot)
+    if not e:
+        return False
+    p = min(e)
+    inv = field.inv(e[p])
+    by_pivot[p] = {i: field.mul(inv, c) for i, c in e.items()}
+    return True
+
+
 @dataclass
 class SubspaceBasis:
     """Reduced row-echelon basis: the canonical representation of a subspace."""
@@ -255,11 +267,7 @@ def row_reduce(field, vectors, dim: int | None = None) -> SubspaceBasis:
     for v in vectors:
         if v.dim != dim:
             raise ValueError("dimension mismatch")
-        e = _reduce(field, dict(v.entries), by_pivot)
-        if e:
-            p = min(e)
-            inv = field.inv(e[p])
-            by_pivot[p] = {i: field.mul(inv, c) for i, c in e.items()}
+        echelon_insert(field, by_pivot, v)
     pivots = sorted(by_pivot)
     # clear pivot columns everywhere; descending order keeps used rows clean
     for p in reversed(pivots):

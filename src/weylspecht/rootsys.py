@@ -57,7 +57,8 @@ class RootSystem:
         except KeyError:
             raise ValueError(f"{v} is not a root of {self.label}") from None
 
-    def is_positive(self, v: Root) -> bool:
+    @staticmethod
+    def is_positive(v: Root) -> bool:
         for a in v:
             if a:
                 return a > 0
@@ -168,7 +169,7 @@ def build_root_system(label: str) -> RootSystem:
                 seen.add(w)
                 queue.append(w)
 
-    positives = sorted(v for v in seen if _first_nonzero_positive(v))
+    positives = sorted(v for v in seen if RootSystem.is_positive(v))
     expected = _ROOT_COUNTS[series](rank)
     if len(seen) != expected or 2 * len(positives) != len(seen):
         raise RuntimeError(
@@ -185,13 +186,6 @@ def build_root_system(label: str) -> RootSystem:
         cartan=cartan,
         index=index,
     )
-
-
-def _first_nonzero_positive(v: Root) -> bool:
-    for a in v:
-        if a:
-            return a > 0
-    return False
 
 
 def inner_product(system: RootSystem, u: Root, v: Root) -> Fraction:

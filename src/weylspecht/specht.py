@@ -16,17 +16,25 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 from .exactlin import (
     SparseVector,
     SubspaceBasis,
+    dot,
     form_complement,
     intersect,
     row_reduce,
     solve_coordinates,
 )
 from .rootsys import Root, RootSystem, format_root
-from .subsystem import Subsystem, distinguished_reps, normalizer, normalizer_reps
+from .subsystem import (
+    Subsystem,
+    distinguished_reps,
+    is_useful_pair,
+    normalizer,
+    normalizer_reps,
+)
 from .weyl import (
     GeneratedGroup,
     GroupElement,
@@ -52,9 +60,11 @@ class Tabloid:
 class TabloidSpace:
     """Indexed tabloid family for (system, psi) with optional column system.
 
-    Tabloid order follows the coset representatives E_psi, which follow the
-    BFS order of the group; the family therefore prints identically from run
-    to run.
+    The record of the pair: N(psi), W(psi') with its signs and the
+    usefulness of the pair are computed here once and read by every later
+    stage. Tabloid order follows the coset representatives E_psi, which
+    follow the BFS order of the group; the family therefore prints
+    identically from run to run.
     """
 
     def __init__(
@@ -64,7 +74,6 @@ class TabloidSpace:
         psi_prime: Subsystem | None,
         group: GeneratedGroup,
         n_psi: tuple[GroupElement, ...],
-        n_j: tuple[GroupElement, ...],
         tabloids: tuple[Tabloid, ...],
         col_group: tuple[GroupElement, ...],
         col_signs: tuple[int, ...],
@@ -74,7 +83,6 @@ class TabloidSpace:
         self.psi_prime = psi_prime
         self.group = group
         self.n_psi = n_psi
-        self.n_j = n_j
         self.tabloids = tabloids
         self.index = {t.key: i for i, t in enumerate(tabloids)}
         self.col_group = col_group
@@ -89,6 +97,17 @@ class TabloidSpace:
 
     def __getitem__(self, i: int) -> Tabloid:
         return self.tabloids[i]
+
+    @cached_property
+    def useful(self) -> bool:
+        """Whether (psi, psi') is a useful sub-system; False when they meet."""
+        if self.psi_prime is None:
+            raise ValueError("tabloid space was built without a column system")
+        if self.psi.roots & self.psi_prime.roots:
+            return False
+        return is_useful_pair(
+            self.system, self.psi, self.psi_prime, self.n_psi, self.col_group
+        )
 
     def index_action(self, w: GroupElement) -> tuple[int, ...]:
         """The permutation of tabloid indices induced by w, cached per element."""
@@ -112,8 +131,8 @@ def enumerate_tabloids(
     """One tabloid per coset of N(psi); count equals the index of N(psi)."""
     if psi.ambient_label != system.label or group.system_label != system.label:
         raise ValueError("subsystem and group must share the ambient system")
-    pair = normalizer(system, psi, group)
-    reps = normalizer_reps(system, psi, group, n_psi=pair.n_psi)
+    n_psi = normalizer(system, psi, group).n_psi
+    reps = normalizer_reps(system, psi, group, n_psi=n_psi)
     tabloids = []
     for d in reps:
         key = frozenset(apply_to_root(system, d, r) for r in psi.roots)
@@ -137,8 +156,7 @@ def enumerate_tabloids(
         psi=psi,
         psi_prime=psi_prime,
         group=group,
-        n_psi=pair.n_psi,
-        n_j=pair.n_j,
+        n_psi=n_psi,
         tabloids=tuple(tabloids),
         col_group=col_group,
         col_signs=col_signs,
@@ -229,23 +247,19 @@ def build_specht_module(
 
     Warns when the pair is not a useful sub-system; the computation still
     runs and may produce the zero module. `check_full_span` re-derives the
-    basis from the full group orbit and raises on disagreement.
+    basis from the full group orbit and raises on disagreement. The
+    identity is the first distinguished representative, so the first
+    generator is e_{J,J'}.
     """
     if group is None:
         group = generate_group(system)
-    from .verify import is_useful_subsystem  # deferred: verify builds on this module
-
-    if psi.roots & psi_prime.roots:
-        useful = False
-    else:
-        useful = is_useful_subsystem(system, psi, psi_prime, group=group)
-    if not useful:
+    space = enumerate_tabloids(system, psi, group, psi_prime)
+    if not space.useful:
         warnings.warn(
             f"{{J, J'}} is not a useful sub-system in {system.label}; "
             "the module may degenerate",
             stacklevel=2,
         )
-    space = enumerate_tabloids(system, psi, group, psi_prime)
     dreps = distinguished_reps(system, psi_prime, group)
     generators = tuple((d, polytabloid(space, field, d)) for d in dreps)
     basis = row_reduce(field, [v for _, v in generators], dim=len(space))
@@ -258,17 +272,8 @@ def build_specht_module(
     return SpechtModuleData(space=space, field=field, generators=generators, basis=basis)
 
 
-def bilinear_form(field, m1: SparseVector, m2: SparseVector):
-    """Delta form on the tabloid basis, extended bilinearly."""
-    if m1.dim != m2.dim:
-        raise ValueError("vectors belong to different tabloid spaces")
-    small, big = (m1, m2) if len(m1.entries) <= len(m2.entries) else (m2, m1)
-    acc = field.zero
-    for i, c in small.entries.items():
-        d = big.entries.get(i)
-        if d is not None:
-            acc = field.add(acc, field.mul(c, d))
-    return acc
+# the delta form on the tabloid basis, extended bilinearly
+bilinear_form = dot
 
 
 def quotient_dimension(module: SpechtModuleData) -> tuple[int, int, int]:
@@ -382,11 +387,8 @@ def specht_report(
             "J": [format_root(system, r) for r in space.psi.simples],
         },
         "psi_prime": {
-            "label": space.psi_prime.label if space.psi_prime else "0",
-            "J'": [
-                format_root(system, r)
-                for r in (space.psi_prime.simples if space.psi_prime else ())
-            ],
+            "label": space.psi_prime.label,
+            "J'": [format_root(system, r) for r in space.psi_prime.simples],
         },
         "field": field_name(module.field),
         "tabloid_count": len(space),

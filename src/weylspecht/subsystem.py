@@ -23,6 +23,8 @@ from .weyl import (
     GroupElement,
     apply_to_root,
     compose,
+    identity,
+    subgroup_generated,
 )
 
 
@@ -87,15 +89,7 @@ def closure_from_simples(system: RootSystem, simples) -> Subsystem:
     roots = _reflection_closure(system, simples)
     if simples and set(simples) != set(simple_system_of(system, roots)):
         raise ValueError("J is not the simple system of the subsystem it generates")
-    components = _connected_components(system, simples)
-    labels = tuple(_classify_component(system, comp) for comp in components)
-    return Subsystem(
-        ambient_label=system.label,
-        roots=roots,
-        simples=simples,
-        components=components,
-        component_labels=labels,
-    )
+    return _classified(system, roots, simples)
 
 
 def simple_system_of(system: RootSystem, roots) -> tuple[Root, ...]:
@@ -121,13 +115,12 @@ def simple_system_of(system: RootSystem, roots) -> tuple[Root, ...]:
     return tuple(p for p in positives if p not in sums)
 
 
-def _from_closed_roots(system: RootSystem, roots) -> Subsystem:
-    simples = simple_system_of(system, roots)
+def _classified(system: RootSystem, roots, simples) -> Subsystem:
     components = _connected_components(system, simples)
     labels = tuple(_classify_component(system, comp) for comp in components)
     return Subsystem(
         ambient_label=system.label,
-        roots=frozenset(tuple(r) for r in roots),
+        roots=frozenset(roots),
         simples=simples,
         components=components,
         component_labels=labels,
@@ -141,7 +134,7 @@ def orthogonal_complement(system: RootSystem, psi: Subsystem) -> Subsystem:
         for r in system.roots
         if all(inner_product(system, r, s) == 0 for s in psi.simples)
     ]
-    return _from_closed_roots(system, ortho)
+    return _classified(system, ortho, simple_system_of(system, ortho))
 
 
 @dataclass(frozen=True)
@@ -169,6 +162,25 @@ def normalizer(system: RootSystem, psi: Subsystem, group: GeneratedGroup) -> Nor
             if set(images) == jset:
                 n_j.append(w)
     return NormalizerPair(n_psi=tuple(n_psi), n_j=tuple(n_j))
+
+
+def _meets_trivially(system: RootSystem, a, b) -> bool:
+    return {w.perm for w in a} & {w.perm for w in b} == {identity(system).perm}
+
+
+def is_useful_pair(
+    system: RootSystem, psi: Subsystem, psi_prime: Subsystem, row_group, col_group
+) -> bool:
+    """row_group meets col_group = W(psi') trivially, and so do W(psi⊥) and
+    W(psi'⊥). row_group = N(psi) decides a useful sub-system, W(psi) a
+    useful system. The complement subgroups are closed only when needed."""
+    if not _meets_trivially(system, row_group, col_group):
+        return False
+    return _meets_trivially(
+        system,
+        subgroup_generated(system, orthogonal_complement(system, psi).simples),
+        subgroup_generated(system, orthogonal_complement(system, psi_prime).simples),
+    )
 
 
 def distinguished_reps(
@@ -212,17 +224,9 @@ def normalizer_reps(
 
 def cartan_matrix(system: RootSystem, simples) -> tuple[tuple[int, ...], ...]:
     """Integer matrix 2(a_i, a_j)/(a_i, a_i) of an ordered root list."""
-    rows = []
-    for a in simples:
-        norm = inner_product(system, a, a)
-        row = []
-        for b in simples:
-            c = 2 * inner_product(system, a, b) / norm
-            if c.denominator != 1:
-                raise ValueError("non-integral Cartan entry")
-            row.append(int(c))
-        rows.append(tuple(row))
-    return tuple(rows)
+    return rootsys._cartan_rows(
+        [[inner_product(system, a, b) for b in simples] for a in simples]
+    )
 
 
 def _connected_components(system: RootSystem, simples) -> tuple[tuple[Root, ...], ...]:
@@ -343,17 +347,10 @@ def restricted_reflections(
     return tuple(out)
 
 
-def subsystem_to_json(
-    system: RootSystem, psi: Subsystem, group: GeneratedGroup | None = None
-) -> dict:
-    """Report document: {label, simples, size, normalizer_order, index}."""
-    doc = {
+def subsystem_to_json(system: RootSystem, psi: Subsystem) -> dict:
+    """Report document: {label, simples, size}."""
+    return {
         "label": psi.label,
         "simples": [rootsys.format_root(system, r) for r in psi.simples],
         "size": psi.size,
     }
-    if group is not None:
-        n = normalizer(system, psi, group)
-        doc["normalizer_order"] = len(n.n_psi)
-        doc["index"] = len(group) // len(n.n_psi)
-    return doc

@@ -11,21 +11,21 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-from .exactlin import QQ, contains, form_complement, row_reduce, vector
+from .exactlin import QQ, SparseVector, contains, form_complement, row_reduce, vector
 from .rootsys import RootSystem
 from .specht import (
     SpechtModuleData,
+    TabloidSpace,
     act_vector,
     enumerate_tabloids,
     polytabloid,
 )
-from .subsystem import Subsystem, normalizer, orthogonal_complement
+from .subsystem import Subsystem, is_useful_pair, normalizer
 from .weyl import (
     GeneratedGroup,
     GroupElement,
     compose,
     generate_group,
-    identity,
     sign,
     subgroup_generated,
 )
@@ -38,31 +38,12 @@ def _require_disjoint(psi: Subsystem, psi_prime: Subsystem) -> None:
         raise ValueError("psi_prime must be contained in the ambient system minus psi")
 
 
-def _perms(elements) -> set:
-    return {w.perm for w in elements}
-
-
-def _trivial_intersection(system: RootSystem, a, b) -> bool:
-    return _perms(a) & _perms(b) == {identity(system).perm}
-
-
-def is_useful_system(
-    system: RootSystem,
-    psi: Subsystem,
-    psi_prime: Subsystem,
-    group: GeneratedGroup | None = None,
-) -> bool:
+def is_useful_system(system: RootSystem, psi: Subsystem, psi_prime: Subsystem) -> bool:
     """W(J) meets W(J') trivially, and likewise for the two complements."""
     _require_disjoint(psi, psi_prime)
     w_j = subgroup_generated(system, psi.simples)
     w_jp = subgroup_generated(system, psi_prime.simples)
-    if not _trivial_intersection(system, w_j, w_jp):
-        return False
-    w_perp = subgroup_generated(system, orthogonal_complement(system, psi).simples)
-    w_pperp = subgroup_generated(
-        system, orthogonal_complement(system, psi_prime).simples
-    )
-    return _trivial_intersection(system, w_perp, w_pperp)
+    return is_useful_pair(system, psi, psi_prime, w_j, w_jp)
 
 
 def is_useful_subsystem(
@@ -77,13 +58,23 @@ def is_useful_subsystem(
         group = generate_group(system)
     n_psi = normalizer(system, psi, group).n_psi
     w_jp = subgroup_generated(system, psi_prime.simples)
-    if not _trivial_intersection(system, n_psi, w_jp):
-        return False
-    w_perp = subgroup_generated(system, orthogonal_complement(system, psi).simples)
-    w_pperp = subgroup_generated(
-        system, orthogonal_complement(system, psi_prime).simples
-    )
-    return _trivial_intersection(system, w_perp, w_pperp)
+    return is_useful_pair(system, psi, psi_prime, n_psi, w_jp)
+
+
+def obstruction_from_space(space: TabloidSpace) -> GroupElement | None:
+    """The first order-2 negative-sign element of N(psi) meet W(psi') in
+    the space's group order, if any."""
+    system = space.system
+    w_jp = {w.perm for w in space.col_group}
+    e = space.group.identity
+    for w in space.n_psi:
+        if w == e or w.perm not in w_jp:
+            continue
+        if compose(w, w) != e:
+            continue
+        if sign(system, w) == -1:
+            return w
+    return None
 
 
 def vanishing_obstruction(
@@ -99,17 +90,7 @@ def vanishing_obstruction(
     """
     if group is None:
         group = generate_group(system)
-    n_psi = normalizer(system, psi, group).n_psi
-    w_jp = _perms(subgroup_generated(system, psi_prime.simples))
-    e = identity(system)
-    for w in n_psi:
-        if w == e or w.perm not in w_jp:
-            continue
-        if compose(w, w) != e:
-            continue
-        if sign(system, w) == -1:
-            return w
-    return None
+    return obstruction_from_space(enumerate_tabloids(system, psi, group, psi_prime))
 
 
 @dataclass(frozen=True)
@@ -124,24 +105,17 @@ class GoodSubsystemResult:
         return self.is_good
 
 
-def is_good_subsystem(
-    system: RootSystem,
-    psi: Subsystem,
-    psi_prime: Subsystem,
-    group: GeneratedGroup | None = None,
-) -> GoodSubsystemResult:
-    """Every representative whose image of psi misses psi' must appear with
-    nonzero coefficient in the base polytabloid."""
-    if group is None:
-        group = generate_group(system)
-    if not is_useful_subsystem(system, psi, psi_prime, group=group):
+def good_from_space(space: TabloidSpace, base: SparseVector) -> GoodSubsystemResult:
+    """Goodness of the space's pair; `base` is its base polytabloid over Q.
+
+    The support of the integer polytabloid decides, never its image mod p.
+    """
+    if not space.useful:
         return GoodSubsystemResult(False, (), "not a useful sub-system")
-    space = enumerate_tabloids(system, psi, group, psi_prime)
-    e_vec = polytabloid(space, QQ, identity(system))
     witnesses = tuple(
         t.rep
         for i, t in enumerate(space.tabloids)
-        if not (t.key & psi_prime.roots) and i not in e_vec.entries
+        if not (t.key & space.psi_prime.roots) and i not in base.entries
     )
     if witnesses:
         return GoodSubsystemResult(
@@ -150,6 +124,21 @@ def is_good_subsystem(
             f"{len(witnesses)} disjoint coset(s) missing from the polytabloid",
         )
     return GoodSubsystemResult(True, (), None)
+
+
+def is_good_subsystem(
+    system: RootSystem,
+    psi: Subsystem,
+    psi_prime: Subsystem,
+    group: GeneratedGroup | None = None,
+) -> GoodSubsystemResult:
+    """Every representative whose image of psi misses psi' must appear with
+    nonzero coefficient in the base polytabloid."""
+    _require_disjoint(psi, psi_prime)
+    if group is None:
+        group = generate_group(system)
+    space = enumerate_tabloids(system, psi, group, psi_prime)
+    return good_from_space(space, polytabloid(space, QQ, group.identity))
 
 
 @dataclass(frozen=True)
@@ -172,6 +161,8 @@ def submodule_theorem_probe(
     """For each seeded random cyclic submodule U of the tabloid module,
     check that the built module is inside U or U is inside its form
     complement. Any violation indicates an implementation bug."""
+    if trials < 1:
+        raise ValueError(f"probe needs at least one trial, got {trials}")
     space = module.space
     field = module.field
     dim = len(space)

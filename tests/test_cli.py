@@ -272,6 +272,18 @@ def test_specht_probe_text_mode(capsys):
     assert "probe: trials=3" in out and "pass" in out
 
 
+def test_probe_trials_below_one_is_usage_error(capsys):
+    for trials in ("0", "-1"):
+        code, out, err = run(
+            capsys,
+            "specht", "--type", "A3", "--J", "100,001", "--Jp", "110",
+            "--check", "probe", "--probe-trials", trials,
+        )
+        assert code == 2
+        assert out == ""
+        assert "--probe-trials" in err
+
+
 def test_group_limit_exit_code(capsys):
     code, _, err = run(
         capsys,

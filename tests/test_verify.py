@@ -159,6 +159,12 @@ def test_probe_is_reproducible(case_d4_rank3):
     assert a == b
 
 
+def test_probe_rejects_fewer_than_one_trial(case_d4_rank3):
+    for trials in (0, -1):
+        with pytest.raises(ValueError):
+            submodule_theorem_probe(case_d4_rank3.module, trials=trials)
+
+
 def test_self_generated_submodule_contains_module(case_d4_rank3):
     module = case_d4_rank3.module
     space = module.space
