@@ -57,6 +57,8 @@ def _closure(system, roots):
 
 
 def _group(system, limit: int):
+    if limit < 1:
+        raise CommandError(f"--limit must be at least 1, got {limit}")
     try:
         return generate_group(system, limit=limit)
     except GroupLimitError as exc:

@@ -312,41 +312,17 @@ def form_complement(basis: SubspaceBasis) -> SubspaceBasis:
 
 
 def intersect(a: SubspaceBasis, b: SubspaceBasis) -> SubspaceBasis:
-    """Canonical basis of the intersection of two subspaces."""
+    """Canonical basis of the intersection of two subspaces.
+
+    The delta form is nondegenerate over every field, so the intersection is
+    the complement of the sum of the two complements.
+    """
     if a.field != b.field:
         raise ValueError("field mismatch")
     if a.dim != b.dim:
         raise ValueError("dimension mismatch")
-    field = a.field
-    ka, kb = a.rank, b.rank
-    if ka == 0 or kb == 0:
-        return row_reduce(field, [], dim=a.dim)
-    # kernel of (lam, mu) |-> sum lam_i a_i - sum mu_j b_j gives the
-    # intersection elements sum lam_i a_i
-    support = sorted(
-        set().union(*(r.entries for r in a.rows), *(r.entries for r in b.rows))
-    )
-    rows = []
-    for t in support:
-        entries = {}
-        for i, r in enumerate(a.rows):
-            c = r.entries.get(t)
-            if c is not None:
-                entries[i] = c
-        for j, r in enumerate(b.rows):
-            c = r.entries.get(t)
-            if c is not None:
-                entries[ka + j] = field.neg(c)
-        rows.append(SparseVector(ka + kb, entries))
-    ker = form_complement(row_reduce(field, rows, dim=ka + kb))
-    combos = []
-    for x in ker.rows:
-        acc = SparseVector(a.dim, {})
-        for i, c in x.entries.items():
-            if i < ka:
-                acc = vadd(field, acc, vscale(field, c, a.rows[i]))
-        combos.append(acc)
-    return row_reduce(field, combos, dim=a.dim)
+    perps = form_complement(a).rows + form_complement(b).rows
+    return form_complement(row_reduce(a.field, perps, dim=a.dim))
 
 
 def solve_coordinates(field, basis_vectors, v: SparseVector):

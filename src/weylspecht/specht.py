@@ -4,11 +4,12 @@ module.
 A tabloid is a left coset of the setwise stabilizer N(psi), keyed by the
 image root set d(psi) itself; the stabilizer is exactly the subgroup fixing
 that set, so the key is canonical. The module M^psi is the free module on
-the tabloids; the kappa operator is the signed sum over the reflection group
-of the column system, and a polytabloid is kappa applied to a tabloid.
-Polytabloid coefficients are accumulated over the integers and only then
-mapped into the working field, so prime-characteristic runs reuse the same
-integer data.
+the tabloids. W acts on tabloid indices through one permutation table per
+simple reflection, computed once from the keys; an element acts by folding
+these tables along its recorded reduced word. The kappa operator is the
+signed sum over the reflection group of the column system, and the
+polytabloid e_{wJ,wJ'} is the translate w e_{J,J'} of kappa applied to the
+base tabloid.
 """
 
 from __future__ import annotations
@@ -17,11 +18,13 @@ import warnings
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from operator import itemgetter
 
 from .exactlin import (
     SparseVector,
     SubspaceBasis,
     dot,
+    field_name,
     form_complement,
     intersect,
     row_reduce,
@@ -40,9 +43,9 @@ from .weyl import (
     GroupElement,
     apply_to_root,
     generate_group,
-    inverse,
     sign,
     subgroup_generated,
+    word_to_element,
 )
 
 
@@ -64,7 +67,10 @@ class TabloidSpace:
     usefulness of the pair are computed here once and read by every later
     stage. Tabloid order follows the coset representatives E_psi, which
     follow the BFS order of the group; the family therefore prints
-    identically from run to run.
+    identically from run to run. The action of W is the tabloid-index
+    permutation of each simple reflection, read off the keys once here and
+    folded along the recorded word of an element; nothing is stored per
+    element.
     """
 
     def __init__(
@@ -87,7 +93,18 @@ class TabloidSpace:
         self.index = {t.key: i for i, t in enumerate(tabloids)}
         self.col_group = col_group
         self.col_signs = col_signs
-        self._act_cache: dict = {}
+
+        def table(s: GroupElement) -> list[int]:
+            return [
+                self.index[frozenset(apply_to_root(system, s, r) for r in t.key)]
+                for t in tabloids
+            ]
+
+        # step i sends a permutation p to p o (table of tau_i); BFS puts tau_i
+        # at position i of the group, with recorded word (i,)
+        self._steps = tuple(
+            itemgetter(*table(group[i])) for i in range(1, system.rank + 1)
+        )
 
     def __len__(self) -> int:
         return len(self.tabloids)
@@ -110,15 +127,17 @@ class TabloidSpace:
         )
 
     def index_action(self, w: GroupElement) -> tuple[int, ...]:
-        """The permutation of tabloid indices induced by w, cached per element."""
-        perm = self._act_cache.get(w.perm)
-        if perm is None:
-            sys = self.system
-            perm = tuple(
-                self.index[frozenset(apply_to_root(sys, w, r) for r in t.key)]
-                for t in self.tabloids
-            )
-            self._act_cache[w.perm] = perm
+        """The permutation of tabloid indices induced by w: entry i is the
+        index of w applied to tabloid i."""
+        if w.system_label != self.system.label:
+            raise ValueError("element belongs to a different root system")
+        perm = tuple(range(len(self.tabloids)))
+        word = self.group.word_of(w)
+        if len(perm) == 1:  # nothing moves; a one-index getter returns a scalar
+            return perm
+        # w = tau_a tau_b ... acts as table_a o table_b o ...
+        for i in word:
+            perm = self._steps[i - 1](perm)
         return perm
 
 
@@ -169,12 +188,15 @@ def act_tabloid(space: TabloidSpace, w: GroupElement, t: Tabloid) -> Tabloid:
     return space.tabloids[space.index_action(w)[i]]
 
 
+def _permuted(m: tuple[int, ...], v: SparseVector) -> SparseVector:
+    return SparseVector(v.dim, {m[i]: c for i, c in v.entries.items()})
+
+
 def act_vector(space: TabloidSpace, field, w: GroupElement, v: SparseVector) -> SparseVector:
     """Permute the coordinates of a module vector by the action of w."""
     if v.dim != len(space):
         raise ValueError("vector does not belong to this tabloid space")
-    m = space.index_action(w)
-    return SparseVector(v.dim, {m[i]: c for i, c in v.entries.items()})
+    return _permuted(space.index_action(w), v)
 
 
 def apply_kappa(space: TabloidSpace, field, v: SparseVector) -> SparseVector:
@@ -195,25 +217,11 @@ def apply_kappa(space: TabloidSpace, field, v: SparseVector) -> SparseVector:
 
 
 def polytabloid(space: TabloidSpace, field, w: GroupElement) -> SparseVector:
-    """e_{wJ,wJ'}: the signed orbit sum of the base tabloid translated by w.
-
-    Equals w applied to the polytabloid of the identity; coefficients are
-    accumulated over Z before reduction into the field.
-    """
+    """e_{wJ,wJ'} = w e_{J,J'}, where e_{J,J'} is kappa of the base tabloid."""
     if space.psi_prime is None:
         raise ValueError("tabloid space was built without a column system")
-    base = space.index[frozenset(space.psi.roots)]
-    acc: dict[int, int] = {}
-    w_action = space.index_action(w)
-    for sigma, sgn in zip(space.col_group, space.col_signs):
-        j = w_action[space.index_action(sigma)[base]]
-        acc[j] = acc.get(j, 0) + sgn
-    entries = {}
-    for j, c in acc.items():
-        fc = field.from_int(c)
-        if fc != field.zero:
-            entries[j] = fc
-    return SparseVector(len(space), entries)
+    base = SparseVector(len(space), {space.index[frozenset(space.psi.roots)]: field.one})
+    return act_vector(space, field, w, apply_kappa(space, field, base))
 
 
 @dataclass
@@ -242,8 +250,9 @@ def build_specht_module(
     group: GeneratedGroup | None = None,
     check_full_span: bool = False,
 ) -> SpechtModuleData:
-    """Span of the polytabloids over the distinguished representatives of
-    the column system, which already generate the whole orbit span.
+    """Span of the translates d e_{J,J'} over the distinguished
+    representatives d of the column system, which already generate the
+    whole orbit span.
 
     Warns when the pair is not a useful sub-system; the computation still
     runs and may produce the zero module. `check_full_span` re-derives the
@@ -260,12 +269,13 @@ def build_specht_module(
             "the module may degenerate",
             stacklevel=2,
         )
+    e_vec = polytabloid(space, field, group.identity)
     dreps = distinguished_reps(system, psi_prime, group)
-    generators = tuple((d, polytabloid(space, field, d)) for d in dreps)
+    generators = tuple((d, act_vector(space, field, d, e_vec)) for d in dreps)
     basis = row_reduce(field, [v for _, v in generators], dim=len(space))
     if check_full_span:
         full = row_reduce(
-            field, [polytabloid(space, field, w) for w in group], dim=len(space)
+            field, [act_vector(space, field, w, e_vec) for w in group], dim=len(space)
         )
         if full != basis:
             raise RuntimeError("generator span differs from the full orbit span")
@@ -296,11 +306,12 @@ def matrix_of(module: SpechtModuleData, w: GroupElement, basis_vectors=None):
     field = module.field
     space = module.space
     k = module.dimension
+    m = space.index_action(w)
     cols = []
     if basis_vectors is None:
         pivots = module.basis.pivots
         for r in module.basis.rows:
-            img = act_vector(space, field, w, r)
+            img = _permuted(m, r)
             cols.append([img.entries.get(p, field.zero) for p in pivots])
     else:
         bl = list(basis_vectors)
@@ -309,7 +320,7 @@ def matrix_of(module: SpechtModuleData, w: GroupElement, basis_vectors=None):
         if row_reduce(field, bl, dim=len(space)) != module.basis:
             raise ValueError("the given vectors do not form a basis of the module")
         for b in bl:
-            img = act_vector(space, field, w, b)
+            img = _permuted(m, b)
             coords = solve_coordinates(field, bl, img)
             if coords is None:
                 raise ValueError("action leaves the span of the given basis")
@@ -322,25 +333,24 @@ def character_value(module: SpechtModuleData, w: GroupElement):
     field = module.field
     if module.dimension == 0:
         return field.zero
-    space = module.space
+    m = module.space.index_action(w)
+    source = sorted(range(len(m)), key=m.__getitem__)  # w sends source[p] to p
     tr = field.zero
     for r, p in zip(module.basis.rows, module.basis.pivots):
-        img = act_vector(space, field, w, r)
-        tr = field.add(tr, img.entries.get(p, field.zero))
+        c = r.entries.get(source[p])
+        if c is not None:
+            tr = field.add(tr, c)
     return tr
 
 
 def character_norm(module: SpechtModuleData) -> Fraction:
     """(1/|W|) sum of psi(w) psi(w^-1); equals 1 exactly for an irreducible
-    rational character. Characteristic zero only."""
+    rational character. Characteristic zero only. A rational character is
+    real, so psi(w^-1) = psi(w) and the sum is one of squares."""
     if module.field.characteristic != 0:
         raise ValueError("character norm requires characteristic zero")
     group = module.space.group
-    traces = {w.perm: character_value(module, w) for w in group}
-    total = Fraction(0)
-    for w in group:
-        total += traces[w.perm] * traces[inverse(w).perm]
-    return total / len(group)
+    return sum((character_value(module, w) ** 2 for w in group), Fraction(0)) / len(group)
 
 
 def format_tabloid(space: TabloidSpace, t: Tabloid) -> str:
@@ -375,8 +385,6 @@ def specht_report(
     sample_words: tuple[tuple[int, ...], ...] = (),
 ) -> dict:
     """JSON-ready report for a built module."""
-    from .exactlin import field_name
-
     space = module.space
     system = space.system
     dims = quotient_dimension(module)
@@ -398,8 +406,6 @@ def specht_report(
     }
     chars = []
     for word in sample_words:
-        from .weyl import word_to_element
-
         w = word_to_element(system, word)
         chars.append(
             {"word": list(word), "trace": module.field.format(character_value(module, w))}

@@ -15,6 +15,7 @@ from fractions import Fraction
 
 from weylspecht import (
     apply_kappa,
+    apply_to_root,
     closure_from_simples,
     compose,
     enumerate_tabloids,
@@ -145,6 +146,17 @@ def disjoint_pairs(system, max_size=2):
     return [
         (a, b) for a in cands for b in cands if not (a.roots & b.roots)
     ]
+
+
+# --------------------------------------------------------------------------
+# the action on tabloids, from its definition
+
+def index_action_by_keys(space, w):
+    """Tabloid i goes to the tabloid whose key is w applied to key i."""
+    return tuple(
+        space.index[frozenset(apply_to_root(space.system, w, r) for r in t.key)]
+        for t in space.tabloids
+    )
 
 
 # --------------------------------------------------------------------------

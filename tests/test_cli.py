@@ -294,6 +294,19 @@ def test_group_limit_exit_code(capsys):
     assert "limit" in err
 
 
+def test_limit_below_one_is_usage_error(capsys):
+    commands = (
+        ("tabloids", "--type", "A3", "--J", "100"),
+        ("specht", "--type", "A3", "--J", "100,001", "--Jp", "110"),
+    )
+    for argv in commands:
+        for limit in ("0", "-3"):
+            code, out, err = run(capsys, *argv, "--limit", limit)
+            assert code == 2
+            assert out == ""
+            assert "--limit" in err
+
+
 def test_bad_usage_exit_code(capsys):
     assert main(["frobnicate"]) == 2
     capsys.readouterr()

@@ -3,12 +3,13 @@ from fractions import Fraction
 
 import pytest
 
-from oracles import bareiss_rank
+from oracles import bareiss_rank, index_action_by_keys
 from weylspecht import (
     act_tabloid,
     act_vector,
     apply_kappa,
     bilinear_form,
+    build_root_system,
     build_specht_module,
     character_norm,
     character_value,
@@ -16,6 +17,7 @@ from weylspecht import (
     enumerate_tabloids,
     format_module_vector,
     format_tabloid,
+    generate_group,
     matrix_of,
     polytabloid,
     quotient_dimension,
@@ -105,6 +107,37 @@ def test_action_is_compatible_with_composition(case_d4_rank3):
             assert act_tabloid(space, compose(a, b), t) is act_tabloid(
                 space, a, act_tabloid(space, b, t)
             )
+
+
+def _space(label, j_texts, jp_texts):
+    system = build_root_system(label)
+    return enumerate_tabloids(
+        system,
+        closure_from_simples(system, [parse_root(system, t) for t in j_texts]),
+        generate_group(system),
+        closure_from_simples(system, [parse_root(system, t) for t in jp_texts]),
+    )
+
+
+def test_folded_action_matches_key_definition(case_a3, case_g2, case_d4_rank3, case_d4_deg6):
+    f4 = _space("F4", ("1000", "0100", "0010"), ("0001",))
+    spaces = [c.space for c in (case_a3, case_g2, case_d4_rank3, case_d4_deg6)]
+    for space in spaces + [f4]:
+        for w in space.group:
+            assert space.index_action(w) == index_action_by_keys(space, w)
+
+
+def test_action_rejects_element_of_another_system():
+    # B3 and C3 share the root count and two root permutations; only the
+    # system label tells the non-identity one apart
+    c3_space = _space("C3", ("100",), ("001",))
+    c3_perms = {w.perm for w in c3_space.group}
+    b3_group = generate_group(build_root_system("B3"))
+    shared = [w for w in b3_group if w.perm in c3_perms and w != b3_group.identity]
+    assert shared
+    for w in shared:
+        with pytest.raises(ValueError):
+            c3_space.index_action(w)
 
 
 # --------------------------------------------------------------------------
