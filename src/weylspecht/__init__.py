@@ -26,6 +26,7 @@ from .specht import (
     build_specht_module,
     character_norm,
     character_value,
+    cyclic_submodule,
     enumerate_tabloids,
     format_module_vector,
     format_tabloid,

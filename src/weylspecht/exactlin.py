@@ -268,8 +268,14 @@ def row_reduce(field, vectors, dim: int | None = None) -> SubspaceBasis:
         if v.dim != dim:
             raise ValueError("dimension mismatch")
         echelon_insert(field, by_pivot, v)
+    return echelon_basis(field, dim, by_pivot)
+
+
+def echelon_basis(field, dim: int, by_pivot: dict) -> SubspaceBasis:
+    """The canonical basis of the span of monic echelon rows built by
+    `echelon_insert`; clears each pivot column from the other rows in place."""
     pivots = sorted(by_pivot)
-    # clear pivot columns everywhere; descending order keeps used rows clean
+    # descending order keeps used rows clean
     for p in reversed(pivots):
         prow = by_pivot[p]
         for q in pivots:

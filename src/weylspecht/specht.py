@@ -6,15 +6,17 @@ image root set d(psi) itself; the stabilizer is exactly the subgroup fixing
 that set, so the key is canonical. The module M^psi is the free module on
 the tabloids. W acts on tabloid indices through one permutation table per
 simple reflection, computed once from the keys; an element acts by folding
-these tables along its recorded reduced word. The kappa operator is the
-signed sum over the reflection group of the column system, and the
-polytabloid e_{wJ,wJ'} is the translate w e_{J,J'} of kappa applied to the
-base tabloid.
+these tables along its recorded reduced word, and a cyclic submodule is
+spun by applying them one at a time. The kappa operator is the signed sum
+over the reflection group of the column system, and the polytabloid
+e_{wJ,wJ'} is the translate w e_{J,J'} of kappa applied to the base
+tabloid. The module S is the submodule spun from e_{J,J'}.
 """
 
 from __future__ import annotations
 
 import warnings
+from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -24,9 +26,10 @@ from .exactlin import (
     SparseVector,
     SubspaceBasis,
     dot,
+    echelon_basis,
+    echelon_insert,
     field_name,
     form_complement,
-    intersect,
     row_reduce,
     solve_coordinates,
 )
@@ -69,8 +72,8 @@ class TabloidSpace:
     follow the BFS order of the group; the family therefore prints
     identically from run to run. The action of W is the tabloid-index
     permutation of each simple reflection, read off the keys once here and
-    folded along the recorded word of an element; nothing is stored per
-    element.
+    folded along the recorded word of an element, or applied one reflection
+    at a time by `cyclic_submodule`; nothing is stored per element.
     """
 
     def __init__(
@@ -94,17 +97,16 @@ class TabloidSpace:
         self.col_group = col_group
         self.col_signs = col_signs
 
-        def table(s: GroupElement) -> list[int]:
-            return [
+        def table(s: GroupElement) -> tuple[int, ...]:
+            return tuple(
                 self.index[frozenset(apply_to_root(system, s, r) for r in t.key)]
                 for t in tabloids
-            ]
+            )
 
-        # step i sends a permutation p to p o (table of tau_i); BFS puts tau_i
-        # at position i of the group, with recorded word (i,)
-        self._steps = tuple(
-            itemgetter(*table(group[i])) for i in range(1, system.rank + 1)
-        )
+        # BFS puts tau_i at position i of the group, with recorded word (i,)
+        self._tables = tuple(table(group[i]) for i in range(1, system.rank + 1))
+        # step i sends a permutation p to p o (table of tau_i)
+        self._steps = tuple(itemgetter(*t) for t in self._tables)
 
     def __len__(self) -> int:
         return len(self.tabloids)
@@ -199,6 +201,29 @@ def act_vector(space: TabloidSpace, field, w: GroupElement, v: SparseVector) -> 
     return _permuted(space.index_action(w), v)
 
 
+def cyclic_submodule(space: TabloidSpace, field, v: SparseVector) -> SubspaceBasis:
+    """Canonical basis of the W-submodule generated by v, found by spinning.
+
+    Each vector that enlarges the echelon span is pushed through every
+    simple reflection, and the images that enlarge it further are queued in
+    turn. A span closed under the simple reflections is closed under W,
+    since they generate W and are involutions; so this takes at most
+    rank * dim images, where the orbit takes |W|.
+    """
+    dim = len(space)
+    if v.dim != dim:
+        raise ValueError("vector does not belong to this tabloid space")
+    by_pivot: dict = {}
+    queue = deque([v] if echelon_insert(field, by_pivot, v) else ())
+    while queue and len(by_pivot) < dim:
+        u = queue.popleft()
+        for table in space._tables:
+            img = _permuted(table, u)
+            if echelon_insert(field, by_pivot, img):
+                queue.append(img)
+    return echelon_basis(field, dim, by_pivot)
+
+
 def apply_kappa(space: TabloidSpace, field, v: SparseVector) -> SparseVector:
     """The signed sum over the column reflection group, applied to v."""
     if v.dim != len(space):
@@ -250,15 +275,17 @@ def build_specht_module(
     group: GeneratedGroup | None = None,
     check_full_span: bool = False,
 ) -> SpechtModuleData:
-    """Span of the translates d e_{J,J'} over the distinguished
-    representatives d of the column system, which already generate the
-    whole orbit span.
+    """The cyclic module generated by e_{J,J'}.
+
+    The basis is the spin of e_{J,J'} under the simple reflections (see
+    `cyclic_submodule`). `generators` are the translates d e_{J,J'} over the
+    distinguished representatives d of the column system, which span the
+    same module; the identity comes first, so the first generator is
+    e_{J,J'}.
 
     Warns when the pair is not a useful sub-system; the computation still
     runs and may produce the zero module. `check_full_span` re-derives the
-    basis from the full group orbit and raises on disagreement. The
-    identity is the first distinguished representative, so the first
-    generator is e_{J,J'}.
+    basis from the full group orbit and raises on disagreement.
     """
     if group is None:
         group = generate_group(system)
@@ -272,7 +299,7 @@ def build_specht_module(
     e_vec = polytabloid(space, field, group.identity)
     dreps = distinguished_reps(system, psi_prime, group)
     generators = tuple((d, act_vector(space, field, d, e_vec)) for d in dreps)
-    basis = row_reduce(field, [v for _, v in generators], dim=len(space))
+    basis = cyclic_submodule(space, field, e_vec)
     if check_full_span:
         full = row_reduce(
             field, [act_vector(space, field, w, e_vec) for w in group], dim=len(space)
@@ -287,10 +314,17 @@ bilinear_form = dot
 
 
 def quotient_dimension(module: SpechtModuleData) -> tuple[int, int, int]:
-    """(dim S, dim of S meet its form complement, dim of the quotient)."""
-    perp = form_complement(module.basis)
-    radical = intersect(module.basis, perp)
-    dim_s = module.basis.rank
+    """(dim S, dim of S meet its form complement, dim of the quotient).
+
+    The delta form is nondegenerate, so the radical S meet S-perp is the
+    complement of S + S-perp.
+    """
+    basis = module.basis
+    perp = form_complement(basis)
+    radical = form_complement(
+        row_reduce(module.field, perp.rows + basis.rows, dim=basis.dim)
+    )
+    dim_s = basis.rank
     return (dim_s, radical.rank, dim_s - radical.rank)
 
 

@@ -2,8 +2,9 @@
 
 The useful/good predicates are decided by brute-force subgroup intersection
 and coefficient scans, which is exact and cheap at desk scale. The
-submodule probe draws seeded random vectors, closes them into cyclic
-submodules and checks the containment dichotomy against the built module.
+submodule probe draws seeded random vectors, spins each one under the
+simple reflections into its cyclic submodule and checks the containment
+dichotomy against the built module.
 """
 
 from __future__ import annotations
@@ -11,12 +12,12 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-from .exactlin import QQ, SparseVector, contains, form_complement, row_reduce, vector
+from .exactlin import QQ, SparseVector, contains, form_complement, vector
 from .rootsys import RootSystem
 from .specht import (
     SpechtModuleData,
     TabloidSpace,
-    act_vector,
+    cyclic_submodule,
     enumerate_tabloids,
     polytabloid,
 )
@@ -155,12 +156,22 @@ class ProbeReport:
         return not self.violations
 
 
+def probe_vector(field, dim: int, seed: int, trial: int) -> SparseVector:
+    """The seeded random vector of one probe trial, entries in -3..3."""
+    rng = random.Random(seed * 1_000_003 + trial)
+    return vector(field, dim, ((i, field.from_int(rng.randint(-3, 3))) for i in range(dim)))
+
+
 def submodule_theorem_probe(
     module: SpechtModuleData, trials: int = 50, seed: int = DEFAULT_PROBE_SEED
 ) -> ProbeReport:
     """For each seeded random cyclic submodule U of the tabloid module,
     check that the built module is inside U or U is inside its form
-    complement. Any violation indicates an implementation bug."""
+    complement. Any violation indicates an implementation bug.
+
+    U is spun from its seeded vector under the simple reflections by
+    `cyclic_submodule`, which needs at most rank * dim images of it rather
+    than one per group element."""
     if trials < 1:
         raise ValueError(f"probe needs at least one trial, got {trials}")
     space = module.space
@@ -169,14 +180,7 @@ def submodule_theorem_probe(
     perp = form_complement(module.basis)
     violations = []
     for t in range(trials):
-        rng = random.Random(seed * 1_000_003 + t)
-        u = vector(
-            field,
-            dim,
-            ((i, field.from_int(rng.randint(-3, 3))) for i in range(dim)),
-        )
-        orbit = [act_vector(space, field, w, u) for w in space.group]
-        cyclic = row_reduce(field, orbit, dim=dim)
+        cyclic = cyclic_submodule(space, field, probe_vector(field, dim, seed, t))
         s_in_u = all(contains(cyclic, r) for r in module.basis.rows)
         u_in_perp = all(contains(perp, r) for r in cyclic.rows)
         if not (s_in_u or u_in_perp):

@@ -14,6 +14,7 @@ import zlib
 from fractions import Fraction
 
 from weylspecht import (
+    act_vector,
     apply_kappa,
     apply_to_root,
     closure_from_simples,
@@ -27,7 +28,7 @@ from weylspecht import (
     subgroup_generated,
     vanishing_obstruction,
 )
-from weylspecht.exactlin import QQ, SparseVector, vscale, vsub
+from weylspecht.exactlin import QQ, SparseVector, row_reduce, vscale, vsub
 from weylspecht.subsystem import normalizer
 
 # --------------------------------------------------------------------------
@@ -156,6 +157,13 @@ def index_action_by_keys(space, w):
     return tuple(
         space.index[frozenset(apply_to_root(space.system, w, r) for r in t.key)]
         for t in space.tabloids
+    )
+
+
+def cyclic_span_by_orbit(space, field, v):
+    """The W-submodule generated by v, as the span of all |W| translates."""
+    return row_reduce(
+        field, [act_vector(space, field, w, v) for w in space.group], dim=len(space)
     )
 
 

@@ -12,8 +12,14 @@ import io
 
 import pytest
 
-from weylspecht import cli, is_good_subsystem
-from weylspecht.specht import enumerate_tabloids, polytabloid
+from weylspecht import cli, is_good_subsystem, submodule_theorem_probe
+from weylspecht.specht import (
+    TabloidSpace,
+    _permuted,
+    act_vector,
+    enumerate_tabloids,
+    polytabloid,
+)
 from weylspecht.subsystem import normalizer
 from weylspecht.weyl import subgroup_generated
 
@@ -53,3 +59,13 @@ def test_standalone_goodness_scans_the_normalizer_once(case_d4_rank3):
     c = case_d4_rank3
     calls = _call_counts(is_good_subsystem, c.system, c.psi, c.psi_prime, c.group)
     assert calls(normalizer) == 1
+
+
+def test_probe_trial_spins_instead_of_scanning_the_group(case_d4_deg6):
+    # one image per simple reflection and spanning vector, against |W| = 192
+    # translates for the orbit span
+    module = case_d4_deg6.module
+    space = module.space
+    calls = _call_counts(submodule_theorem_probe, module, 1)
+    images = calls(act_vector) + calls(TabloidSpace.index_action) + calls(_permuted)
+    assert 0 < images <= space.system.rank * len(space) == 4 * 16

@@ -1,9 +1,10 @@
 import random
+import warnings
 from fractions import Fraction
 
 import pytest
 
-from oracles import bareiss_rank, index_action_by_keys
+from oracles import bareiss_rank, cyclic_span_by_orbit, index_action_by_keys
 from weylspecht import (
     act_tabloid,
     act_vector,
@@ -14,6 +15,7 @@ from weylspecht import (
     character_norm,
     character_value,
     closure_from_simples,
+    cyclic_submodule,
     enumerate_tabloids,
     format_module_vector,
     format_tabloid,
@@ -22,8 +24,9 @@ from weylspecht import (
     polytabloid,
     quotient_dimension,
 )
-from weylspecht.exactlin import QQ, PrimeField, SparseVector
+from weylspecht.exactlin import QQ, PrimeField, SparseVector, row_reduce
 from weylspecht.rootsys import parse_root
+from weylspecht.verify import DEFAULT_PROBE_SEED, probe_vector
 from weylspecht.weyl import compose, identity, inverse, word_to_element
 
 
@@ -204,7 +207,74 @@ def test_polytabloid_requires_column_system(a3, w_a3):
 
 
 # --------------------------------------------------------------------------
+# cyclic submodules
+
+FIELDS = [QQ, PrimeField(2), PrimeField(3)]
+F4_PAIR = ("F4", ("1000", "0100", "0010"), ("0001",))
+
+
+@pytest.fixture(scope="module")
+def corpus(case_a3, case_g2, case_d4_rank3, case_d4_deg6):
+    """(system, group, psi, psi', space) for A3, G2, D4 x2 and F4."""
+    cases = [
+        (c.system, c.group, c.psi, c.psi_prime, c.space)
+        for c in (case_a3, case_g2, case_d4_rank3, case_d4_deg6)
+    ]
+    f4 = _space(*F4_PAIR)
+    return cases + [(f4.system, f4.group, f4.psi, f4.psi_prime, f4)]
+
+
+def _assert_spin_matches_orbit(space, field):
+    dim = len(space)
+    zero = SparseVector(dim, {})
+    ones = SparseVector(dim, dict.fromkeys(range(dim), field.one))
+    probes = [probe_vector(field, dim, DEFAULT_PROBE_SEED, t) for t in range(5)]
+    for v in probes + [polytabloid(space, field, space.group.identity), zero, ones]:
+        assert cyclic_submodule(space, field, v) == cyclic_span_by_orbit(space, field, v)
+    spun_zero = cyclic_submodule(space, field, zero)
+    assert (spun_zero.rank, spun_zero.dim) == (0, dim)
+    assert cyclic_submodule(space, field, ones).rank == 1  # the trivial module
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=repr)
+def test_cyclic_submodule_matches_orbit_span(corpus, field):
+    for *_, space in corpus:
+        _assert_spin_matches_orbit(space, field)
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=repr)
+def test_cyclic_submodule_on_one_tabloid(a3, w_a3, field):
+    space = enumerate_tabloids(a3, closure_from_simples(a3, a3.simple_roots()), w_a3)
+    v = SparseVector(1, {0: field.neg(field.one)})
+    assert cyclic_submodule(space, field, v) == cyclic_span_by_orbit(space, field, v)
+    assert cyclic_submodule(space, field, v).rows == (SparseVector(1, {0: field.one}),)
+
+
+def test_cyclic_submodule_rejects_foreign_vector(case_a3):
+    with pytest.raises(ValueError):
+        cyclic_submodule(case_a3.space, QQ, SparseVector(len(case_a3.space) + 1, {}))
+
+
+@pytest.mark.slow
+def test_cyclic_submodule_matches_orbit_span_a5_mod_p():
+    space = _space("A5", ("10000", "01000", "00010"), ("11100", "01110"))
+    _assert_spin_matches_orbit(space, PrimeField(2**31 - 1))
+
+
+# --------------------------------------------------------------------------
 # module construction
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=repr)
+def test_spun_basis_is_the_generator_span(corpus, field):
+    for system, group, psi, psi_prime, space in corpus:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            module = build_specht_module(
+                system, psi, psi_prime, field, group=group, check_full_span=True
+            )
+        gens = [v for _, v in module.generators]
+        assert module.basis == row_reduce(field, gens, dim=len(space))
 
 
 def test_module_dimensions(case_a3, case_g2, case_d4_rank3, case_d4_deg6):
