@@ -192,7 +192,7 @@ def cmd_specht(args) -> int:
         module = specht.build_specht_module(system, psi, psi_prime, field, group=group)
     space = module.space
     useful = space.useful
-    e_vec = module.generators[0][1]
+    e_vec = module.e_vec
     # goodness reads the integer polytabloid, which over Q is e_vec itself
     base = e_vec if field == QQ else specht.polytabloid(space, QQ, group.identity)
     good = verify.good_from_space(space, base)

@@ -4,7 +4,8 @@ A root is an integer coordinate tuple over the simple roots, so the digit
 string a1a2...an is the native format. The inner product is carried by a
 per-type Gram matrix of exact rationals fixed by the usual coordinate
 models; G2 is normalized so the short simple root has squared length 2 and
-the long one 6, with (a1, a2) = -3.
+the long one 6, with (a1, a2) = -3. Twice the Gram matrix is integral for
+every type, so inner products and reflections are computed in integers.
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ import re
 import warnings
 from dataclasses import dataclass, field
 from fractions import Fraction
+from operator import mul
 
 Root = tuple[int, ...]
 
@@ -43,6 +45,8 @@ class RootSystem:
     positive_count: int
     cartan: tuple[tuple[int, ...], ...] = field(compare=False, repr=False)
     index: dict = field(compare=False, repr=False)
+    # 2 * gram, integral for every supported type
+    doubled_gram: tuple[tuple[int, ...], ...] = field(compare=False, repr=False)
 
     def simple_roots(self) -> tuple[Root, ...]:
         n = self.rank
@@ -185,34 +189,41 @@ def build_root_system(label: str) -> RootSystem:
         positive_count=len(positives),
         cartan=cartan,
         index=index,
+        doubled_gram=tuple(tuple(int(2 * x) for x in row) for row in gram),
     )
+
+
+def _doubled_product(system: RootSystem, u: Root, v: Root) -> int:
+    """2(u, v) in integers."""
+    if len(u) != system.rank or len(v) != system.rank:
+        raise ValueError("dimension mismatch")
+    acc = 0
+    for a, row in zip(u, system.doubled_gram):
+        if a:
+            acc += a * sum(map(mul, row, v))
+    return acc
 
 
 def inner_product(system: RootSystem, u: Root, v: Root) -> Fraction:
     """Exact inner product of two coordinate vectors."""
-    if len(u) != system.rank or len(v) != system.rank:
-        raise ValueError("dimension mismatch")
-    acc = Fraction(0)
-    for i, a in enumerate(u):
-        if not a:
-            continue
-        row = system.gram[i]
-        acc += a * sum(row[j] * b for j, b in enumerate(v) if b)
-    return acc
+    return Fraction(_doubled_product(system, u, v), 2)
 
 
 def reflect_root(system: RootSystem, alpha: Root, v: Root) -> Root:
     """Reflect v in the hyperplane orthogonal to alpha: v - 2(a,v)/(a,a) a."""
     if not any(alpha):
         raise ValueError("cannot reflect in the zero vector")
-    norm = inner_product(system, alpha, alpha)
-    c = 2 * inner_product(system, alpha, v) / norm
+    # with c = num / norm = 2(a,v)/(a,a), coordinate k is (x_k norm - num a_k) / norm
+    norm = _doubled_product(system, alpha, alpha)
+    num = 2 * _doubled_product(system, alpha, v)
+    if not num:
+        return tuple(v)
     out = []
     for a, x in zip(alpha, v):
-        y = x - c * a
-        if y.denominator != 1:
+        y, rem = divmod(x * norm - num * a, norm)
+        if rem:
             raise ValueError("non-integral reflection; Gram data is corrupted")
-        out.append(int(y))
+        out.append(y)
     return tuple(out)
 
 

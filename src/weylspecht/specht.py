@@ -255,8 +255,17 @@ class SpechtModuleData:
 
     space: TabloidSpace
     field: object
-    generators: tuple
+    e_vec: SparseVector
     basis: SubspaceBasis
+
+    @cached_property
+    def generators(self) -> tuple:
+        """(d, d e_{J,J'}) over the distinguished representatives d of the
+        column system, in group order; the identity comes first, so the
+        first generator is e_{J,J'}. They span the module."""
+        space = self.space
+        dreps = distinguished_reps(space.system, space.psi_prime, space.group)
+        return tuple((d, act_vector(space, self.field, d, self.e_vec)) for d in dreps)
 
     @property
     def dimension(self) -> int:
@@ -278,10 +287,8 @@ def build_specht_module(
     """The cyclic module generated by e_{J,J'}.
 
     The basis is the spin of e_{J,J'} under the simple reflections (see
-    `cyclic_submodule`). `generators` are the translates d e_{J,J'} over the
-    distinguished representatives d of the column system, which span the
-    same module; the identity comes first, so the first generator is
-    e_{J,J'}.
+    `cyclic_submodule`). The translates listed by `generators` are computed
+    only when read.
 
     Warns when the pair is not a useful sub-system; the computation still
     runs and may produce the zero module. `check_full_span` re-derives the
@@ -297,8 +304,6 @@ def build_specht_module(
             stacklevel=2,
         )
     e_vec = polytabloid(space, field, group.identity)
-    dreps = distinguished_reps(system, psi_prime, group)
-    generators = tuple((d, act_vector(space, field, d, e_vec)) for d in dreps)
     basis = cyclic_submodule(space, field, e_vec)
     if check_full_span:
         full = row_reduce(
@@ -306,7 +311,7 @@ def build_specht_module(
         )
         if full != basis:
             raise RuntimeError("generator span differs from the full orbit span")
-    return SpechtModuleData(space=space, field=field, generators=generators, basis=basis)
+    return SpechtModuleData(space=space, field=field, e_vec=e_vec, basis=basis)
 
 
 # the delta form on the tabloid basis, extended bilinearly

@@ -24,6 +24,7 @@ from .weyl import (
     apply_to_root,
     compose,
     identity,
+    product_keys,
     subgroup_generated,
 )
 
@@ -145,21 +146,30 @@ class NormalizerPair:
     n_j: tuple[GroupElement, ...]
 
 
+def _root_indices(system: RootSystem, group: GeneratedGroup, roots) -> list[int]:
+    # the scans below read w.perm directly, so check the group's system once
+    if group.system_label != system.label:
+        raise ValueError("group belongs to a different root system")
+    return [system.root_index(r) for r in roots]
+
+
 def normalizer(system: RootSystem, psi: Subsystem, group: GeneratedGroup) -> NormalizerPair:
     """All w with w(psi) = psi, and those with w(J) = J, in group order.
 
     w(J) contained in psi already forces w(psi) = psi: the image subsystem is
     the orbit of w(J) under reflections in members of psi, which preserve psi.
     """
-    jset = set(psi.simples)
-    rset = psi.roots
+    j_idx = _root_indices(system, group, psi.simples)
+    jset = set(j_idx)
+    rset = {system.root_index(r) for r in psi.roots}
     n_psi = []
     n_j = []
     for w in group:
-        images = [apply_to_root(system, w, j) for j in psi.simples]
-        if all(im in rset for im in images):
+        p = w.perm
+        images = [p[j] for j in j_idx]
+        if rset.issuperset(images):
             n_psi.append(w)
-            if set(images) == jset:
+            if jset.issuperset(images):
                 n_j.append(w)
     return NormalizerPair(n_psi=tuple(n_psi), n_j=tuple(n_j))
 
@@ -190,11 +200,9 @@ def distinguished_reps(
 
     One per coset of the reflection subgroup of psi, each of minimal length.
     """
-    return tuple(
-        w
-        for w in group
-        if all(system.is_positive(apply_to_root(system, w, j)) for j in psi.simples)
-    )
+    j_idx = _root_indices(system, group, psi.simples)
+    pc = system.positive_count
+    return tuple(w for w in group if all(w.perm[j] < pc for j in j_idx))
 
 
 def normalizer_reps(
@@ -210,14 +218,15 @@ def normalizer_reps(
     """
     if n_psi is None:
         n_psi = normalizer(system, psi, group).n_psi
+    key, *steps = product_keys(system, [group.identity, *n_psi])
     seen: set = set()
     reps = []
     for w in group:
-        if w.perm in seen:
+        p = w.perm
+        if key(p) in seen:
             continue
         reps.append(w)
-        for n in n_psi:
-            seen.add(compose(w, n).perm)
+        seen.update(step(p) for step in steps)
     assert len(reps) * len(n_psi) == len(group)
     return tuple(reps)
 

@@ -25,7 +25,6 @@ from .subsystem import Subsystem, is_useful_pair, normalizer
 from .weyl import (
     GeneratedGroup,
     GroupElement,
-    compose,
     generate_group,
     sign,
     subgroup_generated,
@@ -71,7 +70,8 @@ def obstruction_from_space(space: TabloidSpace) -> GroupElement | None:
     for w in space.n_psi:
         if w == e or w.perm not in w_jp:
             continue
-        if compose(w, w) != e:
+        p = w.perm
+        if any(p[j] != i for i, j in enumerate(p)):  # w o w is not e
             continue
         if sign(system, w) == -1:
             return w

@@ -4,11 +4,18 @@ An element stores the image index of every root. Composition is "right
 factor acts first", matching words read left to right: tau_1 tau_2 applied
 to a root applies tau_2 first. The BFS generator records one reduced word
 per element, so downstream enumerations are reproducible.
+
+Elements are composed by `operator.itemgetter` on index tuples: right
+multiplication by a fixed g is `itemgetter(*g.perm)`, which builds the perm
+of w g in C. The closures and the scans over W run on raw perms, tell
+elements apart by the images of the simple roots alone (see
+`product_keys`), and build a `GroupElement` only for an element they keep.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from operator import itemgetter
 
 from .rootsys import Root, RootSystem, reflect_root
 
@@ -20,7 +27,7 @@ class GroupLimitError(RuntimeError):
 DEFAULT_GROUP_LIMIT = 100_000
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class GroupElement:
     perm: tuple[int, ...]
     system_label: str
@@ -53,8 +60,7 @@ def simple_reflection(system: RootSystem, i: int) -> GroupElement:
 def compose(a: GroupElement, b: GroupElement) -> GroupElement:
     """a after b: the word ab applies b first."""
     _check_same(a, b)
-    ap = a.perm
-    return GroupElement(tuple(ap[j] for j in b.perm), a.system_label)
+    return GroupElement(tuple(map(a.perm.__getitem__, b.perm)), a.system_label)
 
 
 def inverse(a: GroupElement) -> GroupElement:
@@ -72,14 +78,14 @@ def apply_to_root(system: RootSystem, w: GroupElement, r: Root) -> Root:
 
 def word_to_element(system: RootSystem, word) -> GroupElement:
     """Left-to-right product of simple reflections; the empty word is e."""
-    gens = {}
-    acc = identity(system)
+    steps = {}
+    perm = identity(system).perm
     for i in word:
-        g = gens.get(i)
-        if g is None:
-            g = gens[i] = simple_reflection(system, i)
-        acc = compose(acc, g)
-    return acc
+        step = steps.get(i)
+        if step is None:
+            step = steps[i] = itemgetter(*simple_reflection(system, i).perm)
+        perm = step(perm)
+    return GroupElement(perm, system.label)
 
 
 @dataclass(frozen=True)
@@ -115,6 +121,43 @@ class GeneratedGroup:
         return self.words[self._pos[w.perm]]
 
 
+def product_keys(system: RootSystem, gs) -> list:
+    """For each g, the map w.perm -> key of w g, where the key of an element
+    is the tuple of images of the simple roots.
+
+    An element is a linear map, so its key determines it; the closures
+    compare these `rank` entries in place of whole permutations.
+    """
+    simple_idx = [system.index[a] for a in system.simple_roots()]
+    return [itemgetter(*(g.perm[j] for j in simple_idx)) for g in gs]
+
+
+def _closure(system: RootSystem, gens, limit: int, what: str):
+    """Breadth-first closure of e under right multiplication by `gens`:
+    the index tuples in discovery order, and for each the word of 1-based
+    generator positions that first reached it."""
+    e = identity(system)
+    key_of_e, *keys = product_keys(system, [e, *gens])
+    steps = [(itemgetter(*g.perm), key) for g, key in zip(gens, keys)]
+    perms = [e.perm]
+    words: list[tuple[int, ...]] = [()]
+    seen = {key_of_e(e.perm)}
+    head = 0
+    while head < len(perms):
+        p = perms[head]
+        word = words[head]
+        head += 1
+        for i, (step, key) in enumerate(steps, start=1):
+            k = key(p)
+            if k not in seen:
+                if len(perms) >= limit:
+                    raise GroupLimitError(f"{what} exceeds the limit of {limit} elements")
+                seen.add(k)
+                perms.append(step(p))
+                words.append(word + (i,))
+    return perms, words
+
+
 def generate_group(system: RootSystem, limit: int = DEFAULT_GROUP_LIMIT) -> GeneratedGroup:
     """Breadth-first closure of the simple reflections.
 
@@ -122,30 +165,13 @@ def generate_group(system: RootSystem, limit: int = DEFAULT_GROUP_LIMIT) -> Gene
     is reduced and its length equals length(w).
     """
     gens = [simple_reflection(system, i) for i in range(1, system.rank + 1)]
-    e = identity(system)
-    elements = [e]
-    words: list[tuple[int, ...]] = [()]
-    pos = {e.perm: 0}
-    head = 0
-    while head < len(elements):
-        w = elements[head]
-        word = words[head]
-        head += 1
-        for i, g in enumerate(gens, start=1):
-            nxt = compose(w, g)
-            if nxt.perm not in pos:
-                if len(elements) >= limit:
-                    raise GroupLimitError(
-                        f"group of {system.label} exceeds the limit of {limit} elements"
-                    )
-                pos[nxt.perm] = len(elements)
-                elements.append(nxt)
-                words.append(word + (i,))
+    perms, words = _closure(system, gens, limit, f"group of {system.label}")
+    label = system.label
     return GeneratedGroup(
-        system_label=system.label,
-        elements=tuple(elements),
+        system_label=label,
+        elements=tuple(GroupElement(p, label) for p in perms),
         words=tuple(words),
-        _pos=pos,
+        _pos={p: i for i, p in enumerate(perms)},
     )
 
 
@@ -154,23 +180,9 @@ def subgroup_generated(
 ) -> tuple[GroupElement, ...]:
     """Closure of the reflections in the given roots, in deterministic order."""
     refl = [reflection_in(system, g) for g in sorted(set(gens))]
-    e = identity(system)
-    elements = [e]
-    seen = {e.perm}
-    head = 0
-    while head < len(elements):
-        w = elements[head]
-        head += 1
-        for g in refl:
-            nxt = compose(w, g)
-            if nxt.perm not in seen:
-                if len(elements) >= limit:
-                    raise GroupLimitError(
-                        f"subgroup closure exceeds the limit of {limit} elements"
-                    )
-                seen.add(nxt.perm)
-                elements.append(nxt)
-    return tuple(elements)
+    perms, _ = _closure(system, refl, limit, "subgroup closure")
+    label = system.label
+    return tuple(GroupElement(p, label) for p in perms)
 
 
 def element_to_json(group: GeneratedGroup, w: GroupElement) -> dict:

@@ -8,10 +8,12 @@ are checked by direct enumeration.
 
 from __future__ import annotations
 
+import importlib.util
 import itertools
 import random
 import zlib
 from fractions import Fraction
+from pathlib import Path
 
 from weylspecht import (
     act_vector,
@@ -77,6 +79,31 @@ def eps_embed(eps_simples, coords):
 
 
 # --------------------------------------------------------------------------
+# group closure, one `compose` per candidate
+
+def bfs_by_compose(system, gens):
+    """Breadth-first closure of e under right multiplication by `gens`,
+    comparing whole elements: (elements, words) in discovery order, with
+    words of 1-based generator positions. No limit is applied."""
+    e = identity(system)
+    elements = [e]
+    words = [()]
+    seen = {e.perm}
+    head = 0
+    while head < len(elements):
+        w = elements[head]
+        word = words[head]
+        head += 1
+        for i, g in enumerate(gens, start=1):
+            nxt = compose(w, g)
+            if nxt.perm not in seen:
+                seen.add(nxt.perm)
+                elements.append(nxt)
+                words.append(word + (i,))
+    return tuple(elements), tuple(words)
+
+
+# --------------------------------------------------------------------------
 # dense fraction-free rank
 
 def bareiss_rank(mat) -> int:
@@ -127,6 +154,19 @@ def _gcd(a, b):
 
 # --------------------------------------------------------------------------
 # corpus enumeration
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+
+
+def load_workloads():
+    """The benchmark's workload module, ``perfbench/workloads.py``, read only."""
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_workloads", PERFBENCH / "workloads.py"
+    )
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
 
 def candidate_subsystems(system, max_size=2):
     """Subsystems generated by valid simple subsets of the positive roots."""

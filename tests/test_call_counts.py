@@ -20,8 +20,8 @@ from weylspecht.specht import (
     enumerate_tabloids,
     polytabloid,
 )
-from weylspecht.subsystem import normalizer
-from weylspecht.weyl import subgroup_generated
+from weylspecht.subsystem import distinguished_reps, normalizer
+from weylspecht.weyl import compose, subgroup_generated
 
 
 def _call_counts(fn, *args):
@@ -45,6 +45,30 @@ def test_specht_command_builds_the_pair_once():
     assert calls(normalizer) == 1
     assert calls(enumerate_tabloids) == 1
     assert calls(subgroup_generated) <= 3
+
+
+A5_TABLOIDS = ["tabloids", "--type", "A5", "--J", "10000,01000,00010"]
+
+
+@pytest.mark.parametrize(
+    "argv", [A5_TABLOIDS, D4_SPECHT + ["--char", "1 3 2"]], ids=["A5-tabloids", "D4-specht"]
+)
+def test_commands_compose_no_group_elements(argv):
+    # the closures and W scans run on index tuples, not on GroupElement products
+    with contextlib.redirect_stdout(io.StringIO()):
+        calls = _call_counts(cli.main, argv)
+    assert calls(compose) == 0
+
+
+def test_zero_module_skips_the_generator_scan():
+    # the G2 pair affords the zero module; only the generator listing reads D_psi'
+    argv = ["specht", "--type", "G2", "--J", "10", "--Jp", "01,31"]
+    with contextlib.redirect_stdout(io.StringIO()):
+        calls = _call_counts(cli.main, argv)
+    assert calls(distinguished_reps) == 0
+    with contextlib.redirect_stdout(io.StringIO()):
+        calls = _call_counts(cli.main, D4_SPECHT)
+    assert calls(distinguished_reps) == 1
 
 
 @pytest.mark.parametrize("field", ["Q", "F3"])

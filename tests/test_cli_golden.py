@@ -9,28 +9,15 @@ from __future__ import annotations
 
 import contextlib
 import hashlib
-import importlib.util
 import io
 import json
-from pathlib import Path
 
 import pytest
 
+from oracles import PERFBENCH, load_workloads
 from weylspecht import cli
 
-PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
-
-
-def _load_workloads():
-    spec = importlib.util.spec_from_file_location(
-        "perfbench_workloads", PERFBENCH / "workloads.py"
-    )
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
-
-
-_workloads = _load_workloads()
+_workloads = load_workloads()
 MANIFEST = json.loads((PERFBENCH / "manifest.json").read_text())
 
 

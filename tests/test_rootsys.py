@@ -117,6 +117,74 @@ def test_reflect_zero_vector_rejected(a3):
         reflect_root(a3, (0, 0, 0), (1, 0, 0))
 
 
+SUPPORTED_LABELS = [
+    pytest.param(label, marks=pytest.mark.slow) if label[1] in "78" else label
+    for label in (
+        [f"A{n}" for n in range(1, 9)]
+        + [f"B{n}" for n in range(2, 9)]
+        + [f"C{n}" for n in range(3, 9)]
+        + [f"D{n}" for n in range(4, 9)]
+        + ["G2", "F4"]
+    )
+]
+
+
+def _fraction_ip(system, u, v):
+    return sum(
+        (system.gram[i][j] * a * b for i, a in enumerate(u) for j, b in enumerate(v)),
+        Fraction(0),
+    )
+
+
+def _fraction_reflection(system, alpha, v):
+    # v - 2(a,v)/(a,a) a, from the Fraction Gram matrix
+    c = 2 * _fraction_ip(system, alpha, v) / _fraction_ip(system, alpha, alpha)
+    return tuple(x - c * a for x, a in zip(v, alpha))
+
+
+@pytest.mark.parametrize("label", SUPPORTED_LABELS)
+def test_integer_reflection_matches_fraction_formula(label):
+    system = build_root_system(label)
+    n = system.rank
+    for alpha in system.roots:
+        # (alpha, v) = sum_j row[j] v_j with row = alpha^T gram, computed once
+        row = [sum(alpha[i] * system.gram[i][j] for i in range(n)) for j in range(n)]
+        norm = sum(r * a for r, a in zip(row, alpha))
+        for v in system.roots:
+            c = 2 * sum(r * x for r, x in zip(row, v)) / norm
+            expected = tuple(x - c * a for x, a in zip(v, alpha))
+            assert reflect_root(system, alpha, v) == expected
+
+
+def test_reflection_in_non_root_vectors_matches_fraction_formula(a3):
+    # 2(a,v)/(a,a) = -1/2 here, yet the image is integral
+    assert reflect_root(a3, (2, 0, 0), (0, 1, 0)) == (1, 1, 0)
+    assert _fraction_reflection(a3, (2, 0, 0), (0, 1, 0)) == (1, 1, 0)
+
+
+def test_non_integral_reflection_rejected(a3):
+    # 2(a,v)/(a,a) = -1/3, and v + a/3 is not integral
+    assert _fraction_reflection(a3, (2, 1, 0), (0, 0, 1))[0] == Fraction(2, 3)
+    with pytest.raises(ValueError, match="non-integral"):
+        reflect_root(a3, (2, 1, 0), (0, 0, 1))
+
+
+def test_reflection_dimension_mismatch(a3):
+    with pytest.raises(ValueError, match="dimension mismatch"):
+        reflect_root(a3, (1, 0), (0, 1, 0))
+    with pytest.raises(ValueError, match="dimension mismatch"):
+        reflect_root(a3, (1, 0, 0), (0, 1))
+
+
+@pytest.mark.parametrize("label", ["A3", "B4", "C4", "D5", "G2", "F4"])
+def test_inner_product_matches_fraction_gram(label):
+    system = build_root_system(label)
+    for u in system.roots:
+        for v in system.roots:
+            value = inner_product(system, u, v)
+            assert isinstance(value, Fraction) and value == _fraction_ip(system, u, v)
+
+
 @pytest.mark.parametrize("label", ["A3", "G2"])
 def test_closure_and_involution(label):
     system = build_root_system(label)

@@ -16,6 +16,7 @@ from weylspecht import (
     character_value,
     closure_from_simples,
     cyclic_submodule,
+    distinguished_reps,
     enumerate_tabloids,
     format_module_vector,
     format_tabloid,
@@ -296,6 +297,16 @@ def test_full_span_cross_check(a3, w_a3):
     pp = closure_from_simples(a3, [parse_root(a3, "110")])
     module = build_specht_module(a3, psi, pp, QQ, group=w_a3, check_full_span=True)
     assert module.dimension == 2
+
+
+def test_generators_are_the_distinguished_translates_of_e(case_d4_deg6):
+    module = case_d4_deg6.module
+    space = module.space
+    dreps = distinguished_reps(space.system, space.psi_prime, space.group)
+    assert [d for d, _ in module.generators] == list(dreps)
+    assert module.generators[0] == (space.group.identity, module.e_vec)
+    assert module.e_vec == polytabloid(space, QQ, space.group.identity)
+    assert all(vec == act_vector(space, QQ, d, module.e_vec) for d, vec in module.generators)
 
 
 def test_generators_live_in_the_basis_span(case_d4_deg6):

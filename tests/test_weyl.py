@@ -2,7 +2,9 @@ import random
 
 import pytest
 
+from oracles import bfs_by_compose, load_workloads
 from weylspecht.rootsys import build_root_system, negate, parse_root
+from weylspecht.subsystem import closure_from_simples, orthogonal_complement
 from weylspecht.weyl import (
     GroupLimitError,
     apply_to_root,
@@ -11,6 +13,7 @@ from weylspecht.weyl import (
     identity,
     inverse,
     length,
+    reflection_in,
     sign,
     simple_reflection,
     subgroup_generated,
@@ -145,6 +148,49 @@ def test_generation_is_deterministic(a3, w_a3):
 def test_group_limit(a3):
     with pytest.raises(GroupLimitError):
         generate_group(a3, limit=10)
+
+
+def test_group_limit_is_the_order(a3):
+    assert len(generate_group(a3, limit=24)) == 24
+    with pytest.raises(GroupLimitError, match="group of A3 exceeds the limit of 23"):
+        generate_group(a3, limit=23)
+
+
+COMPOSE_BFS_LABELS = [
+    "A1", "A2", "A3", "A4", "B2", "B3", "B4", "C3", "C4", "D4", "G2", "F4",
+] + [pytest.param(label, marks=pytest.mark.slow) for label in ("A5", "B5", "D5", "A6")]
+
+
+@pytest.mark.parametrize("label", COMPOSE_BFS_LABELS)
+def test_generation_matches_compose_bfs(label):
+    system = build_root_system(label)
+    group = generate_group(system)
+    gens = [simple_reflection(system, i) for i in range(1, system.rank + 1)]
+    elements, words = bfs_by_compose(system, gens)
+    assert group.elements == elements
+    assert group.words == words
+    assert all(group.position(w) == i for i, w in enumerate(elements))
+    assert group._pos == {w.perm: i for i, w in enumerate(elements)}
+
+
+def _corpus_root_sets():
+    # J, J' and their orthogonal complements for every pair of the corpus
+    for name, (ambient, j_text, jp_text) in sorted(load_workloads().PAIRS.items()):
+        system = build_root_system(ambient)
+        for tag, text in (("J", j_text), ("Jp", jp_text)):
+            psi = closure_from_simples(
+                system, [parse_root(system, t) for t in text.split(",")]
+            )
+            yield pytest.param(ambient, psi.simples, id=f"{name}-{tag}")
+            perp = orthogonal_complement(system, psi).simples
+            yield pytest.param(ambient, perp, id=f"{name}-{tag}-perp")
+
+
+@pytest.mark.parametrize("ambient,roots", list(_corpus_root_sets()))
+def test_subgroup_matches_compose_bfs(ambient, roots):
+    system = build_root_system(ambient)
+    refl = [reflection_in(system, r) for r in sorted(set(roots))]
+    assert subgroup_generated(system, roots) == bfs_by_compose(system, refl)[0]
 
 
 def test_length_and_sign_basics(a3, w_a3):
