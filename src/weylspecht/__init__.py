@@ -39,7 +39,6 @@ from .subsystem import (
     closure_from_simples,
     distinguished_reps,
     normalizer,
-    normalizer_reps,
     orthogonal_complement,
     simple_system_of,
 )

@@ -87,11 +87,15 @@ def _collect_words(system, char_args):
     words = []
     for arg in char_args or ():
         if os.path.isfile(arg):
-            with open(arg, encoding="utf-8") as fh:
-                for line in fh:
-                    line = line.split("#", 1)[0].strip()
-                    if line:
-                        words.append(_parse_word(system, line))
+            try:
+                with open(arg, encoding="utf-8") as fh:
+                    lines = fh.readlines()
+            except (OSError, UnicodeDecodeError) as exc:
+                raise CommandError(f"cannot read --char file {arg}: {exc}") from None
+            for line in lines:
+                line = line.split("#", 1)[0].strip()
+                if line:
+                    words.append(_parse_word(system, line))
         else:
             words.append(_parse_word(system, arg))
     return tuple(words)

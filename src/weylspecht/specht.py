@@ -3,14 +3,17 @@ module.
 
 A tabloid is a left coset of the setwise stabilizer N(psi), keyed by the
 image root set d(psi) itself; the stabilizer is exactly the subgroup fixing
-that set, so the key is canonical. The module M^psi is the free module on
-the tabloids. W acts on tabloid indices through one permutation table per
-simple reflection, computed once from the keys; an element acts by folding
-these tables along its recorded reduced word, and a cyclic submodule is
-spun by applying them one at a time. The kappa operator is the signed sum
-over the reflection group of the column system, and the polytabloid
-e_{wJ,wJ'} is the translate w e_{J,J'} of kappa applied to the base
-tabloid. The module S is the submodule spun from e_{J,J'}.
+that set, so the key is canonical. One sweep of `subsystem.normalizer` over
+W keys every element by this image and returns N(psi) with the
+representatives E_psi, the first element of each coset in BFS order. The
+module M^psi is the free module on the tabloids. W acts on tabloid indices
+through one permutation table per simple reflection, computed once from
+the keys; an element acts by folding these tables along its recorded
+reduced word, and a cyclic submodule is spun by applying them one at a
+time. The kappa operator is the signed sum over the reflection group of
+the column system, and the polytabloid e_{wJ,wJ'} is the translate
+w e_{J,J'} of kappa applied to the base tabloid. The module S is the
+submodule spun from e_{J,J'}.
 """
 
 from __future__ import annotations
@@ -34,13 +37,7 @@ from .exactlin import (
     solve_coordinates,
 )
 from .rootsys import Root, RootSystem, format_root
-from .subsystem import (
-    Subsystem,
-    distinguished_reps,
-    is_useful_pair,
-    normalizer,
-    normalizer_reps,
-)
+from .subsystem import Subsystem, distinguished_reps, is_useful_pair, normalizer
 from .weyl import (
     GeneratedGroup,
     GroupElement,
@@ -68,12 +65,13 @@ class TabloidSpace:
 
     The record of the pair: N(psi), W(psi') with its signs and the
     usefulness of the pair are computed here once and read by every later
-    stage. Tabloid order follows the coset representatives E_psi, which
-    follow the BFS order of the group; the family therefore prints
-    identically from run to run. The action of W is the tabloid-index
-    permutation of each simple reflection, read off the keys once here and
-    folded along the recorded word of an element, or applied one reflection
-    at a time by `cyclic_submodule`; nothing is stored per element.
+    stage. Tabloid order is the order of the representatives E_psi, the
+    first element of each coset of N(psi) in the BFS order of the group;
+    the family therefore prints identically from run to run. The action of
+    W is the tabloid-index permutation of each simple reflection, read off
+    the keys once here and folded along the recorded word of an element, or
+    applied one reflection at a time by `cyclic_submodule`; nothing is
+    stored per element.
     """
 
     def __init__(
@@ -128,11 +126,14 @@ class TabloidSpace:
             self.system, self.psi, self.psi_prime, self.n_psi, self.col_group
         )
 
+    def _require_member(self, w: GroupElement) -> None:
+        if w.system_label != self.system.label:
+            raise ValueError("element belongs to a different root system")
+
     def index_action(self, w: GroupElement) -> tuple[int, ...]:
         """The permutation of tabloid indices induced by w: entry i is the
         index of w applied to tabloid i."""
-        if w.system_label != self.system.label:
-            raise ValueError("element belongs to a different root system")
+        self._require_member(w)
         perm = tuple(range(len(self.tabloids)))
         word = self.group.word_of(w)
         if len(perm) == 1:  # nothing moves; a one-index getter returns a scalar
@@ -150,12 +151,14 @@ def enumerate_tabloids(
     psi_prime: Subsystem | None = None,
 ) -> TabloidSpace:
     """One tabloid per coset of N(psi); count equals the index of N(psi)."""
-    if psi.ambient_label != system.label or group.system_label != system.label:
-        raise ValueError("subsystem and group must share the ambient system")
-    n_psi = normalizer(system, psi, group).n_psi
-    reps = normalizer_reps(system, psi, group, n_psi=n_psi)
+    labels = {psi.ambient_label, group.system_label}
+    if psi_prime is not None:
+        labels.add(psi_prime.ambient_label)
+    if labels != {system.label}:
+        raise ValueError("subsystems and group must share the ambient system")
+    norm = normalizer(system, psi, group)
     tabloids = []
-    for d in reps:
+    for d in norm.reps:
         key = frozenset(apply_to_root(system, d, r) for r in psi.roots)
         rows = tuple(apply_to_root(system, d, j) for j in psi.simples)
         cols = (
@@ -177,7 +180,7 @@ def enumerate_tabloids(
         psi=psi,
         psi_prime=psi_prime,
         group=group,
-        n_psi=n_psi,
+        n_psi=norm.n_psi,
         tabloids=tuple(tabloids),
         col_group=col_group,
         col_signs=col_signs,
@@ -370,6 +373,7 @@ def matrix_of(module: SpechtModuleData, w: GroupElement, basis_vectors=None):
 def character_value(module: SpechtModuleData, w: GroupElement):
     """Trace of the action of w; zero on the zero module."""
     field = module.field
+    module.space._require_member(w)
     if module.dimension == 0:
         return field.zero
     m = module.space.index_action(w)

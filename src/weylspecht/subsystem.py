@@ -14,6 +14,7 @@ from collections import Counter
 from dataclasses import dataclass
 
 from fractions import Fraction
+from operator import itemgetter
 
 from . import rootsys
 from .exactlin import QQ, form_complement, from_dense, intersect, row_reduce
@@ -24,7 +25,6 @@ from .weyl import (
     apply_to_root,
     compose,
     identity,
-    product_keys,
     subgroup_generated,
 )
 
@@ -139,11 +139,12 @@ def orthogonal_complement(system: RootSystem, psi: Subsystem) -> Subsystem:
 
 
 @dataclass(frozen=True)
-class NormalizerPair:
-    """Setwise stabilizer of the subsystem and of its simple system."""
+class Normalizer:
+    """N(psi), N(J) and the coset representatives E_psi, in group order."""
 
     n_psi: tuple[GroupElement, ...]
     n_j: tuple[GroupElement, ...]
+    reps: tuple[GroupElement, ...]
 
 
 def _root_indices(system: RootSystem, group: GeneratedGroup, roots) -> list[int]:
@@ -153,25 +154,34 @@ def _root_indices(system: RootSystem, group: GeneratedGroup, roots) -> list[int]
     return [system.root_index(r) for r in roots]
 
 
-def normalizer(system: RootSystem, psi: Subsystem, group: GeneratedGroup) -> NormalizerPair:
-    """All w with w(psi) = psi, and those with w(J) = J, in group order.
+def normalizer(system: RootSystem, psi: Subsystem, group: GeneratedGroup) -> Normalizer:
+    """One sweep over W, keyed by the image w(psi) as a set of root indices.
 
-    w(J) contained in psi already forces w(psi) = psi: the image subsystem is
-    the orbit of w(J) under reflections in members of psi, which preserve psi.
+    w lies in N(psi) when its key is psi's own, and in N(J) when it also
+    maps J into J. Elements with equal keys form one left coset of N(psi),
+    so E_psi is the first element seen with each key; the BFS order makes
+    it of minimal length, ties broken by enumeration order.
     """
     j_idx = _root_indices(system, group, psi.simples)
     jset = set(j_idx)
-    rset = {system.root_index(r) for r in psi.roots}
+    r_idx = [system.root_index(r) for r in psi.roots]
+    own = frozenset(r_idx)
+    # a nonempty psi has at least two roots, so the getter returns a tuple
+    image = itemgetter(*r_idx) if r_idx else lambda p: ()
+    first: dict = {}
     n_psi = []
     n_j = []
     for w in group:
         p = w.perm
-        images = [p[j] for j in j_idx]
-        if rset.issuperset(images):
+        key = frozenset(image(p))
+        first.setdefault(key, w)
+        if key == own:
             n_psi.append(w)
-            if jset.issuperset(images):
+            if all(p[j] in jset for j in j_idx):
                 n_j.append(w)
-    return NormalizerPair(n_psi=tuple(n_psi), n_j=tuple(n_j))
+    reps = tuple(first.values())
+    assert len(reps) * len(n_psi) == len(group)
+    return Normalizer(n_psi=tuple(n_psi), n_j=tuple(n_j), reps=reps)
 
 
 def _meets_trivially(system: RootSystem, a, b) -> bool:
@@ -203,32 +213,6 @@ def distinguished_reps(
     j_idx = _root_indices(system, group, psi.simples)
     pc = system.positive_count
     return tuple(w for w in group if all(w.perm[j] < pc for j in j_idx))
-
-
-def normalizer_reps(
-    system: RootSystem,
-    psi: Subsystem,
-    group: GeneratedGroup,
-    n_psi: tuple[GroupElement, ...] | None = None,
-) -> tuple[GroupElement, ...]:
-    """E_psi: one representative per left coset of the setwise stabilizer.
-
-    Scanning the group in BFS order picks a minimal-length representative
-    with ties broken by enumeration order.
-    """
-    if n_psi is None:
-        n_psi = normalizer(system, psi, group).n_psi
-    key, *steps = product_keys(system, [group.identity, *n_psi])
-    seen: set = set()
-    reps = []
-    for w in group:
-        p = w.perm
-        if key(p) in seen:
-            continue
-        reps.append(w)
-        seen.update(step(p) for step in steps)
-    assert len(reps) * len(n_psi) == len(group)
-    return tuple(reps)
 
 
 def cartan_matrix(system: RootSystem, simples) -> tuple[tuple[int, ...], ...]:

@@ -21,7 +21,7 @@ from .specht import (
     enumerate_tabloids,
     polytabloid,
 )
-from .subsystem import Subsystem, is_useful_pair, normalizer
+from .subsystem import Subsystem, is_useful_pair
 from .weyl import (
     GeneratedGroup,
     GroupElement,
@@ -33,14 +33,16 @@ from .weyl import (
 DEFAULT_PROBE_SEED = 1729
 
 
-def _require_disjoint(psi: Subsystem, psi_prime: Subsystem) -> None:
+def _require_disjoint(system: RootSystem, psi: Subsystem, psi_prime: Subsystem) -> None:
+    if psi.ambient_label != system.label or psi_prime.ambient_label != system.label:
+        raise ValueError("subsystems must belong to the ambient system")
     if psi.roots & psi_prime.roots:
         raise ValueError("psi_prime must be contained in the ambient system minus psi")
 
 
 def is_useful_system(system: RootSystem, psi: Subsystem, psi_prime: Subsystem) -> bool:
     """W(J) meets W(J') trivially, and likewise for the two complements."""
-    _require_disjoint(psi, psi_prime)
+    _require_disjoint(system, psi, psi_prime)
     w_j = subgroup_generated(system, psi.simples)
     w_jp = subgroup_generated(system, psi_prime.simples)
     return is_useful_pair(system, psi, psi_prime, w_j, w_jp)
@@ -53,12 +55,10 @@ def is_useful_subsystem(
     group: GeneratedGroup | None = None,
 ) -> bool:
     """N(psi) meets W(psi') trivially, and likewise for the two complements."""
-    _require_disjoint(psi, psi_prime)
+    _require_disjoint(system, psi, psi_prime)
     if group is None:
         group = generate_group(system)
-    n_psi = normalizer(system, psi, group).n_psi
-    w_jp = subgroup_generated(system, psi_prime.simples)
-    return is_useful_pair(system, psi, psi_prime, n_psi, w_jp)
+    return enumerate_tabloids(system, psi, group, psi_prime).useful
 
 
 def obstruction_from_space(space: TabloidSpace) -> GroupElement | None:
@@ -135,7 +135,7 @@ def is_good_subsystem(
 ) -> GoodSubsystemResult:
     """Every representative whose image of psi misses psi' must appear with
     nonzero coefficient in the base polytabloid."""
-    _require_disjoint(psi, psi_prime)
+    _require_disjoint(system, psi, psi_prime)
     if group is None:
         group = generate_group(system)
     space = enumerate_tabloids(system, psi, group, psi_prime)
@@ -167,7 +167,14 @@ def submodule_theorem_probe(
 ) -> ProbeReport:
     """For each seeded random cyclic submodule U of the tabloid module,
     check that the built module is inside U or U is inside its form
-    complement. Any violation indicates an implementation bug.
+    complement.
+
+    The dichotomy is James's submodule theorem. Its proof needs kappa of
+    every tabloid to be 0 or +-e_{J,J'}, which the good hypothesis
+    provides, so only on a good pair does a violation indicate an
+    implementation bug. On a useful pair that is not good the theorem is
+    not claimed and a violation may be genuine: sparse probe vectors find
+    some on the F4 and A5 reference pairs.
 
     U is spun from its seeded vector under the simple reflections by
     `cyclic_submodule`, which needs at most rank * dim images of it rather

@@ -32,6 +32,7 @@ from weylspecht import (
 )
 from weylspecht.exactlin import QQ, SparseVector, row_reduce, vscale, vsub
 from weylspecht.subsystem import normalizer
+from weylspecht.weyl import product_keys
 
 # --------------------------------------------------------------------------
 # epsilon-coordinate models
@@ -101,6 +102,39 @@ def bfs_by_compose(system, gens):
                 elements.append(nxt)
                 words.append(word + (i,))
     return tuple(elements), tuple(words)
+
+
+# --------------------------------------------------------------------------
+# normalizers and their cosets, from the definitions
+
+def normalizer_by_definition(system, psi, group):
+    """(N(psi), N(J)) in group order: the w with w(psi) = psi as root sets,
+    and among them those with w(J) = J."""
+    roots = psi.roots
+    jset = set(psi.simples)
+    n_psi = tuple(
+        w for w in group if {apply_to_root(system, w, r) for r in roots} == roots
+    )
+    n_j = tuple(
+        w for w in n_psi if {apply_to_root(system, w, j) for j in jset} == jset
+    )
+    return n_psi, n_j
+
+
+def normalizer_reps_by_products(system, group, n_psi):
+    """E_psi: scanning W in BFS order, keep each element whose coset is not
+    yet marked, and mark its coset w N(psi) by the product key of w n for
+    every n in N(psi). The marks fill a set with one entry per element."""
+    key, *steps = product_keys(system, [group.identity, *n_psi])
+    seen: set = set()
+    reps = []
+    for w in group:
+        p = w.perm
+        if key(p) in seen:
+            continue
+        reps.append(w)
+        seen.update(step(p) for step in steps)
+    return tuple(reps)
 
 
 # --------------------------------------------------------------------------

@@ -12,7 +12,7 @@ import io
 
 import pytest
 
-from weylspecht import cli, is_good_subsystem, submodule_theorem_probe
+from weylspecht import cli, is_good_subsystem, is_useful_subsystem, submodule_theorem_probe
 from weylspecht.specht import (
     TabloidSpace,
     _permuted,
@@ -21,7 +21,7 @@ from weylspecht.specht import (
     polytabloid,
 )
 from weylspecht.subsystem import distinguished_reps, normalizer
-from weylspecht.weyl import compose, subgroup_generated
+from weylspecht.weyl import GeneratedGroup, compose, subgroup_generated
 
 
 def _call_counts(fn, *args):
@@ -40,14 +40,22 @@ D4_SPECHT = [
 
 
 def test_specht_command_builds_the_pair_once():
+    # W is scanned by the normalizer sweep and by the generator listing's D_psi'
     with contextlib.redirect_stdout(io.StringIO()):
         calls = _call_counts(cli.main, D4_SPECHT)
+    assert calls(GeneratedGroup.__iter__) == 2
     assert calls(normalizer) == 1
     assert calls(enumerate_tabloids) == 1
     assert calls(subgroup_generated) <= 3
 
 
 A5_TABLOIDS = ["tabloids", "--type", "A5", "--J", "10000,01000,00010"]
+
+
+def test_tabloids_command_scans_the_group_once():
+    with contextlib.redirect_stdout(io.StringIO()):
+        calls = _call_counts(cli.main, A5_TABLOIDS)
+    assert calls(GeneratedGroup.__iter__) == 1
 
 
 @pytest.mark.parametrize(
@@ -82,7 +90,15 @@ def test_specht_command_computes_one_kappa_sum(field):
 def test_standalone_goodness_scans_the_normalizer_once(case_d4_rank3):
     c = case_d4_rank3
     calls = _call_counts(is_good_subsystem, c.system, c.psi, c.psi_prime, c.group)
+    assert calls(GeneratedGroup.__iter__) == 1
     assert calls(normalizer) == 1
+
+
+def test_standalone_usefulness_scans_the_group_once(case_d4_rank3):
+    c = case_d4_rank3
+    calls = _call_counts(is_useful_subsystem, c.system, c.psi, c.psi_prime, c.group)
+    assert calls(GeneratedGroup.__iter__) == 1
+    assert calls(enumerate_tabloids) == 1
 
 
 def test_probe_trial_spins_instead_of_scanning_the_group(case_d4_deg6):

@@ -205,6 +205,26 @@ def test_specht_char_words_file(capsys, tmp_path):
     assert [c["word"] for c in doc["sample_characters"]] == [[1, 3, 2], [2]]
 
 
+def test_specht_char_file_not_utf8_is_usage_error(capsys, tmp_path):
+    path = tmp_path / "words.txt"
+    path.write_bytes(b"\xff\xfe")
+    code, out, err = run(
+        capsys,
+        "specht",
+        "--type",
+        "D4",
+        "--J",
+        "1000,0100,0001",
+        "--Jp",
+        "1110",
+        "--char",
+        str(path),
+    )
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and str(path) in err
+
+
 def test_specht_field_f2(capsys):
     code, out, _ = run(
         capsys,

@@ -481,6 +481,12 @@ def test_zero_module_has_no_matrix(case_g2):
     assert character_value(case_g2.module, identity(case_g2.system)) == 0
 
 
+def test_character_of_zero_module_rejects_element_of_another_system(case_g2, a3):
+    assert case_g2.module.dimension == 0
+    with pytest.raises(ValueError):
+        character_value(case_g2.module, word_to_element(a3, (1,)))
+
+
 def test_character_of_identity_is_dimension(case_d4_deg6):
     module = case_d4_deg6.module
     assert character_value(module, identity(case_d4_deg6.system)) == 6

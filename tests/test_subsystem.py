@@ -5,21 +5,24 @@ from oracles import (
     candidate_subsystems,
     eps_dot,
     eps_embed,
+    normalizer_by_definition,
+    normalizer_reps_by_products,
     semidirect_violations,
 )
-from weylspecht.rootsys import parse_root
+from weylspecht.rootsys import build_root_system, parse_root
 from weylspecht.subsystem import (
     cartan_matrix,
     closure_from_simples,
     distinguished_reps,
     normalizer,
-    normalizer_reps,
     orthogonal_complement,
     restricted_reflections,
     simple_system_of,
 )
+from weylspecht.specht import enumerate_tabloids
 from weylspecht.weyl import (
     compose,
+    generate_group,
     identity,
     length,
     subgroup_generated,
@@ -273,27 +276,87 @@ def test_distinguished_reps_trivial_cases(a3, w_a3):
     assert identity(a3) in distinguished_reps(a3, psi, w_a3)
 
 
+def _assert_reps_words(system, group, psi, expected):
+    reps = normalizer(system, psi, group).reps
+    assert [group.word_of(w) for w in reps] == expected
+    space = enumerate_tabloids(system, psi, group)
+    assert [t.rep_word for t in space] == expected
+
+
 def test_normalizer_reps_a3(a3, w_a3):
     psi = closure_from_simples(a3, roots_of(a3, "100", "001"))
-    reps = normalizer_reps(a3, psi, w_a3)
-    assert [w_a3.word_of(w) for w in reps] == [(), (2,), (1, 2)]
+    _assert_reps_words(a3, w_a3, psi, [(), (2,), (1, 2)])
 
 
 def test_normalizer_reps_d4(d4, w_d4):
     psi = closure_from_simples(d4, roots_of(d4, "1000", "0100", "0001"))
-    reps = normalizer_reps(d4, psi, w_d4)
-    assert [w_d4.word_of(w) for w in reps] == [(), (3,), (2, 3), (1, 2, 3)]
+    _assert_reps_words(d4, w_d4, psi, [(), (3,), (2, 3), (1, 2, 3)])
 
 
 def test_normalizer_reps_whole_system(a3, w_a3):
     full = closure_from_simples(a3, a3.simple_roots())
-    reps = normalizer_reps(a3, full, w_a3)
-    assert [w_a3.word_of(w) for w in reps] == [()]
+    _assert_reps_words(a3, w_a3, full, [()])
 
 
 def test_coset_reps_lie_among_distinguished(a3, w_a3, g2, w_g2, d4, w_d4):
     for system, group in ((a3, w_a3), (g2, w_g2), (d4, w_d4)):
         for psi in candidate_subsystems(system, max_size=3):
             dist = set(distinguished_reps(system, psi, group))
-            for rep in normalizer_reps(system, psi, group):
+            for rep in normalizer(system, psi, group).reps:
                 assert rep in dist
+
+
+# --------------------------------------------------------------------------
+# the one sweep against the definitions
+
+
+def _assert_sweep_matches_oracle(system, group, psi):
+    norm = normalizer(system, psi, group)
+    n_psi, n_j = normalizer_by_definition(system, psi, group)
+    assert norm.n_psi == n_psi
+    assert norm.n_j == n_j
+    assert norm.reps == normalizer_reps_by_products(system, group, n_psi)
+
+
+def test_sweep_matches_oracle_on_candidates(a3, w_a3, g2, w_g2, d4, w_d4):
+    for system, group in ((a3, w_a3), (g2, w_g2), (d4, w_d4)):
+        for psi in candidate_subsystems(system):
+            _assert_sweep_matches_oracle(system, group, psi)
+
+
+# the J's of the benchmark pairs F4, A5, A6 and of the large-W screens
+@pytest.mark.parametrize(
+    "label, j_texts",
+    [
+        ("F4", ("1000", "0100", "0010")),
+        ("A5", ("10000", "01000", "00010")),
+        pytest.param(
+            "A6", ("100000", "010000", "000100", "000010"), marks=pytest.mark.slow
+        ),
+        pytest.param("A7", ("1000000",), marks=pytest.mark.slow),
+        pytest.param("D6", ("100000",), marks=pytest.mark.slow),
+        pytest.param("B6", ("100000",), marks=pytest.mark.slow),
+    ],
+    ids=["F4", "A5", "A6", "A7", "D6", "B6"],
+)
+def test_sweep_matches_oracle_on_benchmark_pairs(label, j_texts):
+    system = build_root_system(label)
+    psi = closure_from_simples(system, roots_of(system, *j_texts))
+    _assert_sweep_matches_oracle(system, generate_group(system), psi)
+
+
+def test_sweep_of_empty_psi(a3, w_a3):
+    empty = closure_from_simples(a3, [])
+    _assert_sweep_matches_oracle(a3, w_a3, empty)
+    norm = normalizer(a3, empty, w_a3)
+    assert norm.n_psi == norm.n_j == tuple(w_a3)
+    assert norm.reps == (w_a3.identity,)
+
+
+def test_sweep_of_whole_system(d4, w_d4):
+    full = closure_from_simples(d4, d4.simple_roots())
+    _assert_sweep_matches_oracle(d4, w_d4, full)
+    norm = normalizer(d4, full, w_d4)
+    assert norm.n_psi == tuple(w_d4)
+    # W acts simply transitively on simple systems
+    assert norm.n_j == norm.reps == (w_d4.identity,)

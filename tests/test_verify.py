@@ -4,9 +4,12 @@ import pytest
 
 from oracles import coefficient_law_violations, disjoint_pairs
 from weylspecht import (
+    build_root_system,
     build_specht_module,
     character_norm,
     closure_from_simples,
+    enumerate_tabloids,
+    generate_group,
     is_good_subsystem,
     is_useful_subsystem,
     is_useful_system,
@@ -39,6 +42,36 @@ def test_useful_system_rejects_overlap(case_a3):
         is_useful_system(case_a3.system, case_a3.psi, case_a3.psi)
     with pytest.raises(ValueError):
         is_useful_subsystem(case_a3.system, case_a3.psi, case_a3.psi)
+
+
+def _b3_rows_with_c3_columns():
+    # the C3 closure of {010, 001} holds 021, which is not a root of B3
+    b3, c3 = build_root_system("B3"), build_root_system("C3")
+    psi = closure_from_simples(b3, roots_of(b3, "100"))
+    foreign = closure_from_simples(c3, roots_of(c3, "010", "001"))
+    assert (0, 2, 1) in foreign.roots and (0, 2, 1) not in b3.index
+    return b3, generate_group(b3), psi, foreign
+
+
+def test_entry_points_reject_a_foreign_column_system():
+    b3, group, psi, foreign = _b3_rows_with_c3_columns()
+    calls = [
+        lambda: enumerate_tabloids(b3, psi, group, foreign),
+        lambda: is_useful_system(b3, psi, foreign),
+        lambda: is_useful_subsystem(b3, psi, foreign, group=group),
+        lambda: is_good_subsystem(b3, psi, foreign, group=group),
+        lambda: vanishing_obstruction(b3, psi, foreign, group=group),
+        lambda: build_specht_module(b3, psi, foreign, QQ, group=group),
+    ]
+    for call in calls:
+        with pytest.raises(ValueError):
+            call()
+
+
+def test_useful_system_rejects_foreign_rows():
+    b3, _, psi, foreign = _b3_rows_with_c3_columns()
+    with pytest.raises(ValueError):
+        is_useful_system(b3, foreign, psi)
 
 
 def test_useful_subsystem_cases(case_a3, case_g2, case_d4_rank3):
