@@ -3,12 +3,25 @@
 Subspaces are always kept in reduced row-echelon form, so a subspace has
 exactly one representation and equality of bases is equality of subspaces.
 Rational scalars are fractions.Fraction; elements of F_p are ints in [0, p).
+
+Elimination is integer-first, with one loop per characteristic and no field
+method called per entry. Over F_p the echelon rows are monic and every
+update is one Python int reduced mod p. Over Q a vector is cleared of its
+denominators once on entry and then reduced fraction-free (Bareiss 1968):
+each echelon row is a primitive integer vector, with content 1 and a
+positive pivot, and a step replaces e by a*e - b*r, where a and b are the
+two pivot entries divided by their gcd, and then removes the content of
+the result. Only `echelon_basis` leaves the integers, when it divides each
+back-substituted row by its pivot to emit the canonical monic basis with
+Fraction entries.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
+from math import gcd, lcm
 
 
 class RationalField:
@@ -139,16 +152,21 @@ class SparseVector:
 
 
 def vector(field, dim: int, items) -> SparseVector:
-    """Build a sparse vector from (index, scalar) pairs, dropping zeros."""
+    """Build a sparse vector from (index, scalar) pairs, summing repeated
+    indices and dropping zeros; over F_p the sums are reduced mod p."""
+    p = field.characteristic
+    zero = field.zero
     entries: dict = {}
     for i, c in items:
         if not 0 <= i < dim:
             raise IndexError(f"index {i} out of range for dimension {dim}")
-        c = field.add(entries.get(i, field.zero), c)
-        if c == field.zero:
-            entries.pop(i, None)
-        else:
+        c = entries.get(i, zero) + c
+        if p:
+            c %= p
+        if c:
             entries[i] = c
+        else:
+            entries.pop(i, None)
     return SparseVector(dim, entries)
 
 
@@ -173,17 +191,14 @@ def to_dense(field, v: SparseVector) -> list:
 def vadd(field, u: SparseVector, v: SparseVector) -> SparseVector:
     if u.dim != v.dim:
         raise ValueError("dimension mismatch")
-    entries = dict(u.entries)
-    _axpy(field, entries, field.one, v.entries)
-    return SparseVector(u.dim, entries)
+    return vector(field, u.dim, chain(u.entries.items(), v.entries.items()))
 
 
 def vsub(field, u: SparseVector, v: SparseVector) -> SparseVector:
     if u.dim != v.dim:
         raise ValueError("dimension mismatch")
-    entries = dict(u.entries)
-    _axpy(field, entries, field.neg(field.one), v.entries)
-    return SparseVector(u.dim, entries)
+    negated = ((i, field.neg(c)) for i, c in v.entries.items())
+    return vector(field, u.dim, chain(u.entries.items(), negated))
 
 
 def vscale(field, c, u: SparseVector) -> SparseVector:
@@ -205,36 +220,85 @@ def dot(field, u: SparseVector, v: SparseVector):
     return acc
 
 
-def _axpy(field, target: dict, c, source: dict) -> None:
-    # target += c * source, in place, dropping zeros
-    for i, s in source.items():
-        val = field.add(target.get(i, field.zero), field.mul(c, s))
-        if val == field.zero:
-            target.pop(i, None)
+def _eliminate(p: int, e: dict, m: int, r: dict) -> None:
+    """Clear column m of e against the echelon row r, in place.
+
+    Over F_p (p > 0) r is monic and e becomes e - e[m] r mod p. Over Q
+    (p = 0) both are integer vectors with r[m] > 0; e becomes a e - b r,
+    where a/b = r[m]/e[m] in lowest terms, divided by its content.
+    """
+    get = e.get
+    if p:
+        c = p - e[m]
+        for i, s in r.items():
+            val = (get(i, 0) + c * s) % p
+            if val:
+                e[i] = val
+            else:
+                del e[i]
+        return
+    g = gcd(e[m], r[m])
+    a, b = r[m] // g, e[m] // g
+    if a != 1:
+        for i in e:
+            e[i] *= a
+    for i, s in r.items():
+        val = get(i, 0) - b * s
+        if val:
+            e[i] = val
         else:
-            target[i] = val
+            del e[i]
+    g = gcd(*e.values())
+    if g > 1:
+        for i in e:
+            e[i] //= g
 
 
-def _reduce(field, entries: dict, by_pivot: dict) -> dict:
-    # Subtract pivot rows until the leading index is not a pivot.
-    while entries:
-        m = min(entries)
-        row = by_pivot.get(m)
-        if row is None:
+def _reduce(p: int, e: dict, by_pivot: dict) -> dict:
+    # Clear leading entries until the leading index is not a pivot.
+    while e:
+        m = min(e)
+        r = by_pivot.get(m)
+        if r is None:
             break
-        _axpy(field, entries, field.neg(entries[m]), row)
-    return entries
+        _eliminate(p, e, m, r)
+    return e
+
+
+def _integral(entries: dict) -> dict:
+    # the entries times the lcm of their denominators
+    den = lcm(*(c.denominator for c in entries.values()))
+    if den == 1:
+        return {i: c.numerator for i, c in entries.items()}
+    return {i: c.numerator * (den // c.denominator) for i, c in entries.items()}
 
 
 def echelon_insert(field, by_pivot: dict, v: SparseVector) -> bool:
-    """Reduce v against the monic rows in `by_pivot` (pivot -> entries) and
-    add the remainder as a new monic row; False if v lies in their span."""
-    e = _reduce(field, dict(v.entries), by_pivot)
+    """Reduce v against the echelon rows in `by_pivot` (pivot -> entries)
+    and add the remainder as a new row; False if v lies in their span.
+
+    The rows are the kernel's working form, not the canonical basis: monic
+    over F_p, primitive integer vectors with a positive pivot over Q. Build
+    them only through this function and read the span through
+    `echelon_basis`.
+    """
+    p = field.characteristic
+    if p:
+        e = _reduce(p, dict(v.entries), by_pivot)
+        if not e:
+            return False
+        m = min(e)
+        inv = pow(e[m], -1, p)
+        by_pivot[m] = {i: c * inv % p for i, c in e.items()}
+        return True
+    e = _reduce(0, _integral(v.entries), by_pivot)
     if not e:
         return False
-    p = min(e)
-    inv = field.inv(e[p])
-    by_pivot[p] = {i: field.mul(inv, c) for i, c in e.items()}
+    m = min(e)
+    g = gcd(*e.values())
+    if e[m] < 0:
+        g = -g
+    by_pivot[m] = e if g == 1 else {i: c // g for i, c in e.items()}
     return True
 
 
@@ -272,28 +336,55 @@ def row_reduce(field, vectors, dim: int | None = None) -> SubspaceBasis:
 
 
 def echelon_basis(field, dim: int, by_pivot: dict) -> SubspaceBasis:
-    """The canonical basis of the span of monic echelon rows built by
-    `echelon_insert`; clears each pivot column from the other rows in place."""
+    """The canonical basis of the span of the echelon rows built by
+    `echelon_insert`; clears each pivot column from the rows above it in
+    place, then over Q divides each row by its pivot."""
+    p = field.characteristic
     pivots = sorted(by_pivot)
-    # descending order keeps used rows clean
-    for p in reversed(pivots):
-        prow = by_pivot[p]
-        for q in pivots:
-            if q == p:
-                continue
-            c = by_pivot[q].get(p)
-            if c is not None:
-                _axpy(field, by_pivot[q], field.neg(c), prow)
-    rows = tuple(SparseVector(dim, by_pivot[p]) for p in pivots)
+    # descending order keeps used rows clean; a row has no entry left of its pivot
+    for k in range(len(pivots) - 1, 0, -1):
+        m = pivots[k]
+        prow = by_pivot[m]
+        for q in pivots[:k]:
+            row = by_pivot[q]
+            if m in row:
+                _eliminate(p, row, m, prow)
+    if p:
+        rows = tuple(SparseVector(dim, by_pivot[q]) for q in pivots)
+    else:
+        rows = tuple(SparseVector(dim, _monic(by_pivot[q], q)) for q in pivots)
     return SubspaceBasis(field, dim, rows, tuple(pivots))
+
+
+def _monic(row: dict, m: int) -> dict:
+    d = row[m]
+    if d == 1:
+        return {i: Fraction(c) for i, c in row.items()}
+    return {i: Fraction(c, d) for i, c in row.items()}
 
 
 def contains(basis: SubspaceBasis, v: SparseVector) -> bool:
     """Whether v reduces to zero against the basis."""
     if v.dim != basis.dim:
         raise ValueError("dimension mismatch")
-    by_pivot = {p: r.entries for p, r in zip(basis.pivots, basis.rows)}
-    return not _reduce(basis.field, dict(v.entries), by_pivot)
+    p = basis.field.characteristic
+    by_pivot = {q: r.entries for q, r in zip(basis.pivots, basis.rows)}
+    if p:
+        return not _reduce(p, dict(v.entries), by_pivot)
+    # Over Q the monic Fraction rows are used as they are: the probe asks
+    # few questions per basis, fewer than clearing the rows would repay.
+    # The rows are reduced, so clearing one pivot column leaves the others.
+    e = dict(v.entries)
+    get = e.get
+    for m in [m for m in e if m in by_pivot]:
+        c = e[m]
+        for i, s in by_pivot[m].items():
+            val = get(i, 0) - c * s
+            if val:
+                e[i] = val
+            else:
+                del e[i]
+    return not e
 
 
 def form_complement(basis: SubspaceBasis) -> SubspaceBasis:

@@ -35,6 +35,7 @@ from .exactlin import (
     form_complement,
     row_reduce,
     solve_coordinates,
+    vector,
 )
 from .rootsys import Root, RootSystem, format_root
 from .subsystem import Subsystem, distinguished_reps, is_useful_pair, normalizer
@@ -95,11 +96,12 @@ class TabloidSpace:
         self.col_group = col_group
         self.col_signs = col_signs
 
+        # the keys as sets of root indices, which a permutation maps directly
+        keys = [frozenset(map(system.index.__getitem__, t.key)) for t in tabloids]
+        position = {k: i for i, k in enumerate(keys)}
+
         def table(s: GroupElement) -> tuple[int, ...]:
-            return tuple(
-                self.index[frozenset(apply_to_root(system, s, r) for r in t.key)]
-                for t in tabloids
-            )
+            return tuple(position[frozenset(map(s.perm.__getitem__, k))] for k in keys)
 
         # BFS puts tau_i at position i of the group, with recorded word (i,)
         self._tables = tuple(table(group[i]) for i in range(1, system.rank + 1))
@@ -158,8 +160,9 @@ def enumerate_tabloids(
         raise ValueError("subsystems and group must share the ambient system")
     norm = normalizer(system, psi, group)
     tabloids = []
-    for d in norm.reps:
-        key = frozenset(apply_to_root(system, d, r) for r in psi.roots)
+    roots = system.roots
+    for d, k in zip(norm.reps, norm.keys):
+        key = frozenset(roots[i] for i in k)
         rows = tuple(apply_to_root(system, d, j) for j in psi.simples)
         cols = (
             tuple(apply_to_root(system, d, j) for j in psi_prime.simples)
@@ -232,16 +235,13 @@ def apply_kappa(space: TabloidSpace, field, v: SparseVector) -> SparseVector:
     if v.dim != len(space):
         raise ValueError("vector does not belong to this tabloid space")
     acc: dict = {}
+    get = acc.get
     for sigma, sgn in zip(space.col_group, space.col_signs):
         m = space.index_action(sigma)
         for i, c in v.entries.items():
             j = m[i]
-            cur = field.add(acc.get(j, field.zero), c if sgn > 0 else field.neg(c))
-            if cur == field.zero:
-                acc.pop(j, None)
-            else:
-                acc[j] = cur
-    return SparseVector(v.dim, acc)
+            acc[j] = get(j, 0) + (c if sgn > 0 else -c)
+    return vector(field, v.dim, acc.items())
 
 
 def polytabloid(space: TabloidSpace, field, w: GroupElement) -> SparseVector:

@@ -140,11 +140,13 @@ def orthogonal_complement(system: RootSystem, psi: Subsystem) -> Subsystem:
 
 @dataclass(frozen=True)
 class Normalizer:
-    """N(psi), N(J) and the coset representatives E_psi, in group order."""
+    """N(psi), N(J) and the coset representatives E_psi, in group order,
+    with the key of each representative: the root indices of d(psi)."""
 
     n_psi: tuple[GroupElement, ...]
     n_j: tuple[GroupElement, ...]
     reps: tuple[GroupElement, ...]
+    keys: tuple[frozenset, ...]
 
 
 def _root_indices(system: RootSystem, group: GeneratedGroup, roots) -> list[int]:
@@ -181,7 +183,7 @@ def normalizer(system: RootSystem, psi: Subsystem, group: GeneratedGroup) -> Nor
                 n_j.append(w)
     reps = tuple(first.values())
     assert len(reps) * len(n_psi) == len(group)
-    return Normalizer(n_psi=tuple(n_psi), n_j=tuple(n_j), reps=reps)
+    return Normalizer(n_psi=tuple(n_psi), n_j=tuple(n_j), reps=reps, keys=tuple(first))
 
 
 def _meets_trivially(system: RootSystem, a, b) -> bool:

@@ -2,6 +2,7 @@ import warnings
 from dataclasses import dataclass
 
 import pytest
+from hypothesis import settings
 
 from weylspecht import (
     build_root_system,
@@ -12,6 +13,9 @@ from weylspecht import (
     parse_root,
 )
 from weylspecht.exactlin import QQ
+
+# `pytest --hypothesis-profile=ci`: reproducible draws and five times the examples
+settings.register_profile("ci", derandomize=True, max_examples=500, deadline=None)
 
 
 @pytest.fixture(scope="session")

@@ -12,6 +12,7 @@ import importlib.util
 import itertools
 import random
 import zlib
+from collections import deque
 from fractions import Fraction
 from pathlib import Path
 
@@ -30,7 +31,7 @@ from weylspecht import (
     subgroup_generated,
     vanishing_obstruction,
 )
-from weylspecht.exactlin import QQ, SparseVector, row_reduce, vscale, vsub
+from weylspecht.exactlin import QQ, SparseVector, SubspaceBasis, row_reduce, vscale, vsub
 from weylspecht.subsystem import normalizer
 from weylspecht.weyl import product_keys
 
@@ -184,6 +185,84 @@ def _gcd(a, b):
     while b:
         a, b = b, a % b
     return a
+
+
+# --------------------------------------------------------------------------
+# elimination by field operations
+
+def _axpy_by_field_ops(field, target, c, source):
+    # target += c * source, in place, dropping zeros
+    for i, s in source.items():
+        val = field.add(target.get(i, field.zero), field.mul(c, s))
+        if val == field.zero:
+            target.pop(i, None)
+        else:
+            target[i] = val
+
+
+def _reduce_by_field_ops(field, entries, by_pivot):
+    # subtract monic pivot rows until the leading index is not a pivot
+    while entries:
+        m = min(entries)
+        row = by_pivot.get(m)
+        if row is None:
+            break
+        _axpy_by_field_ops(field, entries, field.neg(entries[m]), row)
+    return entries
+
+
+def _insert_by_field_ops(field, by_pivot, v):
+    # reduce v against the monic rows; add the remainder as a new monic row
+    e = _reduce_by_field_ops(field, dict(v.entries), by_pivot)
+    if not e:
+        return False
+    p = min(e)
+    inv = field.inv(e[p])
+    by_pivot[p] = {i: field.mul(inv, c) for i, c in e.items()}
+    return True
+
+
+def _basis_by_field_ops(field, dim, by_pivot):
+    # clear each pivot column from the other monic rows, last pivot first
+    pivots = sorted(by_pivot)
+    for p in reversed(pivots):
+        prow = by_pivot[p]
+        for q in pivots:
+            if q == p:
+                continue
+            c = by_pivot[q].get(p)
+            if c is not None:
+                _axpy_by_field_ops(field, by_pivot[q], field.neg(c), prow)
+    rows = tuple(SparseVector(dim, by_pivot[p]) for p in pivots)
+    return SubspaceBasis(field, dim, rows, tuple(pivots))
+
+
+def row_reduce_by_field_ops(field, vectors, dim=None):
+    """The canonical RREF by Gauss-Jordan elimination over monic rows, with
+    every scalar operation a call to a method of the field."""
+    vectors = list(vectors)
+    if dim is None:
+        dim = vectors[0].dim
+    by_pivot = {}
+    for v in vectors:
+        assert v.dim == dim
+        _insert_by_field_ops(field, by_pivot, v)
+    return _basis_by_field_ops(field, dim, by_pivot)
+
+
+def cyclic_span_by_field_ops(space, field, v):
+    """The W-submodule generated by v, spun under the simple reflections
+    with the field-operation elimination above."""
+    dim = len(space)
+    by_pivot = {}
+    queue = deque([v] if _insert_by_field_ops(field, by_pivot, v) else ())
+    while queue:
+        u = queue.popleft()
+        for table in space._tables:
+            img = SparseVector(dim, {table[i]: c for i, c in u.entries.items()})
+            if _insert_by_field_ops(field, by_pivot, img):
+                queue.append(img)
+    return _basis_by_field_ops(field, dim, by_pivot)
 
 
 # --------------------------------------------------------------------------

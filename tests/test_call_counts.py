@@ -9,10 +9,18 @@ from __future__ import annotations
 import contextlib
 import cProfile
 import io
+import warnings
 
 import pytest
 
-from weylspecht import cli, is_good_subsystem, is_useful_subsystem, submodule_theorem_probe
+from weylspecht import (
+    build_specht_module,
+    cli,
+    is_good_subsystem,
+    is_useful_subsystem,
+    submodule_theorem_probe,
+)
+from weylspecht.exactlin import QQ, PrimeField, RationalField
 from weylspecht.specht import (
     TabloidSpace,
     _permuted,
@@ -109,3 +117,20 @@ def test_probe_trial_spins_instead_of_scanning_the_group(case_d4_deg6):
     calls = _call_counts(submodule_theorem_probe, module, 1)
     images = calls(act_vector) + calls(TabloidSpace.index_action) + calls(_permuted)
     assert 0 < images <= space.system.rank * len(space) == 4 * 16
+
+
+def _build_and_probe(case, field):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        module = build_specht_module(
+            case.system, case.psi, case.psi_prime, field, group=case.group
+        )
+    submodule_theorem_probe(module, 1)
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(3)], ids=repr)
+def test_elimination_calls_no_field_method_per_entry(case_d4_deg6, field):
+    # the build and the probe eliminate with inlined integer arithmetic
+    calls = _call_counts(_build_and_probe, case_d4_deg6, field)
+    for method in (RationalField.add, RationalField.mul, PrimeField.add, PrimeField.mul):
+        assert calls(method) == 0, method.__qualname__

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import bareiss_rank, dense_rows
+from oracles import bareiss_rank, dense_rows, row_reduce_by_field_ops
 from weylspecht.exactlin import (
     QQ,
     PrimeField,
@@ -123,6 +123,61 @@ def test_prime_rank_never_exceeds_rational_rank(rows, p):
     rank_q = row_reduce(QQ, [from_dense(QQ, r) for r in rows]).rank
     rank_p = row_reduce(fp, [from_dense(fp, r) for r in rows]).rank
     assert rank_p <= rank_q
+
+
+@st.composite
+def matrices_with_repeats(draw, entries):
+    """(cols, rows): a small matrix that may hold zero rows and repeated rows."""
+    cols = draw(st.integers(1, 6))
+    rows = draw(st.lists(st.lists(entries, min_size=cols, max_size=cols), max_size=6))
+    rows += [[0] * cols] * draw(st.integers(0, 2))
+    if rows:
+        rows += draw(st.lists(st.sampled_from(rows), max_size=3))
+    return cols, draw(st.permutations(rows))
+
+
+rationals = st.one_of(
+    st.integers(-9, 9),
+    st.fractions(min_value=-6, max_value=6, max_denominator=7),
+)
+PRIMES = [2, 3, 5, 2**31 - 1]
+residues = st.one_of(st.integers(-9, 9), st.integers(-(2**31), 2**31))
+
+
+def _assert_matches_field_ops(field, cols, rows):
+    vectors = [from_dense(field, r) for r in rows]
+    basis = row_reduce(field, vectors, dim=cols)
+    assert basis == row_reduce_by_field_ops(field, vectors, dim=cols)
+    for v in vectors:
+        assert contains(basis, v)
+    return basis
+
+
+@settings(deadline=None)
+@given(matrices_with_repeats(rationals))
+def test_rational_row_reduce_matches_field_ops(matrix):
+    basis = _assert_matches_field_ops(QQ, *matrix)
+    assert all(type(c) is Fraction for r in basis.rows for c in r.entries.values())
+    assert all(r.entries[p] == 1 for r, p in zip(basis.rows, basis.pivots))
+
+
+@settings(deadline=None)
+@given(matrices_with_repeats(residues), st.sampled_from(PRIMES))
+def test_prime_row_reduce_matches_field_ops(matrix, p):
+    basis = _assert_matches_field_ops(PrimeField(p), *matrix)
+    assert all(0 < c < p for r in basis.rows for c in r.entries.values())
+
+
+@settings(deadline=None)
+@given(st.sampled_from([0] + PRIMES), st.data())
+def test_contains_matches_rank_growth(p, data):
+    field, entries = (PrimeField(p), residues) if p else (QQ, rationals)
+    cols, rows = data.draw(matrices_with_repeats(entries))
+    v = from_dense(field, data.draw(st.lists(entries, min_size=cols, max_size=cols)))
+    vectors = [from_dense(field, r) for r in rows]
+    basis = row_reduce(field, vectors, dim=cols)
+    grown = row_reduce_by_field_ops(field, vectors + [v], dim=cols)
+    assert contains(basis, v) == (grown.rank == basis.rank)
 
 
 def test_rank_drop_in_characteristic_two():

@@ -4,7 +4,13 @@ from fractions import Fraction
 
 import pytest
 
-from oracles import bareiss_rank, cyclic_span_by_orbit, index_action_by_keys
+from oracles import (
+    bareiss_rank,
+    cyclic_span_by_field_ops,
+    cyclic_span_by_orbit,
+    index_action_by_keys,
+    load_workloads,
+)
 from weylspecht import (
     act_tabloid,
     act_vector,
@@ -28,7 +34,7 @@ from weylspecht import (
 from weylspecht.exactlin import QQ, PrimeField, SparseVector, row_reduce
 from weylspecht.rootsys import parse_root
 from weylspecht.verify import DEFAULT_PROBE_SEED, probe_vector
-from weylspecht.weyl import compose, identity, inverse, word_to_element
+from weylspecht.weyl import apply_to_root, compose, identity, inverse, word_to_element
 
 
 def unit(dim, i):
@@ -121,6 +127,26 @@ def _space(label, j_texts, jp_texts):
         generate_group(system),
         closure_from_simples(system, [parse_root(system, t) for t in jp_texts]),
     )
+
+
+@pytest.mark.parametrize(
+    "label, j_texts",
+    [
+        ("A3", ("100", "001")),
+        ("G2", ("10",)),
+        ("D4", ("1000", "0100", "0001")),
+        ("D4", ("1000", "0100")),
+        ("F4", ("1000", "0100", "0010")),
+    ],
+    ids=["A3", "G2", "D4-3", "D4-6", "F4"],
+)
+def test_tabloid_keys_are_the_images_of_psi(label, j_texts):
+    # the keys come from the normalizer sweep's root indices
+    system = build_root_system(label)
+    psi = closure_from_simples(system, [parse_root(system, t) for t in j_texts])
+    space = enumerate_tabloids(system, psi, generate_group(system))
+    for t in space:
+        assert t.key == frozenset(apply_to_root(system, t.rep, r) for r in psi.roots)
 
 
 def test_folded_action_matches_key_definition(case_a3, case_g2, case_d4_rank3, case_d4_deg6):
@@ -260,6 +286,42 @@ def test_cyclic_submodule_rejects_foreign_vector(case_a3):
 def test_cyclic_submodule_matches_orbit_span_a5_mod_p():
     space = _space("A5", ("10000", "01000", "00010"), ("11100", "01110"))
     _assert_spin_matches_orbit(space, PrimeField(2**31 - 1))
+
+
+CORPUS = load_workloads().PAIRS  # name: (ambient, J, J')
+SPIN_FIELDS = FIELDS + [PrimeField(2**31 - 1)]
+
+
+def _sparse_vectors(field, dim):
+    # a tabloid difference, whose spin lies in the sum-zero submodule, and a
+    # 3-sparse vector
+    yield SparseVector(dim, {0: field.one, dim - 1: field.neg(field.one)})
+    rng = random.Random(dim)
+    entries = {i: field.from_int(rng.choice((-2, -1, 1, 3))) for i in rng.sample(range(dim), 3)}
+    yield SparseVector(dim, {i: c for i, c in entries.items() if c != field.zero})
+
+
+@pytest.mark.parametrize(
+    "name",
+    [
+        pytest.param(n, marks=pytest.mark.slow) if int(CORPUS[n][0][1:]) > 4 else n
+        for n in sorted(CORPUS)
+    ],
+)
+def test_cyclic_submodule_matches_field_ops_spin(name):
+    ambient, j_text, jp_text = CORPUS[name]
+    space = _space(ambient, j_text.split(","), jp_text.split(","))
+    dim = len(space)
+    for field in SPIN_FIELDS:
+        vectors = [polytabloid(space, field, space.group.identity)]
+        vectors += _sparse_vectors(field, dim) if dim >= 3 else []
+        if dim <= 40:  # dense vectors spin slowly in the field-operation oracle
+            vectors.append(probe_vector(field, dim, DEFAULT_PROBE_SEED, 0))
+        for v in vectors:
+            basis = cyclic_submodule(space, field, v)
+            assert basis == cyclic_span_by_field_ops(space, field, v)
+            if field == QQ:
+                assert all(type(c) is Fraction for r in basis.rows for c in r.entries.values())
 
 
 # --------------------------------------------------------------------------
