@@ -14,7 +14,7 @@ import sys
 import warnings
 
 from . import specht, verify
-from .exactlin import QQ, echelon_insert, field_by_name, field_name
+from .exactlin import echelon_insert, field_by_name, field_name
 from .rootsys import build_root_system, format_root, parse_root, root_system_to_json
 from .subsystem import closure_from_simples, subsystem_to_json
 from .weyl import DEFAULT_GROUP_LIMIT, GroupLimitError, generate_group, word_to_element
@@ -197,9 +197,7 @@ def cmd_specht(args) -> int:
     space = module.space
     useful = space.useful
     e_vec = module.e_vec
-    # goodness reads the integer polytabloid, which over Q is e_vec itself
-    base = e_vec if field == QQ else specht.polytabloid(space, QQ, group.identity)
-    good = verify.good_from_space(space, base)
+    good = verify.good_from_space(space)
     witness = verify.obstruction_from_space(space)
     probe = None
     if "probe" in checks:

@@ -14,6 +14,7 @@ import re
 import warnings
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import partial
 from operator import mul
 
 Root = tuple[int, ...]
@@ -141,6 +142,20 @@ def _simple_reflect(cartan, i: int, v: Root) -> Root:
     return tuple(w)
 
 
+def _orbit(seeds, maps) -> set:
+    """The smallest set containing the seeds and closed under the maps."""
+    seen = set(seeds)
+    queue = list(seen)
+    while queue:
+        v = queue.pop()
+        for f in maps:
+            w = f(v)
+            if w not in seen:
+                seen.add(w)
+                queue.append(w)
+    return seen
+
+
 def build_root_system(label: str) -> RootSystem:
     """Construct a root system from a type tag such as "A3", "D4" or "G2".
 
@@ -163,15 +178,7 @@ def build_root_system(label: str) -> RootSystem:
     gram = _gram(series, rank)
     cartan = _cartan_rows(gram)
     simples = [tuple(1 if j == i else 0 for j in range(rank)) for i in range(rank)]
-    seen = set(simples)
-    queue = list(simples)
-    while queue:
-        v = queue.pop()
-        for i in range(rank):
-            w = _simple_reflect(cartan, i, v)
-            if w not in seen:
-                seen.add(w)
-                queue.append(w)
+    seen = _orbit(simples, [partial(_simple_reflect, cartan, i) for i in range(rank)])
 
     positives = sorted(v for v in seen if RootSystem.is_positive(v))
     expected = _ROOT_COUNTS[series](rank)

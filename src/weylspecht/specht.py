@@ -26,6 +26,7 @@ from functools import cached_property
 from operator import itemgetter
 
 from .exactlin import (
+    QQ,
     SparseVector,
     SubspaceBasis,
     dot,
@@ -38,7 +39,13 @@ from .exactlin import (
     vector,
 )
 from .rootsys import Root, RootSystem, format_root
-from .subsystem import Subsystem, distinguished_reps, is_useful_pair, normalizer
+from .subsystem import (
+    Normalizer,
+    Subsystem,
+    distinguished_reps,
+    is_useful_pair,
+    normalizer,
+)
 from .weyl import (
     GeneratedGroup,
     GroupElement,
@@ -81,7 +88,7 @@ class TabloidSpace:
         psi: Subsystem,
         psi_prime: Subsystem | None,
         group: GeneratedGroup,
-        n_psi: tuple[GroupElement, ...],
+        norm: Normalizer,
         tabloids: tuple[Tabloid, ...],
         col_group: tuple[GroupElement, ...],
         col_signs: tuple[int, ...],
@@ -90,14 +97,14 @@ class TabloidSpace:
         self.psi = psi
         self.psi_prime = psi_prime
         self.group = group
-        self.n_psi = n_psi
+        self.n_psi = norm.n_psi
         self.tabloids = tabloids
         self.index = {t.key: i for i, t in enumerate(tabloids)}
         self.col_group = col_group
         self.col_signs = col_signs
 
-        # the keys as sets of root indices, which a permutation maps directly
-        keys = [frozenset(map(system.index.__getitem__, t.key)) for t in tabloids]
+        # the sweep's keys are sets of root indices, which a permutation maps
+        keys = norm.keys
         position = {k: i for i, k in enumerate(keys)}
 
         def table(s: GroupElement) -> tuple[int, ...]:
@@ -116,6 +123,15 @@ class TabloidSpace:
 
     def __getitem__(self, i: int) -> Tabloid:
         return self.tabloids[i]
+
+    @cached_property
+    def base_polytabloid(self) -> SparseVector:
+        """e_{J,J'} over Q: kappa of tabloid 0, the base tabloid, whose
+        representative is the identity. Its coefficients are integers, so
+        `polytabloid` reads it into any field and goodness reads its support."""
+        if self.psi_prime is None:
+            raise ValueError("tabloid space was built without a column system")
+        return apply_kappa(self, QQ, SparseVector(len(self), {0: QQ.one}))
 
     @cached_property
     def useful(self) -> bool:
@@ -183,7 +199,7 @@ def enumerate_tabloids(
         psi=psi,
         psi_prime=psi_prime,
         group=group,
-        n_psi=norm.n_psi,
+        norm=norm,
         tabloids=tuple(tabloids),
         col_group=col_group,
         col_signs=col_signs,
@@ -246,10 +262,9 @@ def apply_kappa(space: TabloidSpace, field, v: SparseVector) -> SparseVector:
 
 def polytabloid(space: TabloidSpace, field, w: GroupElement) -> SparseVector:
     """e_{wJ,wJ'} = w e_{J,J'}, where e_{J,J'} is kappa of the base tabloid."""
-    if space.psi_prime is None:
-        raise ValueError("tabloid space was built without a column system")
-    base = SparseVector(len(space), {space.index[frozenset(space.psi.roots)]: field.one})
-    return act_vector(space, field, w, apply_kappa(space, field, base))
+    base = space.base_polytabloid.entries
+    e = vector(field, len(space), ((i, field.from_int(int(c))) for i, c in base.items()))
+    return act_vector(space, field, w, e)
 
 
 @dataclass
@@ -377,7 +392,7 @@ def character_value(module: SpechtModuleData, w: GroupElement):
     if module.dimension == 0:
         return field.zero
     m = module.space.index_action(w)
-    source = sorted(range(len(m)), key=m.__getitem__)  # w sends source[p] to p
+    source = dict(zip(m, range(len(m))))  # w sends source[p] to p
     tr = field.zero
     for r, p in zip(module.basis.rows, module.basis.pivots):
         c = r.entries.get(source[p])

@@ -1,10 +1,11 @@
 """Subsystems of a root system: closures, classification, normalizers and
 coset transversals.
 
-A subsystem carries its simple system J as given; classification matches
-each connected component's Cartan matrix against the standard diagrams by
-brute-force relabeling, so labels are scale-free (a long A1 and a short A1
-both classify as A1).
+A subsystem carries its simple system J as given, and everything about it
+is read from J: its roots are the orbit of J under the reflections in J,
+and each connected component of its diagram is named by the diagram's
+shape (bond multiplicities, short roots, a branch node). Labels are
+scale-free (a long A1 and a short A1 both classify as A1).
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ from collections import Counter
 from dataclasses import dataclass
 
 from fractions import Fraction
+from functools import partial
 from operator import itemgetter
 
 from . import rootsys
@@ -55,29 +57,14 @@ class Subsystem:
         return "+".join(parts)
 
 
-def _reflection_closure(system: RootSystem, simples) -> frozenset:
-    roots = set(simples)
-    roots.update(negate(r) for r in simples)
-    changed = True
-    while changed:
-        changed = False
-        snapshot = list(roots)
-        for a in snapshot:
-            for b in snapshot:
-                c = reflect_root(system, a, b)
-                if c not in roots:
-                    roots.add(c)
-                    changed = True
-    return frozenset(roots)
-
-
 def closure_from_simples(system: RootSystem, simples) -> Subsystem:
     """Smallest reflection-closed subset containing J, classified from J.
 
     J must consist of linearly independent positive roots and must be the
-    simple system of the subsystem it generates (pairwise obtuse); the last
-    condition is what makes the distinguished-coset characterization and the
-    Dynkin classification meaningful.
+    simple system of the subsystem it generates; the last condition is what
+    makes the distinguished-coset characterization and the Dynkin
+    classification meaningful. Independent positive roots are that simple
+    system exactly when they are pairwise obtuse (Humphreys 1990, 1.3).
     """
     simples = tuple(tuple(r) for r in simples)
     for r in simples:
@@ -87,9 +74,12 @@ def closure_from_simples(system: RootSystem, simples) -> Subsystem:
         rank = row_reduce(QQ, [from_dense(QQ, r) for r in simples]).rank
         if rank != len(simples):
             raise ValueError("J is linearly dependent")
-    roots = _reflection_closure(system, simples)
-    if simples and set(simples) != set(simple_system_of(system, roots)):
+    if any(
+        inner_product(system, a, b) > 0 for a, b in itertools.combinations(simples, 2)
+    ):
         raise ValueError("J is not the simple system of the subsystem it generates")
+    # the reflections in J generate W(J), and Phi_J is the orbit of J under it
+    roots = rootsys._orbit(simples, [partial(reflect_root, system, a) for a in simples])
     return _classified(system, roots, simples)
 
 
@@ -109,6 +99,10 @@ def simple_system_of(system: RootSystem, roots) -> tuple[Root, ...]:
         for b in rset:
             if reflect_root(system, a, b) not in rset:
                 raise ValueError("set is not reflection-closed")
+    return _indecomposables(system, rset)
+
+
+def _indecomposables(system: RootSystem, rset) -> tuple[Root, ...]:
     positives = sorted(r for r in rset if system.is_positive(r))
     sums = set()
     for p, q in itertools.combinations_with_replacement(positives, 2):
@@ -129,13 +123,17 @@ def _classified(system: RootSystem, roots, simples) -> Subsystem:
 
 
 def orthogonal_complement(system: RootSystem, psi: Subsystem) -> Subsystem:
-    """The largest subsystem orthogonal to psi."""
+    """The largest subsystem orthogonal to psi.
+
+    The roots orthogonal to a subspace form a subsystem, so its simple
+    system is read off directly as its indecomposable positive roots.
+    """
     ortho = [
         r
         for r in system.roots
         if all(inner_product(system, r, s) == 0 for s in psi.simples)
     ]
-    return _classified(system, ortho, simple_system_of(system, ortho))
+    return _classified(system, ortho, _indecomposables(system, ortho))
 
 
 @dataclass(frozen=True)
@@ -252,60 +250,26 @@ def _connected_components(system: RootSystem, simples) -> tuple[tuple[Root, ...]
     return tuple(components)
 
 
-def _reference_cartans(rank: int):
-    candidates = [("A", rank)]
-    if rank >= 2:
-        candidates.append(("B", rank))
-    if rank >= 3:
-        candidates.append(("C", rank))
-    if rank >= 4:
-        candidates.append(("D", rank))
-    if rank == 2:
-        candidates.append(("G", 2))
-    if rank == 4:
-        candidates.append(("F", 4))
-    for series, r in candidates:
-        yield f"{series}{r}", rootsys._cartan_rows(rootsys._gram(series, r))
-
-
-def _cartan_isomorphic(a, b) -> bool:
-    k = len(a)
-    prof_a = [tuple(sorted(row)) for row in a]
-    prof_b = [tuple(sorted(row)) for row in b]
-    if sorted(prof_a) != sorted(prof_b):
-        return False
-    assign = [0] * k
-    used = [False] * k
-
-    def extend(i: int) -> bool:
-        if i == k:
-            return True
-        for cand in range(k):
-            if used[cand] or prof_a[cand] != prof_b[i]:
-                continue
-            ok = True
-            for j in range(i):
-                if a[cand][assign[j]] != b[i][j] or a[assign[j]][cand] != b[j][i]:
-                    ok = False
-                    break
-            if not ok:
-                continue
-            assign[i] = cand
-            used[cand] = True
-            if extend(i + 1):
-                return True
-            used[cand] = False
-        return False
-
-    return extend(0)
-
-
 def _classify_component(system: RootSystem, comp) -> str:
+    # The shape of a connected diagram names its type (Humphreys 1990, 2.4).
+    # A triple bond is G2. With a double bond, one short simple root is B_n,
+    # two short of four is F4, and otherwise the type is C_n. E types cannot
+    # occur inside A-D, G2 or F4, so a simply-laced diagram is D_n when some
+    # node has three neighbours and A_n otherwise. So the diagram of C2 is
+    # named B2, and that of D3 is named A3.
+    n = len(comp)
     c = cartan_matrix(system, comp)
-    for label, ref in _reference_cartans(len(comp)):
-        if _cartan_isomorphic(c, ref):
-            return label
-    raise ValueError(f"unrecognized component diagram of rank {len(comp)}")
+    bonds = {c[i][j] * c[j][i] for i in range(n) for j in range(i)}
+    if 3 in bonds:
+        return "G2"
+    if 2 in bonds:
+        norms = [inner_product(system, r, r) for r in comp]
+        short = norms.count(min(norms))
+        if short == 1:
+            return f"B{n}"
+        return "F4" if (short, n) == (2, 4) else f"C{n}"
+    branched = any(sum(1 for x in row if x) > 3 for row in c)
+    return f"D{n}" if branched else f"A{n}"
 
 
 def restricted_reflections(

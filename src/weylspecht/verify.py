@@ -12,14 +12,13 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-from .exactlin import QQ, SparseVector, contains, form_complement, vector
+from .exactlin import SparseVector, contains, form_complement, vector
 from .rootsys import RootSystem
 from .specht import (
     SpechtModuleData,
     TabloidSpace,
     cyclic_submodule,
     enumerate_tabloids,
-    polytabloid,
 )
 from .subsystem import Subsystem, is_useful_pair
 from .weyl import (
@@ -106,13 +105,14 @@ class GoodSubsystemResult:
         return self.is_good
 
 
-def good_from_space(space: TabloidSpace, base: SparseVector) -> GoodSubsystemResult:
-    """Goodness of the space's pair; `base` is its base polytabloid over Q.
+def good_from_space(space: TabloidSpace) -> GoodSubsystemResult:
+    """Goodness of the space's pair, read from its base polytabloid.
 
     The support of the integer polytabloid decides, never its image mod p.
     """
     if not space.useful:
         return GoodSubsystemResult(False, (), "not a useful sub-system")
+    base = space.base_polytabloid
     witnesses = tuple(
         t.rep
         for i, t in enumerate(space.tabloids)
@@ -139,7 +139,7 @@ def is_good_subsystem(
     if group is None:
         group = generate_group(system)
     space = enumerate_tabloids(system, psi, group, psi_prime)
-    return good_from_space(space, polytabloid(space, QQ, group.identity))
+    return good_from_space(space)
 
 
 @dataclass(frozen=True)

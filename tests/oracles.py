@@ -8,6 +8,7 @@ are checked by direct enumeration.
 
 from __future__ import annotations
 
+import functools
 import importlib.util
 import itertools
 import random
@@ -20,6 +21,7 @@ from weylspecht import (
     act_vector,
     apply_kappa,
     apply_to_root,
+    build_root_system,
     closure_from_simples,
     compose,
     enumerate_tabloids,
@@ -31,8 +33,23 @@ from weylspecht import (
     subgroup_generated,
     vanishing_obstruction,
 )
-from weylspecht.exactlin import QQ, SparseVector, SubspaceBasis, row_reduce, vscale, vsub
-from weylspecht.subsystem import normalizer
+from weylspecht import rootsys
+from weylspecht.exactlin import (
+    QQ,
+    SparseVector,
+    SubspaceBasis,
+    from_dense,
+    row_reduce,
+    vscale,
+    vsub,
+)
+from weylspecht.rootsys import inner_product, negate, reflect_root
+from weylspecht.subsystem import (
+    Subsystem,
+    _connected_components,
+    cartan_matrix,
+    normalizer,
+)
 from weylspecht.weyl import product_keys
 
 # --------------------------------------------------------------------------
@@ -103,6 +120,154 @@ def bfs_by_compose(system, gens):
                 elements.append(nxt)
                 words.append(word + (i,))
     return tuple(elements), tuple(words)
+
+
+# --------------------------------------------------------------------------
+# subsystems by search: pair-loop closure, closed-set simple systems and
+# Cartan matrices matched against every reference diagram by relabeling
+
+@functools.cache
+def reflection_table(label):
+    """t[a][b] is the index of s_a(b), for root indices a and b of the
+    named system, so the searches below reflect by lookup."""
+    system = build_root_system(label)
+    roots = system.roots
+    return tuple(
+        tuple(system.index[reflect_root(system, a, b)] for b in roots) for a in roots
+    )
+
+
+def reflection_closure_by_pairs(system, simples):
+    """Reflect every pair of roots in ±J until no new root appears."""
+    table = reflection_table(system.label)
+    roots = {system.index[r] for r in simples}
+    roots.update(system.index[negate(r)] for r in simples)
+    changed = True
+    while changed:
+        changed = False
+        snapshot = list(roots)
+        for a in snapshot:
+            for b in snapshot:
+                c = table[a][b]
+                if c not in roots:
+                    roots.add(c)
+                    changed = True
+    return frozenset(system.roots[i] for i in roots)
+
+
+def simple_system_by_search(system, roots):
+    """Positive members of a negation-stable, reflection-closed root set that
+    are not sums of two positive members; raises on any other set."""
+    table = reflection_table(system.label)
+    rset = frozenset(tuple(r) for r in roots)
+    for r in rset:
+        if r not in system.index:
+            raise ValueError(f"{r} is not a root of {system.label}")
+        if negate(r) not in rset:
+            raise ValueError("set is not stable under negation")
+    idx = {system.index[r] for r in rset}
+    if any(table[a][b] not in idx for a in idx for b in idx):
+        raise ValueError("set is not reflection-closed")
+    positives = sorted(r for r in rset if system.is_positive(r))
+    sums = {
+        tuple(x + y for x, y in zip(p, q))
+        for p, q in itertools.combinations_with_replacement(positives, 2)
+    }
+    return tuple(p for p in positives if p not in sums)
+
+
+def _reference_cartans(rank):
+    candidates = [("A", rank)]
+    if rank >= 2:
+        candidates.append(("B", rank))
+    if rank >= 3:
+        candidates.append(("C", rank))
+    if rank >= 4:
+        candidates.append(("D", rank))
+    if rank == 2:
+        candidates.append(("G", 2))
+    if rank == 4:
+        candidates.append(("F", 4))
+    for series, r in candidates:
+        yield f"{series}{r}", rootsys._cartan_rows(rootsys._gram(series, r))
+
+
+def _cartan_isomorphic(a, b):
+    """Whether some relabeling of a's nodes gives b, by backtracking."""
+    k = len(a)
+    prof_a = [tuple(sorted(row)) for row in a]
+    prof_b = [tuple(sorted(row)) for row in b]
+    if sorted(prof_a) != sorted(prof_b):
+        return False
+    assign = [0] * k
+    used = [False] * k
+
+    def extend(i):
+        if i == k:
+            return True
+        for cand in range(k):
+            if used[cand] or prof_a[cand] != prof_b[i]:
+                continue
+            if any(
+                a[cand][assign[j]] != b[i][j] or a[assign[j]][cand] != b[j][i]
+                for j in range(i)
+            ):
+                continue
+            assign[i] = cand
+            used[cand] = True
+            if extend(i + 1):
+                return True
+            used[cand] = False
+        return False
+
+    return extend(0)
+
+
+def classify_by_relabeling(system, comp):
+    c = cartan_matrix(system, comp)
+    for label, ref in _reference_cartans(len(comp)):
+        if _cartan_isomorphic(c, ref):
+            return label
+    raise ValueError(f"unrecognized component diagram of rank {len(comp)}")
+
+
+def _classified_by_search(system, roots, simples):
+    components = _connected_components(system, simples)
+    return Subsystem(
+        ambient_label=system.label,
+        roots=frozenset(roots),
+        simples=simples,
+        components=components,
+        component_labels=tuple(classify_by_relabeling(system, c) for c in components),
+    )
+
+
+def closure_by_search(system, simples):
+    """`closure_from_simples` by search: the pair-loop closure, J accepted
+    when the closed set's simple system is J, components by relabeling.
+    Raises the same ValueErrors in the same order."""
+    simples = tuple(tuple(r) for r in simples)
+    for r in simples:
+        if r not in system.index or not system.is_positive(r):
+            raise ValueError(f"{r} is not a positive root of {system.label}")
+    if simples:
+        rank = row_reduce(QQ, [from_dense(QQ, r) for r in simples]).rank
+        if rank != len(simples):
+            raise ValueError("J is linearly dependent")
+    roots = reflection_closure_by_pairs(system, simples)
+    if simples and set(simples) != set(simple_system_by_search(system, roots)):
+        raise ValueError("J is not the simple system of the subsystem it generates")
+    return _classified_by_search(system, roots, simples)
+
+
+def orthogonal_complement_by_search(system, psi):
+    """The roots orthogonal to psi, with their simple system checked closed."""
+    ortho = [
+        r
+        for r in system.roots
+        if all(inner_product(system, r, s) == 0 for s in psi.simples)
+    ]
+    return _classified_by_search(system, ortho, simple_system_by_search(system, ortho))
 
 
 # --------------------------------------------------------------------------

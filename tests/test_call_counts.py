@@ -25,8 +25,8 @@ from weylspecht.specht import (
     TabloidSpace,
     _permuted,
     act_vector,
+    apply_kappa,
     enumerate_tabloids,
-    polytabloid,
 )
 from weylspecht.subsystem import distinguished_reps, normalizer
 from weylspecht.weyl import GeneratedGroup, compose, subgroup_generated
@@ -89,10 +89,10 @@ def test_zero_module_skips_the_generator_scan():
 
 @pytest.mark.parametrize("field", ["Q", "F3"])
 def test_specht_command_computes_one_kappa_sum(field):
-    # e_{J,J'} once; over F_p also the integer base that goodness reads
+    # the integer e_{J,J'} is summed once and read by the module and goodness
     with contextlib.redirect_stdout(io.StringIO()):
         calls = _call_counts(cli.main, D4_SPECHT + ["--field", field])
-    assert calls(polytabloid) <= 2
+    assert calls(apply_kappa) == 1
 
 
 def test_standalone_goodness_scans_the_normalizer_once(case_d4_rank3):

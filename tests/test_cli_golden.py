@@ -2,7 +2,8 @@
 
 Every CLI operation of the benchmark workloads is run in-process and its exit
 code and stdout digest are compared with ``perfbench/manifest.json``. Both
-benchmark files are only read.
+benchmark files are only read. The showcase script's stdout is pinned by its
+digest as well.
 """
 
 from __future__ import annotations
@@ -11,6 +12,10 @@ import contextlib
 import hashlib
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -50,3 +55,19 @@ def test_cli_output_matches_manifest(argv, key):
     expected = MANIFEST[key]
     assert rc == expected["rc"]
     assert hashlib.sha256(buf.getvalue().encode()).hexdigest() == expected["sha256"]
+
+
+# the digest is the same on Python 3.10 to 3.13
+SHOWCASE_SHA256 = "556b0cc0c474a6e4d33b76fe8583a3de5e6799b864a07dc52574b8e1281f0f72"
+
+
+def test_showcase_output_is_unchanged():
+    root = Path(__file__).resolve().parent.parent
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    out = subprocess.run(
+        [sys.executable, str(root / "scripts" / "showcase.py")],
+        env=env,
+        capture_output=True,
+        check=True,
+    ).stdout
+    assert hashlib.sha256(out).hexdigest() == SHOWCASE_SHA256

@@ -1,3 +1,4 @@
+import functools
 import random
 import warnings
 from fractions import Fraction
@@ -522,6 +523,24 @@ def test_trace_is_basis_independent(case_d4_rank3):
         w = rng.choice(space.group.elements)
         m = matrix_of(module, w, basis_vectors=basis)
         assert sum(m[i][i] for i in range(3)) == character_value(module, w)
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(3)], ids=repr)
+def test_character_value_is_trace_of_matrix(corpus, field):
+    # every element of W on A3, both D4 pairs and F4; G2 affords zero
+    checked = 0
+    for system, group, psi, psi_prime, _ in corpus:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            module = build_specht_module(system, psi, psi_prime, field, group=group)
+        if module.dimension == 0:
+            continue
+        for w in group:
+            m = matrix_of(module, w)
+            trace = functools.reduce(field.add, (m[i][i] for i in range(len(m))), field.zero)
+            assert character_value(module, w) == trace
+        checked += 1
+    assert checked == 4
 
 
 def test_matrix_rejects_bad_bases(case_d4_rank3):

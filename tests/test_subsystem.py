@@ -1,12 +1,18 @@
+import itertools
+import random
+import zlib
+
 import pytest
 
 from oracles import (
     EPS_SIMPLES,
     candidate_subsystems,
+    closure_by_search,
     eps_dot,
     eps_embed,
     normalizer_by_definition,
     normalizer_reps_by_products,
+    orthogonal_complement_by_search,
     semidirect_violations,
 )
 from weylspecht.rootsys import build_root_system, parse_root
@@ -118,6 +124,54 @@ def test_closure_rejects_bad_input(a3):
 def test_cartan_matrix_values(g2):
     c = cartan_matrix(g2, g2.simple_roots())
     assert c == ((2, -3), (-1, 2))
+
+
+# --------------------------------------------------------------------------
+# subsystems from J alone against the searches they replace
+
+ALL_TYPES = (
+    [f"{series}{n}" for series in "ABC" for n in range(1, 9)]
+    + [f"D{n}" for n in range(2, 9)]
+    + ["G2", "F4"]
+)
+
+
+def _matches_search(system, simples) -> bool:
+    """Same subsystem and complement as the searches, or the same error;
+    returns whether J was accepted."""
+    try:
+        expected = closure_by_search(system, simples)
+    except ValueError as exc:
+        with pytest.raises(ValueError) as got:
+            closure_from_simples(system, simples)
+        assert str(got.value) == str(exc)
+        return False
+    psi = closure_from_simples(system, simples)
+    assert psi == expected
+    perp = orthogonal_complement(system, psi)
+    assert perp == orthogonal_complement_by_search(system, psi)
+    return True
+
+
+@pytest.mark.parametrize("label", ALL_TYPES)
+def test_parabolic_subsystems_match_search(label):
+    system = build_root_system(label)
+    simples = system.simple_roots()
+    for size in range(system.rank + 1):
+        for j in itertools.combinations(simples, size):
+            assert _matches_search(system, j)
+
+
+@pytest.mark.parametrize("label", ALL_TYPES)
+def test_random_root_sets_match_search(label):
+    system = build_root_system(label)
+    positives = system.roots[: system.positive_count]
+    rng = random.Random(zlib.crc32(label.encode()))
+    accepted = 0
+    for _ in range(40):
+        j = rng.sample(positives, rng.randint(1, min(system.rank, 4)))
+        accepted += _matches_search(system, j)
+    assert accepted > 0
 
 
 # --------------------------------------------------------------------------
