@@ -14,7 +14,6 @@ import re
 import warnings
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import partial
 from operator import mul
 
 Root = tuple[int, ...]
@@ -133,15 +132,6 @@ def _cartan_rows(gram) -> tuple[tuple[int, ...], ...]:
     return tuple(rows)
 
 
-def _simple_reflect(cartan, i: int, v: Root) -> Root:
-    c = sum(a * x for a, x in zip(cartan[i], v))
-    if not c:
-        return v
-    w = list(v)
-    w[i] -= c
-    return tuple(w)
-
-
 def _orbit(seeds, maps) -> set:
     """The smallest set containing the seeds and closed under the maps."""
     seen = set(seeds)
@@ -177,8 +167,9 @@ def build_root_system(label: str) -> RootSystem:
 
     gram = _gram(series, rank)
     cartan = _cartan_rows(gram)
+    doubled = tuple(tuple(int(2 * x) for x in row) for row in gram)
     simples = [tuple(1 if j == i else 0 for j in range(rank)) for i in range(rank)]
-    seen = _orbit(simples, [partial(_simple_reflect, cartan, i) for i in range(rank)])
+    seen = _orbit(simples, [reflection(doubled, a) for a in simples])
 
     positives = sorted(v for v in seen if RootSystem.is_positive(v))
     expected = _ROOT_COUNTS[series](rank)
@@ -196,42 +187,53 @@ def build_root_system(label: str) -> RootSystem:
         positive_count=len(positives),
         cartan=cartan,
         index=index,
-        doubled_gram=tuple(tuple(int(2 * x) for x in row) for row in gram),
+        doubled_gram=doubled,
     )
 
 
-def _doubled_product(system: RootSystem, u: Root, v: Root) -> int:
-    """2(u, v) in integers."""
+def inner_product(system: RootSystem, u: Root, v: Root) -> Fraction:
+    """Exact inner product of two coordinate vectors, summed in integers."""
     if len(u) != system.rank or len(v) != system.rank:
         raise ValueError("dimension mismatch")
-    acc = 0
-    for a, row in zip(u, system.doubled_gram):
-        if a:
-            acc += a * sum(map(mul, row, v))
-    return acc
+    doubled = sum(a * sum(map(mul, row, v)) for a, row in zip(u, system.doubled_gram) if a)
+    return Fraction(doubled, 2)
 
 
-def inner_product(system: RootSystem, u: Root, v: Root) -> Fraction:
-    """Exact inner product of two coordinate vectors."""
-    return Fraction(_doubled_product(system, u, v), 2)
+def reflection(doubled_gram, alpha: Root):
+    """The map v -> v - 2(a,v)/(a,a) a under the given doubled Gram matrix,
+    with 2(a,a) and the row 2(a, .) computed once, so each image costs one
+    dot product."""
+    if not any(alpha):
+        raise ValueError("cannot reflect in the zero vector")
+    rank = len(doubled_gram)
+    if len(alpha) != rank:
+        raise ValueError("dimension mismatch")
+    # the matrix is symmetric, so its row products give 2(a, e_k)
+    row = [sum(map(mul, g, alpha)) for g in doubled_gram]
+    norm = sum(map(mul, row, alpha))
+
+    def reflect(v: Root) -> Root:
+        if len(v) != rank:
+            raise ValueError("dimension mismatch")
+        # with c = num / norm = 2(a,v)/(a,a), coordinate k is
+        # (x_k norm - num a_k) / norm
+        num = 2 * sum(map(mul, row, v))
+        if not num:
+            return tuple(v)
+        out = []
+        for a, x in zip(alpha, v):
+            y, rem = divmod(x * norm - num * a, norm)
+            if rem:
+                raise ValueError("non-integral reflection; Gram data is corrupted")
+            out.append(y)
+        return tuple(out)
+
+    return reflect
 
 
 def reflect_root(system: RootSystem, alpha: Root, v: Root) -> Root:
     """Reflect v in the hyperplane orthogonal to alpha: v - 2(a,v)/(a,a) a."""
-    if not any(alpha):
-        raise ValueError("cannot reflect in the zero vector")
-    # with c = num / norm = 2(a,v)/(a,a), coordinate k is (x_k norm - num a_k) / norm
-    norm = _doubled_product(system, alpha, alpha)
-    num = 2 * _doubled_product(system, alpha, v)
-    if not num:
-        return tuple(v)
-    out = []
-    for a, x in zip(alpha, v):
-        y, rem = divmod(x * norm - num * a, norm)
-        if rem:
-            raise ValueError("non-integral reflection; Gram data is corrupted")
-        out.append(y)
-    return tuple(out)
+    return reflection(system.doubled_gram, alpha)(v)
 
 
 def parse_root(system: RootSystem, text: str, if_not_root: str = "warn") -> Root:

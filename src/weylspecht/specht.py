@@ -42,9 +42,10 @@ from .rootsys import Root, RootSystem, format_root
 from .subsystem import (
     Normalizer,
     Subsystem,
+    complements_meet_trivially,
     distinguished_reps,
-    is_useful_pair,
     normalizer,
+    stabilizer,
 )
 from .weyl import (
     GeneratedGroup,
@@ -134,14 +135,20 @@ class TabloidSpace:
         return apply_kappa(self, QQ, SparseVector(len(self), {0: QQ.one}))
 
     @cached_property
+    def col_stabilizer(self) -> tuple[GroupElement, ...]:
+        """N(psi) meet W(psi'), in group order: the stabilizer of psi's root
+        set inside the column group, so N(psi) itself is never walked."""
+        found = stabilizer(self.system, self.psi, self.col_group)
+        return tuple(sorted(found, key=self.group.position))
+
+    @cached_property
     def useful(self) -> bool:
-        """Whether (psi, psi') is a useful sub-system; False when they meet."""
+        """Whether (psi, psi') is a useful sub-system. False when they meet,
+        since the reflection in a shared root stabilizes psi."""
         if self.psi_prime is None:
             raise ValueError("tabloid space was built without a column system")
-        if self.psi.roots & self.psi_prime.roots:
-            return False
-        return is_useful_pair(
-            self.system, self.psi, self.psi_prime, self.n_psi, self.col_group
+        return len(self.col_stabilizer) == 1 and complements_meet_trivially(
+            self.system, self.psi, self.psi_prime
         )
 
     def _require_member(self, w: GroupElement) -> None:

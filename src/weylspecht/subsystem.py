@@ -1,5 +1,5 @@
-"""Subsystems of a root system: closures, classification, normalizers and
-coset transversals.
+"""Subsystems of a root system: closures, classification, normalizers,
+coset transversals and the usefulness tests of a pair.
 
 A subsystem carries its simple system J as given, and everything about it
 is read from J: its roots are the orbit of J under the reflections in J,
@@ -14,21 +14,12 @@ import itertools
 from collections import Counter
 from dataclasses import dataclass
 
-from fractions import Fraction
-from functools import partial
 from operator import itemgetter
 
 from . import rootsys
-from .exactlin import QQ, form_complement, from_dense, intersect, row_reduce
-from .rootsys import Root, RootSystem, inner_product, negate, reflect_root
-from .weyl import (
-    GeneratedGroup,
-    GroupElement,
-    apply_to_root,
-    compose,
-    identity,
-    subgroup_generated,
-)
+from .exactlin import QQ, from_dense, row_reduce
+from .rootsys import Root, RootSystem, inner_product, negate, reflection
+from .weyl import GeneratedGroup, GroupElement, apply_to_root
 
 
 @dataclass(frozen=True)
@@ -79,7 +70,7 @@ def closure_from_simples(system: RootSystem, simples) -> Subsystem:
     ):
         raise ValueError("J is not the simple system of the subsystem it generates")
     # the reflections in J generate W(J), and Phi_J is the orbit of J under it
-    roots = rootsys._orbit(simples, [partial(reflect_root, system, a) for a in simples])
+    roots = rootsys._orbit(simples, [reflection(system.doubled_gram, a) for a in simples])
     return _classified(system, roots, simples)
 
 
@@ -96,9 +87,9 @@ def simple_system_of(system: RootSystem, roots) -> tuple[Root, ...]:
         if negate(r) not in rset:
             raise ValueError("set is not stable under negation")
     for a in rset:
-        for b in rset:
-            if reflect_root(system, a, b) not in rset:
-                raise ValueError("set is not reflection-closed")
+        reflect = reflection(system.doubled_gram, a)
+        if any(reflect(b) not in rset for b in rset):
+            raise ValueError("set is not reflection-closed")
     return _indecomposables(system, rset)
 
 
@@ -154,6 +145,20 @@ def _root_indices(system: RootSystem, group: GeneratedGroup, roots) -> list[int]
     return [system.root_index(r) for r in roots]
 
 
+def _root_set_image(system: RootSystem, psi: Subsystem):
+    """psi's root indices as a set, and the map from w.perm to w(psi)."""
+    r_idx = [system.root_index(r) for r in psi.roots]
+    # a nonempty psi has at least two roots, so the getter returns a tuple
+    image = itemgetter(*r_idx) if r_idx else lambda p: ()
+    return frozenset(r_idx), image
+
+
+def stabilizer(system: RootSystem, psi: Subsystem, elements) -> tuple[GroupElement, ...]:
+    """The given elements that map psi's root set onto itself, in order."""
+    own, image = _root_set_image(system, psi)
+    return tuple(w for w in elements if frozenset(image(w.perm)) == own)
+
+
 def normalizer(system: RootSystem, psi: Subsystem, group: GeneratedGroup) -> Normalizer:
     """One sweep over W, keyed by the image w(psi) as a set of root indices.
 
@@ -164,10 +169,7 @@ def normalizer(system: RootSystem, psi: Subsystem, group: GeneratedGroup) -> Nor
     """
     j_idx = _root_indices(system, group, psi.simples)
     jset = set(j_idx)
-    r_idx = [system.root_index(r) for r in psi.roots]
-    own = frozenset(r_idx)
-    # a nonempty psi has at least two roots, so the getter returns a tuple
-    image = itemgetter(*r_idx) if r_idx else lambda p: ()
+    own, image = _root_set_image(system, psi)
     first: dict = {}
     n_psi = []
     n_j = []
@@ -184,22 +186,20 @@ def normalizer(system: RootSystem, psi: Subsystem, group: GeneratedGroup) -> Nor
     return Normalizer(n_psi=tuple(n_psi), n_j=tuple(n_j), reps=reps, keys=tuple(first))
 
 
-def _meets_trivially(system: RootSystem, a, b) -> bool:
-    return {w.perm for w in a} & {w.perm for w in b} == {identity(system).perm}
-
-
-def is_useful_pair(
-    system: RootSystem, psi: Subsystem, psi_prime: Subsystem, row_group, col_group
+def complements_meet_trivially(
+    system: RootSystem, psi: Subsystem, psi_prime: Subsystem
 ) -> bool:
-    """row_group meets col_group = W(psi') trivially, and so do W(psi⊥) and
-    W(psi'⊥). row_group = N(psi) decides a useful sub-system, W(psi) a
-    useful system. The complement subgroups are closed only when needed."""
-    if not _meets_trivially(system, row_group, col_group):
-        return False
-    return _meets_trivially(
-        system,
-        subgroup_generated(system, orthogonal_complement(system, psi).simples),
-        subgroup_generated(system, orthogonal_complement(system, psi_prime).simples),
+    """W(psi⊥) meets W(psi'⊥) trivially: the complement half of usefulness.
+
+    The pointwise stabilizer of a subspace is generated by the reflections
+    it contains (Steinberg 1964; Humphreys 1990, 1.12). So W(psi⊥) is the
+    fixer of span(J), the meet is the fixer of span(J ∪ J'), and it is
+    trivial exactly when no root is orthogonal to all of J ∪ J'.
+    """
+    js = psi.simples + psi_prime.simples
+    return not any(
+        all(inner_product(system, r, j) == 0 for j in js)
+        for r in system.roots[: system.positive_count]
     )
 
 
@@ -277,31 +277,23 @@ def restricted_reflections(
 ) -> tuple[GroupElement, ...]:
     """Elements acting as reflections on the span of psi.
 
-    Qualifies when the fixed space meets the span in codimension one and the
-    square fixes the span pointwise. Ambient root reflections inside psi
-    always qualify; elements rotating the full space may still restrict to
-    reflections of the span, which is how extra stabilizer structure beyond
-    the reflection subgroup of psi shows up.
+    Qualifies when the square fixes J and the fixed space meets the span in
+    codimension one. That meet is the kernel of w - 1 on the span, so the
+    second condition says the vectors w(a) - a, a in J, span a line. Ambient
+    root reflections inside psi always qualify; elements rotating the full
+    space may still restrict to reflections of the span, which is how extra
+    stabilizer structure beyond the reflection subgroup of psi shows up.
     """
-    if not psi.simples:
-        return ()
-    simples = system.simple_roots()
-    span = row_reduce(QQ, [from_dense(QQ, j) for j in psi.simples])
     out = []
     for w in elements:
-        cols = [apply_to_root(system, w, s) for s in simples]
-        rows = [
-            from_dense(
-                QQ,
-                [Fraction(cols[j][i]) - (1 if i == j else 0) for j in range(system.rank)],
-            )
-            for i in range(system.rank)
-        ]
-        fixed = form_complement(row_reduce(QQ, rows, dim=system.rank))
-        if intersect(fixed, span).rank != span.rank - 1:
+        images = [apply_to_root(system, w, j) for j in psi.simples]
+        if any(apply_to_root(system, w, i) != j for i, j in zip(images, psi.simples)):
             continue
-        square = compose(w, w)
-        if all(apply_to_root(system, square, j) == j for j in psi.simples):
+        moved = [
+            from_dense(QQ, [x - y for x, y in zip(i, j)])
+            for i, j in zip(images, psi.simples)
+        ]
+        if row_reduce(QQ, moved, dim=system.rank).rank == 1:
             out.append(w)
     return tuple(out)
 

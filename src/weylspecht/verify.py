@@ -1,9 +1,9 @@
 """Predicates on subsystem pairs and randomized structural checks.
 
-The useful/good predicates are decided by brute-force subgroup intersection
-and coefficient scans, which is exact and cheap at desk scale. The
-submodule probe draws seeded random vectors, spins each one under the
-simple reflections into its cyclic submodule and checks the containment
+Usefulness is read from the small group W(psi') and from the roots (see
+`subsystem.stabilizer` and `subsystem.complements_meet_trivially`), goodness
+from the support of the base polytabloid. The submodule probe spins seeded
+random vectors under the simple reflections and checks the containment
 dichotomy against the built module.
 """
 
@@ -20,7 +20,7 @@ from .specht import (
     cyclic_submodule,
     enumerate_tabloids,
 )
-from .subsystem import Subsystem, is_useful_pair
+from .subsystem import Subsystem, complements_meet_trivially, stabilizer
 from .weyl import (
     GeneratedGroup,
     GroupElement,
@@ -42,9 +42,9 @@ def _require_disjoint(system: RootSystem, psi: Subsystem, psi_prime: Subsystem) 
 def is_useful_system(system: RootSystem, psi: Subsystem, psi_prime: Subsystem) -> bool:
     """W(J) meets W(J') trivially, and likewise for the two complements."""
     _require_disjoint(system, psi, psi_prime)
-    w_j = subgroup_generated(system, psi.simples)
-    w_jp = subgroup_generated(system, psi_prime.simples)
-    return is_useful_pair(system, psi, psi_prime, w_j, w_jp)
+    w_j = {w.perm for w in subgroup_generated(system, psi.simples)}
+    meet = w_j.intersection(w.perm for w in subgroup_generated(system, psi_prime.simples))
+    return len(meet) == 1 and complements_meet_trivially(system, psi, psi_prime)
 
 
 def is_useful_subsystem(
@@ -53,26 +53,25 @@ def is_useful_subsystem(
     psi_prime: Subsystem,
     group: GeneratedGroup | None = None,
 ) -> bool:
-    """N(psi) meets W(psi') trivially, and likewise for the two complements."""
+    """N(psi) meets W(psi') trivially, and likewise for the two complements.
+    The meet is the stabilizer of psi in W(psi'), so only W(psi') is closed;
+    `group` is only checked to belong to the system."""
     _require_disjoint(system, psi, psi_prime)
-    if group is None:
-        group = generate_group(system)
-    return enumerate_tabloids(system, psi, group, psi_prime).useful
+    if group is not None and group.system_label != system.label:
+        raise ValueError("group belongs to a different root system")
+    col_group = subgroup_generated(system, psi_prime.simples)
+    return len(stabilizer(system, psi, col_group)) == 1 and complements_meet_trivially(
+        system, psi, psi_prime
+    )
 
 
 def obstruction_from_space(space: TabloidSpace) -> GroupElement | None:
     """The first order-2 negative-sign element of N(psi) meet W(psi') in
     the space's group order, if any."""
-    system = space.system
-    w_jp = {w.perm for w in space.col_group}
-    e = space.group.identity
-    for w in space.n_psi:
-        if w == e or w.perm not in w_jp:
-            continue
+    for w in space.col_stabilizer:
         p = w.perm
-        if any(p[j] != i for i, j in enumerate(p)):  # w o w is not e
-            continue
-        if sign(system, w) == -1:
+        # w o w is e, and the sign rules out e itself
+        if all(p[j] == i for i, j in enumerate(p)) and sign(space.system, w) == -1:
             return w
     return None
 

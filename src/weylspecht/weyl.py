@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from operator import itemgetter
 
-from .rootsys import Root, RootSystem, reflect_root
+from .rootsys import Root, RootSystem, reflection
 
 
 class GroupLimitError(RuntimeError):
@@ -44,9 +44,8 @@ def identity(system: RootSystem) -> GroupElement:
 
 def reflection_in(system: RootSystem, root: Root) -> GroupElement:
     """The permutation of the root list induced by the reflection in `root`."""
-    images = tuple(
-        system.root_index(reflect_root(system, root, r)) for r in system.roots
-    )
+    refl = reflection(system.doubled_gram, root)
+    images = tuple(system.root_index(refl(r)) for r in system.roots)
     return GroupElement(images, system.label)
 
 

@@ -29,7 +29,9 @@ from weylspecht import (
     is_good_subsystem,
     is_useful_subsystem,
     is_useful_system,
+    orthogonal_complement,
     polytabloid,
+    sign,
     subgroup_generated,
     vanishing_obstruction,
 )
@@ -38,7 +40,9 @@ from weylspecht.exactlin import (
     QQ,
     SparseVector,
     SubspaceBasis,
+    form_complement,
     from_dense,
+    intersect,
     row_reduce,
     vscale,
     vsub,
@@ -301,6 +305,82 @@ def normalizer_reps_by_products(system, group, n_psi):
         reps.append(w)
         seen.update(step(p) for step in steps)
     return tuple(reps)
+
+
+# --------------------------------------------------------------------------
+# usefulness, the witness and restricted reflections, from the definitions
+
+def _meets_trivially(system, a, b):
+    return {w.perm for w in a} & {w.perm for w in b} == {identity(system).perm}
+
+
+def is_useful_pair_by_closures(system, psi, psi_prime, row_group, col_group):
+    """row_group meets col_group trivially, and so do W(psi⊥) and W(psi'⊥),
+    each closed from the simple system of the orthogonal complement."""
+    if not _meets_trivially(system, row_group, col_group):
+        return False
+    return _meets_trivially(
+        system,
+        subgroup_generated(system, orthogonal_complement(system, psi).simples),
+        subgroup_generated(system, orthogonal_complement(system, psi_prime).simples),
+    )
+
+
+def useful_subsystem_by_closures(system, psi, psi_prime, n_psi):
+    """N(psi) against the closure W(psi'), and both complements closed."""
+    col_group = subgroup_generated(system, psi_prime.simples)
+    return is_useful_pair_by_closures(system, psi, psi_prime, n_psi, col_group)
+
+
+def useful_system_by_closures(system, psi, psi_prime):
+    """W(J) against W(J'), and both complements closed."""
+    w_j = subgroup_generated(system, psi.simples)
+    w_jp = subgroup_generated(system, psi_prime.simples)
+    return is_useful_pair_by_closures(system, psi, psi_prime, w_j, w_jp)
+
+
+def col_stabilizer_by_filter(system, n_psi, psi_prime):
+    """N(psi) meet W(psi'): the elements of N(psi), in its order, that lie in
+    the closure W(psi')."""
+    col = {w.perm for w in subgroup_generated(system, psi_prime.simples)}
+    return tuple(w for w in n_psi if w.perm in col)
+
+
+def obstruction_by_scan(system, n_psi, psi_prime):
+    """The first element of N(psi) that lies in W(psi'), is not e, squares
+    to e and has sign -1."""
+    e = identity(system)
+    for w in col_stabilizer_by_filter(system, n_psi, psi_prime):
+        if w != e and compose(w, w) == e and sign(system, w) == -1:
+            return w
+    return None
+
+
+def restricted_reflections_by_fixed_space(system, psi, elements):
+    """The elements whose fixed space, solved as the kernel of the rank x
+    rank matrix of w - 1, meets span(psi) in codimension one, and whose
+    square fixes J."""
+    if not psi.simples:
+        return ()
+    simples = system.simple_roots()
+    span = row_reduce(QQ, [from_dense(QQ, j) for j in psi.simples])
+    out = []
+    for w in elements:
+        cols = [apply_to_root(system, w, s) for s in simples]
+        rows = [
+            from_dense(
+                QQ,
+                [Fraction(cols[j][i]) - (1 if i == j else 0) for j in range(system.rank)],
+            )
+            for i in range(system.rank)
+        ]
+        fixed = form_complement(row_reduce(QQ, rows, dim=system.rank))
+        if intersect(fixed, span).rank != span.rank - 1:
+            continue
+        square = compose(w, w)
+        if all(apply_to_root(system, square, j) == j for j in psi.simples):
+            out.append(w)
+    return tuple(out)
 
 
 # --------------------------------------------------------------------------

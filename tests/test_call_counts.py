@@ -54,7 +54,8 @@ def test_specht_command_builds_the_pair_once():
     assert calls(GeneratedGroup.__iter__) == 2
     assert calls(normalizer) == 1
     assert calls(enumerate_tabloids) == 1
-    assert calls(subgroup_generated) <= 3
+    # W(psi') only: the complement half of usefulness closes no group
+    assert calls(subgroup_generated) == 1
 
 
 A5_TABLOIDS = ["tabloids", "--type", "A5", "--J", "10000,01000,00010"]
@@ -102,11 +103,13 @@ def test_standalone_goodness_scans_the_normalizer_once(case_d4_rank3):
     assert calls(normalizer) == 1
 
 
-def test_standalone_usefulness_scans_the_group_once(case_d4_rank3):
+def test_standalone_usefulness_never_scans_the_group(case_d4_rank3):
+    # N(psi) meet W(psi') is the stabilizer of psi inside W(psi')
     c = case_d4_rank3
     calls = _call_counts(is_useful_subsystem, c.system, c.psi, c.psi_prime, c.group)
-    assert calls(GeneratedGroup.__iter__) == 1
-    assert calls(enumerate_tabloids) == 1
+    assert calls(GeneratedGroup.__iter__) == 0
+    assert calls(enumerate_tabloids) == 0
+    assert calls(normalizer) == 0
 
 
 def test_probe_trial_spins_instead_of_scanning_the_group(case_d4_deg6):

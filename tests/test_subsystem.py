@@ -13,6 +13,7 @@ from oracles import (
     normalizer_by_definition,
     normalizer_reps_by_products,
     orthogonal_complement_by_search,
+    restricted_reflections_by_fixed_space,
     semidirect_violations,
 )
 from weylspecht.rootsys import build_root_system, parse_root
@@ -270,6 +271,15 @@ def test_normalizer_d4_chain(d4, w_d4):
     refl = restricted_reflections(d4, psi, pair.n_psi)
     assert len(refl) == 9
     assert _closure_order(refl) == 48
+
+
+@pytest.mark.parametrize("label", ["A3", "B3", "G2", "D4"])
+def test_restricted_reflections_match_fixed_space(label):
+    system = build_root_system(label)
+    group = generate_group(system)
+    for psi in candidate_subsystems(system):
+        expected = restricted_reflections_by_fixed_space(system, psi, group)
+        assert restricted_reflections(system, psi, group) == expected, psi.simples
 
 
 def _closure_order(elements):

@@ -2,7 +2,16 @@ import warnings
 
 import pytest
 
-from oracles import coefficient_law_violations, disjoint_pairs
+from oracles import (
+    coefficient_law_violations,
+    col_stabilizer_by_filter,
+    disjoint_pairs,
+    load_workloads,
+    normalizer_by_definition,
+    obstruction_by_scan,
+    useful_subsystem_by_closures,
+    useful_system_by_closures,
+)
 from weylspecht import (
     build_root_system,
     build_specht_module,
@@ -20,6 +29,7 @@ from weylspecht import (
 from weylspecht.exactlin import QQ, PrimeField, SparseVector, contains, row_reduce
 from weylspecht.rootsys import parse_root
 from weylspecht.specht import act_vector, quotient_dimension
+from weylspecht.verify import obstruction_from_space
 from weylspecht.weyl import compose, identity, sign, subgroup_generated, word_to_element
 
 
@@ -68,6 +78,12 @@ def test_entry_points_reject_a_foreign_column_system():
             call()
 
 
+def test_standalone_usefulness_rejects_a_foreign_group(case_a3, w_g2):
+    # the group is not scanned, but one of another system is still refused
+    with pytest.raises(ValueError, match="different root system"):
+        is_useful_subsystem(case_a3.system, case_a3.psi, case_a3.psi_prime, group=w_g2)
+
+
 def test_useful_system_rejects_foreign_rows():
     b3, _, psi, foreign = _b3_rows_with_c3_columns()
     with pytest.raises(ValueError):
@@ -96,6 +112,61 @@ def test_g2_intersections(case_g2):
     assert w_psi & w_pp == {identity(system).perm}
     n_psi = {w.perm for w in case_g2.space.n_psi}
     assert len(n_psi & w_pp) > 1
+
+
+# --------------------------------------------------------------------------
+# usefulness, the meet N(psi) ∩ W(psi') and the witness, against closures
+
+
+def _closure_verdicts(system, group, psi, pp, n_psi):
+    """Compare one disjoint pair with the closure oracles; returns whether
+    only the complement half rejects it."""
+    tag = f"{system.label} J={psi.simples} J'={pp.simples}"
+    useful = useful_subsystem_by_closures(system, psi, pp, n_psi)
+    space = enumerate_tabloids(system, psi, group, pp)
+    assert is_useful_subsystem(system, psi, pp, group=group) == useful, tag
+    assert space.useful == useful, tag
+    assert is_useful_system(system, psi, pp) == useful_system_by_closures(system, psi, pp), tag
+    meet = col_stabilizer_by_filter(system, n_psi, pp)
+    assert space.col_stabilizer == meet, tag
+    assert obstruction_from_space(space) == obstruction_by_scan(system, n_psi, pp), tag
+    return len(meet) == 1 and not useful
+
+
+@pytest.mark.parametrize("label", ["A3", "G2", "B3", "C3", "D4"])
+def test_usefulness_matches_closures_on_every_pair(label):
+    system = build_root_system(label)
+    group = generate_group(system)
+    n_psi = {}
+    complement_only = 0
+    for psi, pp in disjoint_pairs(system, max_size=2):
+        if psi.roots not in n_psi:
+            n_psi[psi.roots] = normalizer_by_definition(system, psi, group)[0]
+        complement_only += _closure_verdicts(system, group, psi, pp, n_psi[psi.roots])
+    # the corpus exercises the complement half on its own
+    assert complement_only > 0
+
+
+PAIRS = load_workloads().PAIRS  # name: (ambient, J, J')
+
+
+@pytest.mark.parametrize(
+    "name",
+    [
+        pytest.param(n, marks=pytest.mark.slow) if int(PAIRS[n][0][1:]) > 4 else n
+        for n in sorted(PAIRS)
+    ],
+)
+def test_usefulness_matches_closures_on_benchmark_pairs(name):
+    ambient, j_text, jp_text = PAIRS[name]
+    system = build_root_system(ambient)
+    group = generate_group(system)
+    psi = closure_from_simples(system, roots_of(system, *j_text.split(",")))
+    pp = closure_from_simples(system, roots_of(system, *jp_text.split(",")))
+    n_psi = normalizer_by_definition(system, psi, group)[0]
+    _closure_verdicts(system, group, psi, pp, n_psi)
+    witness = obstruction_by_scan(system, n_psi, pp)
+    assert vanishing_obstruction(system, psi, pp, group=group) == witness
 
 
 # --------------------------------------------------------------------------
