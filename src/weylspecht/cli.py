@@ -159,11 +159,14 @@ def cmd_tabloids(args) -> int:
 
 
 def _independent_generators(module):
-    # first generators whose polytabloids are independent, in group order
+    # the first translates d e_{J,J'}, d in D_psi', that are independent;
+    # the fold stops at the dim-th, so later translates are never computed
+    space, field, e_vec = module.space, module.field, module.e_vec
     by_pivot: dict = {}
     picked = []
-    for d, vec in module.generators:
-        if echelon_insert(module.field, by_pivot, vec):
+    for d in module.generators:
+        vec = specht.act_vector(space, field, d, e_vec)
+        if echelon_insert(field, by_pivot, vec):
             picked.append((d, vec))
             if len(picked) == module.dimension:
                 break

@@ -147,9 +147,6 @@ class SparseVector:
     def is_zero(self) -> bool:
         return not self.entries
 
-    def copy(self) -> "SparseVector":
-        return SparseVector(self.dim, dict(self.entries))
-
 
 def vector(field, dim: int, items) -> SparseVector:
     """Build a sparse vector from (index, scalar) pairs, summing repeated

@@ -43,7 +43,6 @@ class RootSystem:
     roots: tuple[Root, ...]
     gram: tuple[tuple[Fraction, ...], ...]
     positive_count: int
-    cartan: tuple[tuple[int, ...], ...] = field(compare=False, repr=False)
     index: dict = field(compare=False, repr=False)
     # 2 * gram, integral for every supported type
     doubled_gram: tuple[tuple[int, ...], ...] = field(compare=False, repr=False)
@@ -51,9 +50,6 @@ class RootSystem:
     def simple_roots(self) -> tuple[Root, ...]:
         n = self.rank
         return tuple(tuple(1 if j == i else 0 for j in range(n)) for i in range(n))
-
-    def is_root(self, v: Root) -> bool:
-        return v in self.index
 
     def root_index(self, v: Root) -> int:
         try:
@@ -166,7 +162,7 @@ def build_root_system(label: str) -> RootSystem:
         raise ValueError("series F exists only in rank 4")
 
     gram = _gram(series, rank)
-    cartan = _cartan_rows(gram)
+    _cartan_rows(gram)  # raises unless the Gram data is crystallographic
     doubled = tuple(tuple(int(2 * x) for x in row) for row in gram)
     simples = [tuple(1 if j == i else 0 for j in range(rank)) for i in range(rank)]
     seen = _orbit(simples, [reflection(doubled, a) for a in simples])
@@ -185,7 +181,6 @@ def build_root_system(label: str) -> RootSystem:
         roots=roots,
         gram=tuple(tuple(row) for row in gram),
         positive_count=len(positives),
-        cartan=cartan,
         index=index,
         doubled_gram=doubled,
     )

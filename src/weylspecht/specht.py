@@ -284,13 +284,11 @@ class SpechtModuleData:
     basis: SubspaceBasis
 
     @cached_property
-    def generators(self) -> tuple:
-        """(d, d e_{J,J'}) over the distinguished representatives d of the
-        column system, in group order; the identity comes first, so the
-        first generator is e_{J,J'}. They span the module."""
+    def generators(self) -> tuple[GroupElement, ...]:
+        """D_psi', the distinguished representatives d of the column system,
+        in group order, identity first; the translates d e_{J,J'} span S."""
         space = self.space
-        dreps = distinguished_reps(space.system, space.psi_prime, space.group)
-        return tuple((d, act_vector(space, self.field, d, self.e_vec)) for d in dreps)
+        return distinguished_reps(space.system, space.psi_prime, space.group)
 
     @property
     def dimension(self) -> int:
@@ -312,8 +310,7 @@ def build_specht_module(
     """The cyclic module generated by e_{J,J'}.
 
     The basis is the spin of e_{J,J'} under the simple reflections (see
-    `cyclic_submodule`). The translates listed by `generators` are computed
-    only when read.
+    `cyclic_submodule`); `generators` is found only when read.
 
     Warns when the pair is not a useful sub-system; the computation still
     runs and may produce the zero module. `check_full_span` re-derives the
@@ -346,16 +343,13 @@ bilinear_form = dot
 def quotient_dimension(module: SpechtModuleData) -> tuple[int, int, int]:
     """(dim S, dim of S meet its form complement, dim of the quotient).
 
-    The delta form is nondegenerate, so the radical S meet S-perp is the
-    complement of S + S-perp.
+    The delta form is nondegenerate, so the radical S meet S-perp has the
+    dimension of the complement of S + S-perp: dim minus the rank of the sum.
     """
     basis = module.basis
-    perp = form_complement(basis)
-    radical = form_complement(
-        row_reduce(module.field, perp.rows + basis.rows, dim=basis.dim)
-    )
-    dim_s = basis.rank
-    return (dim_s, radical.rank, dim_s - radical.rank)
+    span = row_reduce(module.field, basis.rows + form_complement(basis).rows, dim=basis.dim)
+    dim_s, radical = basis.rank, basis.dim - span.rank
+    return (dim_s, radical, dim_s - radical)
 
 
 def matrix_of(module: SpechtModuleData, w: GroupElement, basis_vectors=None):

@@ -3,8 +3,8 @@
 Usefulness is read from the small group W(psi') and from the roots (see
 `subsystem.stabilizer` and `subsystem.complements_meet_trivially`), goodness
 from the support of the base polytabloid. The submodule probe spins seeded
-random vectors under the simple reflections and checks the containment
-dichotomy against the built module.
+random vectors under the simple reflections and decides the containment
+dichotomy from e_{J,J'} alone: e lies in U, or U is orthogonal to e.
 """
 
 from __future__ import annotations
@@ -12,7 +12,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-from .exactlin import SparseVector, contains, form_complement, vector
+from .exactlin import SparseVector, contains, vector
 from .rootsys import RootSystem
 from .specht import (
     SpechtModuleData,
@@ -32,16 +32,18 @@ from .weyl import (
 DEFAULT_PROBE_SEED = 1729
 
 
-def _require_disjoint(system: RootSystem, psi: Subsystem, psi_prime: Subsystem) -> None:
+def _require_pair(system: RootSystem, psi: Subsystem, psi_prime: Subsystem, group=None):
     if psi.ambient_label != system.label or psi_prime.ambient_label != system.label:
         raise ValueError("subsystems must belong to the ambient system")
+    if group is not None and group.system_label != system.label:
+        raise ValueError("group belongs to a different root system")
     if psi.roots & psi_prime.roots:
         raise ValueError("psi_prime must be contained in the ambient system minus psi")
 
 
 def is_useful_system(system: RootSystem, psi: Subsystem, psi_prime: Subsystem) -> bool:
     """W(J) meets W(J') trivially, and likewise for the two complements."""
-    _require_disjoint(system, psi, psi_prime)
+    _require_pair(system, psi, psi_prime)
     w_j = {w.perm for w in subgroup_generated(system, psi.simples)}
     meet = w_j.intersection(w.perm for w in subgroup_generated(system, psi_prime.simples))
     return len(meet) == 1 and complements_meet_trivially(system, psi, psi_prime)
@@ -56,24 +58,26 @@ def is_useful_subsystem(
     """N(psi) meets W(psi') trivially, and likewise for the two complements.
     The meet is the stabilizer of psi in W(psi'), so only W(psi') is closed;
     `group` is only checked to belong to the system."""
-    _require_disjoint(system, psi, psi_prime)
-    if group is not None and group.system_label != system.label:
-        raise ValueError("group belongs to a different root system")
+    _require_pair(system, psi, psi_prime, group)
     col_group = subgroup_generated(system, psi_prime.simples)
     return len(stabilizer(system, psi, col_group)) == 1 and complements_meet_trivially(
         system, psi, psi_prime
     )
 
 
+def _first_obstruction(system: RootSystem, elements) -> GroupElement | None:
+    # the first element that squares to e and has sign -1, which rules out e
+    for w in elements:
+        p = w.perm
+        if all(p[j] == i for i, j in enumerate(p)) and sign(system, w) == -1:
+            return w
+    return None
+
+
 def obstruction_from_space(space: TabloidSpace) -> GroupElement | None:
     """The first order-2 negative-sign element of N(psi) meet W(psi') in
     the space's group order, if any."""
-    for w in space.col_stabilizer:
-        p = w.perm
-        # w o w is e, and the sign rules out e itself
-        if all(p[j] == i for i, j in enumerate(p)) and sign(space.system, w) == -1:
-            return w
-    return None
+    return _first_obstruction(space.system, space.col_stabilizer)
 
 
 def vanishing_obstruction(
@@ -82,14 +86,17 @@ def vanishing_obstruction(
     psi_prime: Subsystem,
     group: GeneratedGroup | None = None,
 ) -> GroupElement | None:
-    """An order-2 negative-sign element of N(psi) meet W(psi'), if any.
+    """The first order-2 negative-sign element of N(psi) meet W(psi') in
+    group order, if any; the meet is the stabilizer of psi in W(psi').
 
     Such an element pairs off the terms of the polytabloid with opposite
     signs, forcing it to vanish.
     """
+    _require_pair(system, psi, psi_prime, group)
     if group is None:
         group = generate_group(system)
-    return obstruction_from_space(enumerate_tabloids(system, psi, group, psi_prime))
+    meet = stabilizer(system, psi, subgroup_generated(system, psi_prime.simples))
+    return _first_obstruction(system, sorted(meet, key=group.position))
 
 
 @dataclass(frozen=True)
@@ -134,7 +141,7 @@ def is_good_subsystem(
 ) -> GoodSubsystemResult:
     """Every representative whose image of psi misses psi' must appear with
     nonzero coefficient in the base polytabloid."""
-    _require_disjoint(system, psi, psi_prime)
+    _require_pair(system, psi, psi_prime)
     if group is None:
         group = generate_group(system)
     space = enumerate_tabloids(system, psi, group, psi_prime)
@@ -177,23 +184,25 @@ def submodule_theorem_probe(
 
     U is spun from its seeded vector under the simple reflections by
     `cyclic_submodule`, which needs at most rank * dim images of it rather
-    than one per group element."""
+    than one per group element. U is W-stable and the delta form is
+    W-invariant, so S lies in U exactly when e_{J,J'} does, and U lies in
+    the complement of S exactly when every row of U pairs to zero with e."""
     if trials < 1:
         raise ValueError(f"probe needs at least one trial, got {trials}")
-    space = module.space
-    field = module.field
-    dim = len(space)
-    perp = form_complement(module.basis)
+    space, field = module.space, module.field
+    p = field.characteristic
+    e = module.e_vec.entries
     violations = []
     for t in range(trials):
-        cyclic = cyclic_submodule(space, field, probe_vector(field, dim, seed, t))
-        s_in_u = all(contains(cyclic, r) for r in module.basis.rows)
-        u_in_perp = all(contains(perp, r) for r in cyclic.rows)
-        if not (s_in_u or u_in_perp):
+        cyclic = cyclic_submodule(space, field, probe_vector(field, len(space), seed, t))
+        if contains(cyclic, module.e_vec):
+            continue
+        pairings = (sum(c * e[i] for i, c in r.entries.items() if i in e) for r in cyclic.rows)
+        if any(x % p if p else x for x in pairings):
             violations.append(t)
     return ProbeReport(
         trials=trials,
         seed=seed,
-        characteristic=field.characteristic,
+        characteristic=p,
         violations=tuple(violations),
     )

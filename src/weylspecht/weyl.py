@@ -106,10 +106,6 @@ class GeneratedGroup:
         return self.elements[i]
 
     @property
-    def order(self) -> int:
-        return len(self.elements)
-
-    @property
     def identity(self) -> GroupElement:
         return self.elements[0]
 

@@ -12,6 +12,7 @@ import functools
 import importlib.util
 import itertools
 import random
+import warnings
 import zlib
 from collections import deque
 from fractions import Fraction
@@ -22,14 +23,17 @@ from weylspecht import (
     apply_kappa,
     apply_to_root,
     build_root_system,
+    build_specht_module,
     closure_from_simples,
     compose,
     enumerate_tabloids,
+    generate_group,
     identity,
     is_good_subsystem,
     is_useful_subsystem,
     is_useful_system,
     orthogonal_complement,
+    parse_root,
     polytabloid,
     sign,
     subgroup_generated,
@@ -40,6 +44,7 @@ from weylspecht.exactlin import (
     QQ,
     SparseVector,
     SubspaceBasis,
+    contains,
     form_complement,
     from_dense,
     intersect,
@@ -384,6 +389,37 @@ def restricted_reflections_by_fixed_space(system, psi, elements):
 
 
 # --------------------------------------------------------------------------
+# the submodule dichotomy and the radical, from whole subspaces
+
+def probe_violation_by_complement(module, v):
+    """Whether the cyclic submodule U spun from v breaks the dichotomy, asked
+    of S as a whole: some row of S lies outside U, and some row of U lies
+    outside the form complement of S."""
+    cyclic = cyclic_span_by_field_ops(module.space, module.field, v)
+    perp = form_complement(module.basis)
+    s_in_u = all(contains(cyclic, r) for r in module.basis.rows)
+    u_in_perp = all(contains(perp, r) for r in cyclic.rows)
+    return not (s_in_u or u_in_perp)
+
+
+def quotient_dimension_by_complements(module):
+    """(dim S, dim radical, dim S - dim radical), the radical S meet S-perp
+    built as the complement of S + S-perp."""
+    basis = module.basis
+    perp = form_complement(basis)
+    radical = form_complement(
+        row_reduce(module.field, perp.rows + basis.rows, dim=basis.dim)
+    ).rank
+    return (basis.rank, radical, basis.rank - radical)
+
+
+def sparse_probe_vector(field, dim, rng):
+    """One to three tabloids, each with coefficient +-1."""
+    picks = rng.sample(range(dim), min(dim, rng.randint(1, 3)))
+    return SparseVector(dim, {i: field.from_int(rng.choice((-1, 1))) for i in picks})
+
+
+# --------------------------------------------------------------------------
 # dense fraction-free rank
 
 def bareiss_rank(mat) -> int:
@@ -524,6 +560,19 @@ def load_workloads():
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
+
+
+def benchmark_pair_module(name, field):
+    """The module of the named benchmark pair over `field`, W generated."""
+    ambient, j_text, jp_text = load_workloads().PAIRS[name]
+    system = build_root_system(ambient)
+    psi, pp = (
+        closure_from_simples(system, [parse_root(system, r) for r in text.split(",")])
+        for text in (j_text, jp_text)
+    )
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        return build_specht_module(system, psi, pp, field, group=generate_group(system))
 
 
 def candidate_subsystems(system, max_size=2):

@@ -9,24 +9,30 @@ from __future__ import annotations
 import contextlib
 import cProfile
 import io
+import random
 import warnings
 
 import pytest
 
+from oracles import benchmark_pair_module, sparse_probe_vector
 from weylspecht import (
     build_specht_module,
     cli,
     is_good_subsystem,
     is_useful_subsystem,
     submodule_theorem_probe,
+    vanishing_obstruction,
+    verify,
 )
-from weylspecht.exactlin import QQ, PrimeField, RationalField
+from weylspecht.exactlin import QQ, PrimeField, RationalField, contains, form_complement
 from weylspecht.specht import (
     TabloidSpace,
     _permuted,
     act_vector,
     apply_kappa,
+    cyclic_submodule,
     enumerate_tabloids,
+    polytabloid,
 )
 from weylspecht.subsystem import distinguished_reps, normalizer
 from weylspecht.weyl import GeneratedGroup, compose, subgroup_generated
@@ -112,6 +118,31 @@ def test_standalone_usefulness_never_scans_the_group(case_d4_rank3):
     assert calls(normalizer) == 0
 
 
+def test_standalone_obstruction_never_scans_the_group(case_g2, case_d4_rank3):
+    # N(psi) meet W(psi') is the stabilizer of psi inside W(psi')
+    for c in (case_g2, case_d4_rank3):
+        calls = _call_counts(vanishing_obstruction, c.system, c.psi, c.psi_prime, c.group)
+        assert calls(GeneratedGroup.__iter__) == 0
+        assert calls(normalizer) == 0
+
+
+def test_probe_trial_asks_one_membership_and_no_complement(case_d4_deg6):
+    # S lies in U exactly when e_{J,J'} does, and S-perp is never built
+    calls = _call_counts(submodule_theorem_probe, case_d4_deg6.module, 1)
+    assert calls(contains) == 1
+    assert calls(form_complement) == 0
+
+
+def test_specht_report_folds_translates_up_to_the_dimension(case_d4_rank3):
+    # the listing stops at the dim-th independent translate of e_{J,J'}
+    c = case_d4_rank3
+    with contextlib.redirect_stdout(io.StringIO()):
+        calls = _call_counts(cli.main, D4_SPECHT)
+    folded = calls(act_vector) - calls(polytabloid)
+    dreps = distinguished_reps(c.system, c.psi_prime, c.group)
+    assert c.module.dimension <= folded < len(dreps)
+
+
 def test_probe_trial_spins_instead_of_scanning_the_group(case_d4_deg6):
     # one image per simple reflection and spanning vector, against |W| = 192
     # translates for the orbit span
@@ -131,9 +162,27 @@ def _build_and_probe(case, field):
     submodule_theorem_probe(module, 1)
 
 
+def _f4_module_and_orthogonality_trial(field):
+    # the F4 module, and a sparse vector spinning a proper U that misses
+    # e_{J,J'}, so the probe reaches its orthogonality test
+    module = benchmark_pair_module("F4", field)
+    dim = len(module.space)
+    for t in range(200):
+        v = sparse_probe_vector(field, dim, random.Random(f"F4/{t}"))
+        u = cyclic_submodule(module.space, field, v)
+        if u.rank < dim and not contains(u, module.e_vec):
+            return module, v
+    raise AssertionError("no sparse vector spins a proper U missing e")
+
+
 @pytest.mark.parametrize("field", [QQ, PrimeField(3)], ids=repr)
-def test_elimination_calls_no_field_method_per_entry(case_d4_deg6, field):
-    # the build and the probe eliminate with inlined integer arithmetic
-    calls = _call_counts(_build_and_probe, case_d4_deg6, field)
-    for method in (RationalField.add, RationalField.mul, PrimeField.add, PrimeField.mul):
-        assert calls(method) == 0, method.__qualname__
+def test_elimination_calls_no_field_method_per_entry(case_d4_deg6, field, monkeypatch):
+    # the build and the probe eliminate with inlined integer arithmetic, and
+    # the probe pairs U with e_{J,J'} inline
+    counted = [_call_counts(_build_and_probe, case_d4_deg6, field)]
+    module, v = _f4_module_and_orthogonality_trial(field)
+    monkeypatch.setattr(verify, "probe_vector", lambda *_: v)
+    counted.append(_call_counts(submodule_theorem_probe, module, 1))
+    for calls in counted:
+        for method in (RationalField.add, RationalField.mul, PrimeField.add, PrimeField.mul):
+            assert calls(method) == 0, method.__qualname__

@@ -1,14 +1,18 @@
+import random
 import warnings
 
 import pytest
 
 from oracles import (
+    benchmark_pair_module,
     coefficient_law_violations,
     col_stabilizer_by_filter,
     disjoint_pairs,
     load_workloads,
     normalizer_by_definition,
     obstruction_by_scan,
+    probe_violation_by_complement,
+    sparse_probe_vector,
     useful_subsystem_by_closures,
     useful_system_by_closures,
 )
@@ -25,6 +29,7 @@ from weylspecht import (
     polytabloid,
     submodule_theorem_probe,
     vanishing_obstruction,
+    verify,
 )
 from weylspecht.exactlin import QQ, PrimeField, SparseVector, contains, row_reduce
 from weylspecht.rootsys import parse_root
@@ -195,6 +200,14 @@ def test_no_obstruction_in_d4(case_d4_rank3):
     )
 
 
+def test_obstruction_rejects_overlap_and_foreign_group(case_a3, w_g2):
+    c = case_a3
+    with pytest.raises(ValueError, match="psi_prime must be contained"):
+        vanishing_obstruction(c.system, c.psi, c.psi, group=c.group)
+    with pytest.raises(ValueError, match="different root system"):
+        vanishing_obstruction(c.system, c.psi, c.psi_prime, group=w_g2)
+
+
 def test_no_obstruction_with_empty_columns(a3, w_a3):
     psi = closure_from_simples(a3, roots_of(a3, "100", "001"))
     empty = closure_from_simples(a3, [])
@@ -284,6 +297,32 @@ def test_zero_vector_lands_in_complement(case_d4_rank3):
     module = case_d4_rank3.module
     perp = form_complement(module.basis)
     assert contains(perp, SparseVector(len(module.space), {}))
+
+
+@pytest.mark.slow
+def test_probe_verdicts_match_the_whole_subspace_oracle(monkeypatch):
+    # sparse vectors spin small submodules, which break the dichotomy on the
+    # useful pairs that are not good; the trials are compared one by one
+    trials = 60
+    violations = 0
+    for name in ("A3", "G2", "D4-3", "D4-6", "F4", "A5"):
+        for field in (QQ, PrimeField(2), PrimeField(3)):
+            module = benchmark_pair_module(name, field)
+            dim = len(module.space)
+            vectors = [
+                sparse_probe_vector(field, dim, random.Random(f"{name}/{field!r}/{t}"))
+                for t in range(trials)
+            ]
+            expected = tuple(
+                t for t, v in enumerate(vectors) if probe_violation_by_complement(module, v)
+            )
+            monkeypatch.setattr(verify, "probe_vector", lambda f, d, s, t: vectors[t])
+            report = submodule_theorem_probe(module, trials=trials)
+            assert report.violations == expected, (name, field)
+            if name in ("A3", "D4-3", "D4-6"):  # good pairs: the theorem holds
+                assert expected == ()
+            violations += len(expected)
+    assert violations > 0
 
 
 # --------------------------------------------------------------------------
