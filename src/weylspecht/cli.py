@@ -1,8 +1,8 @@
 """Command line front end: root systems, tabloid families, module reports.
 
-Exit codes: 0 success, 2 unparsable input, 3 a requested check failed,
-4 group-size limit exceeded. Reports go to stdout, diagnostics to stderr;
-identical invocations print identical bytes.
+Exit codes: 0 success, 1 stdout closed early, 2 unparsable input, 3 a
+requested check failed, 4 group-size limit exceeded. Reports go to stdout,
+diagnostics to stderr; identical invocations print identical bytes.
 """
 
 from __future__ import annotations
@@ -132,7 +132,7 @@ def cmd_tabloids(args) -> int:
     space = specht.enumerate_tabloids(system, psi, group)
     if args.json:
         psi_doc = subsystem_to_json(system, psi)
-        psi_doc["normalizer_order"] = len(space.n_psi)
+        psi_doc["normalizer_order"] = len(group) // len(space)
         psi_doc["index"] = len(space)
         doc = {
             "schema": SCHEMA,
@@ -149,7 +149,7 @@ def cmd_tabloids(args) -> int:
     print(f"ambient {system.label}: |W| = {len(group)}")
     print(
         f"psi {psi.label}: J = {','.join(format_root(system, r) for r in psi.simples)}, "
-        f"size {psi.size}, |N(psi)| = {len(space.n_psi)}, index {len(space)}"
+        f"size {psi.size}, |N(psi)| = {len(group) // len(space)}, index {len(space)}"
     )
     print(f"tabloids ({len(space)}):")
     width = max((len(_word_text(t.rep_word)) for t in space), default=1)
@@ -245,7 +245,7 @@ def cmd_specht(args) -> int:
     print(f"ambient {system.label}: |W| = {len(group)}")
     print(
         f"psi {psi.label}: J = {','.join(format_root(system, r) for r in psi.simples)}, "
-        f"|N(psi)| = {len(space.n_psi)}"
+        f"|N(psi)| = {len(group) // len(space)}"
     )
     print(
         f"psi' {psi_prime.label}: J' = "
@@ -342,10 +342,17 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
     except CommandError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.code
+    except BrokenPipeError:
+        # the reader closed stdout early; point it at devnull so the flush
+        # at interpreter exit raises no second error
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
 
 
 if __name__ == "__main__":

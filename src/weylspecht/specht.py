@@ -3,17 +3,17 @@ module.
 
 A tabloid is a left coset of the setwise stabilizer N(psi), keyed by the
 image root set d(psi) itself; the stabilizer is exactly the subgroup fixing
-that set, so the key is canonical. One sweep of `subsystem.normalizer` over
-W keys every element by this image and returns N(psi) with the
-representatives E_psi, the first element of each coset in BFS order. The
-module M^psi is the free module on the tabloids. W acts on tabloid indices
-through one permutation table per simple reflection, computed once from
-the keys; an element acts by folding these tables along its recorded
-reduced word, and a cyclic submodule is spun by applying them one at a
-time. The kappa operator is the signed sum over the reflection group of
-the column system, and the polytabloid e_{wJ,wJ'} is the translate
-w e_{J,J'} of kappa applied to the base tabloid. The module S is the
-submodule spun from e_{J,J'}.
+that set, so the key is canonical. By orbit-stabilizer the keys are the
+orbit of psi's root set, found breadth-first under the simple reflections,
+|W:N(psi)| sets in all; W itself is never walked. The BFS records the
+image of every key under every simple reflection, and these lists are the
+permutation tables of the action on tabloid indices. The module M^psi is
+the free module on the tabloids; an element acts by folding the tables
+along its recorded reduced word, and a cyclic submodule is spun by
+applying them one at a time. The kappa operator is the signed sum over the
+reflection group of the column system, and the polytabloid e_{wJ,wJ'} is
+the translate w e_{J,J'} of kappa applied to the base tabloid. The module
+S is the submodule spun from e_{J,J'}.
 """
 
 from __future__ import annotations
@@ -40,7 +40,6 @@ from .exactlin import (
 )
 from .rootsys import Root, RootSystem, format_root
 from .subsystem import (
-    Normalizer,
     Subsystem,
     complements_meet_trivially,
     distinguished_reps,
@@ -51,6 +50,7 @@ from .weyl import (
     GeneratedGroup,
     GroupElement,
     apply_to_root,
+    descend,
     generate_group,
     sign,
     subgroup_generated,
@@ -72,13 +72,13 @@ class Tabloid:
 class TabloidSpace:
     """Indexed tabloid family for (system, psi) with optional column system.
 
-    The record of the pair: N(psi), W(psi') with its signs and the
-    usefulness of the pair are computed here once and read by every later
-    stage. Tabloid order is the order of the representatives E_psi, the
-    first element of each coset of N(psi) in the BFS order of the group;
-    the family therefore prints identically from run to run. The action of
-    W is the tabloid-index permutation of each simple reflection, read off
-    the keys once here and folded along the recorded word of an element, or
+    The record of the pair: W(psi') with its signs and the usefulness of
+    the pair are computed here once and read by every later stage; N(psi)
+    is swept from W only when read. Tabloids are sorted by (length, word)
+    of their representatives, which is the BFS order of the group, so the
+    family prints identically from run to run. The action of W is the
+    tabloid-index permutation of each simple reflection, recorded by the
+    orbit search and folded along the recorded word of an element, or
     applied one reflection at a time by `cyclic_submodule`; nothing is
     stored per element.
     """
@@ -89,8 +89,8 @@ class TabloidSpace:
         psi: Subsystem,
         psi_prime: Subsystem | None,
         group: GeneratedGroup,
-        norm: Normalizer,
         tabloids: tuple[Tabloid, ...],
+        tables: tuple[tuple[int, ...], ...],
         col_group: tuple[GroupElement, ...],
         col_signs: tuple[int, ...],
     ):
@@ -98,21 +98,12 @@ class TabloidSpace:
         self.psi = psi
         self.psi_prime = psi_prime
         self.group = group
-        self.n_psi = norm.n_psi
         self.tabloids = tabloids
         self.index = {t.key: i for i, t in enumerate(tabloids)}
         self.col_group = col_group
         self.col_signs = col_signs
-
-        # the sweep's keys are sets of root indices, which a permutation maps
-        keys = norm.keys
-        position = {k: i for i, k in enumerate(keys)}
-
-        def table(s: GroupElement) -> tuple[int, ...]:
-            return tuple(position[frozenset(map(s.perm.__getitem__, k))] for k in keys)
-
-        # BFS puts tau_i at position i of the group, with recorded word (i,)
-        self._tables = tuple(table(group[i]) for i in range(1, system.rank + 1))
+        # entry k of table i is the index of tau_i applied to tabloid k
+        self._tables = tables
         # step i sends a permutation p to p o (table of tau_i)
         self._steps = tuple(itemgetter(*t) for t in self._tables)
 
@@ -124,6 +115,11 @@ class TabloidSpace:
 
     def __getitem__(self, i: int) -> Tabloid:
         return self.tabloids[i]
+
+    @cached_property
+    def n_psi(self) -> tuple[GroupElement, ...]:
+        """N(psi) in group order, swept from W when first read."""
+        return normalizer(self.system, self.psi, self.group)
 
     @cached_property
     def base_polytabloid(self) -> SparseVector:
@@ -181,11 +177,36 @@ def enumerate_tabloids(
         labels.add(psi_prime.ambient_label)
     if labels != {system.label}:
         raise ValueError("subsystems and group must share the ambient system")
-    norm = normalizer(system, psi, group)
+    # the orbit of psi's root indices under the simple reflections, found
+    # breadth-first; BFS over W puts tau_i at position i of the group
+    gens = [group[i].perm for i in range(1, system.rank + 1)]
+    keys = [frozenset(system.root_index(r) for r in psi.roots)]
+    depths, position = [0], {keys[0]: 0}
+    images: list[list[int]] = [[] for _ in gens]
+    for k, key in enumerate(keys):  # keys grows while read: the BFS queue
+        for s, row in zip(gens, images):
+            img = frozenset(map(s.__getitem__, key))
+            if img not in position:
+                position[img] = len(keys)
+                keys.append(img)
+                depths.append(depths[k] + 1)
+            row.append(position[img])
+    # the product of a key's greedy descent word is the shortest, then
+    # lex-least, element of its coset, so (depth, word) is BFS order over W
+    steps = [row.__getitem__ for row in images]
+    words = [descend(k, depths.__getitem__, steps) for k in range(len(keys))]
+    order = sorted(range(len(keys)), key=lambda k: (depths[k], words[k]))
+    new = {k: i for i, k in enumerate(order)}
+    tables = tuple(tuple(new[row[k]] for k in order) for row in images)
+    folds = [itemgetter(*s) for s in gens]
     tabloids = []
     roots = system.roots
-    for d, k in zip(norm.reps, norm.keys):
-        key = frozenset(roots[i] for i in k)
+    for k in order:
+        perm = group.identity.perm
+        for i in words[k]:
+            perm = folds[i - 1](perm)
+        d = GroupElement(perm, system.label)
+        key = frozenset(roots[i] for i in keys[k])
         rows = tuple(apply_to_root(system, d, j) for j in psi.simples)
         cols = (
             tuple(apply_to_root(system, d, j) for j in psi_prime.simples)
@@ -193,7 +214,7 @@ def enumerate_tabloids(
             else ()
         )
         tabloids.append(
-            Tabloid(key=key, rep=d, rep_word=group.word_of(d), rows=rows, cols=cols)
+            Tabloid(key=key, rep=d, rep_word=words[k], rows=rows, cols=cols)
         )
     if psi_prime is not None:
         col_group = subgroup_generated(system, psi_prime.simples)
@@ -206,8 +227,8 @@ def enumerate_tabloids(
         psi=psi,
         psi_prime=psi_prime,
         group=group,
-        norm=norm,
         tabloids=tuple(tabloids),
+        tables=tables,
         col_group=col_group,
         col_signs=col_signs,
     )

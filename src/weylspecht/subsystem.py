@@ -127,63 +127,25 @@ def orthogonal_complement(system: RootSystem, psi: Subsystem) -> Subsystem:
     return _classified(system, ortho, _indecomposables(system, ortho))
 
 
-@dataclass(frozen=True)
-class Normalizer:
-    """N(psi), N(J) and the coset representatives E_psi, in group order,
-    with the key of each representative: the root indices of d(psi)."""
-
-    n_psi: tuple[GroupElement, ...]
-    n_j: tuple[GroupElement, ...]
-    reps: tuple[GroupElement, ...]
-    keys: tuple[frozenset, ...]
-
-
-def _root_indices(system: RootSystem, group: GeneratedGroup, roots) -> list[int]:
-    # the scans below read w.perm directly, so check the group's system once
+def _check_group(system: RootSystem, group: GeneratedGroup) -> None:
+    # the W scans below read w.perm directly, so check the group's system once
     if group.system_label != system.label:
         raise ValueError("group belongs to a different root system")
-    return [system.root_index(r) for r in roots]
-
-
-def _root_set_image(system: RootSystem, psi: Subsystem):
-    """psi's root indices as a set, and the map from w.perm to w(psi)."""
-    r_idx = [system.root_index(r) for r in psi.roots]
-    # a nonempty psi has at least two roots, so the getter returns a tuple
-    image = itemgetter(*r_idx) if r_idx else lambda p: ()
-    return frozenset(r_idx), image
 
 
 def stabilizer(system: RootSystem, psi: Subsystem, elements) -> tuple[GroupElement, ...]:
     """The given elements that map psi's root set onto itself, in order."""
-    own, image = _root_set_image(system, psi)
+    r_idx = [system.root_index(r) for r in psi.roots]
+    own = frozenset(r_idx)
+    # a nonempty psi has at least two roots, so the getter returns a tuple
+    image = itemgetter(*r_idx) if r_idx else lambda p: ()
     return tuple(w for w in elements if frozenset(image(w.perm)) == own)
 
 
-def normalizer(system: RootSystem, psi: Subsystem, group: GeneratedGroup) -> Normalizer:
-    """One sweep over W, keyed by the image w(psi) as a set of root indices.
-
-    w lies in N(psi) when its key is psi's own, and in N(J) when it also
-    maps J into J. Elements with equal keys form one left coset of N(psi),
-    so E_psi is the first element seen with each key; the BFS order makes
-    it of minimal length, ties broken by enumeration order.
-    """
-    j_idx = _root_indices(system, group, psi.simples)
-    jset = set(j_idx)
-    own, image = _root_set_image(system, psi)
-    first: dict = {}
-    n_psi = []
-    n_j = []
-    for w in group:
-        p = w.perm
-        key = frozenset(image(p))
-        first.setdefault(key, w)
-        if key == own:
-            n_psi.append(w)
-            if all(p[j] in jset for j in j_idx):
-                n_j.append(w)
-    reps = tuple(first.values())
-    assert len(reps) * len(n_psi) == len(group)
-    return Normalizer(n_psi=tuple(n_psi), n_j=tuple(n_j), reps=reps, keys=tuple(first))
+def normalizer(system: RootSystem, psi: Subsystem, group: GeneratedGroup) -> tuple:
+    """N(psi), the stabilizer of psi's root set, swept from W in group order."""
+    _check_group(system, group)
+    return stabilizer(system, psi, group)
 
 
 def complements_meet_trivially(
@@ -210,7 +172,8 @@ def distinguished_reps(
 
     One per coset of the reflection subgroup of psi, each of minimal length.
     """
-    j_idx = _root_indices(system, group, psi.simples)
+    _check_group(system, group)
+    j_idx = [system.root_index(r) for r in psi.simples]
     pc = system.positive_count
     return tuple(w for w in group if all(w.perm[j] < pc for j in j_idx))
 

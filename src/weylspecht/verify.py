@@ -27,6 +27,7 @@ from .weyl import (
     generate_group,
     sign,
     subgroup_generated,
+    word_order,
 )
 
 DEFAULT_PROBE_SEED = 1729
@@ -66,17 +67,20 @@ def is_useful_subsystem(
 
 
 def _first_obstruction(system: RootSystem, elements) -> GroupElement | None:
-    # the first element that squares to e and has sign -1, which rules out e
-    for w in elements:
-        p = w.perm
-        if all(p[j] == i for i, j in enumerate(p)) and sign(system, w) == -1:
-            return w
-    return None
+    # the elements that square to e and have sign -1, which rules out e;
+    # the first of them in the (length, word) order of W, read without W
+    found = [
+        w
+        for w in elements
+        if all(w.perm[j] == i for i, j in enumerate(w.perm))
+        and sign(system, w) == -1
+    ]
+    return min(found, key=word_order(system)) if found else None
 
 
 def obstruction_from_space(space: TabloidSpace) -> GroupElement | None:
     """The first order-2 negative-sign element of N(psi) meet W(psi') in
-    the space's group order, if any."""
+    the group order, if any."""
     return _first_obstruction(space.system, space.col_stabilizer)
 
 
@@ -88,15 +92,14 @@ def vanishing_obstruction(
 ) -> GroupElement | None:
     """The first order-2 negative-sign element of N(psi) meet W(psi') in
     group order, if any; the meet is the stabilizer of psi in W(psi').
+    W is never generated; `group` is only checked to belong to the system.
 
     Such an element pairs off the terms of the polytabloid with opposite
     signs, forcing it to vanish.
     """
     _require_pair(system, psi, psi_prime, group)
-    if group is None:
-        group = generate_group(system)
     meet = stabilizer(system, psi, subgroup_generated(system, psi_prime.simples))
-    return _first_obstruction(system, sorted(meet, key=group.position))
+    return _first_obstruction(system, meet)
 
 
 @dataclass(frozen=True)

@@ -180,6 +180,43 @@ def subgroup_generated(
     return tuple(GroupElement(p, label) for p in perms)
 
 
+def descend(x, depth, steps) -> tuple[int, ...]:
+    """Greedy descent from x to depth 0: the letters taken, each the
+    smallest 1-based i whose step lowers `depth`."""
+    word = []
+    while d := depth(x):
+        for i, step in enumerate(steps, start=1):
+            if depth(step(x)) < d:
+                word.append(i)
+                x = step(x)
+                break
+    return tuple(word)
+
+
+def word_order(system: RootSystem):
+    """Sort key on elements, (length, lex-least reduced word), computed
+    without W; it orders elements as `generate_group` lists them.
+
+    BFS records the lex-least reduced word, whose first letter is the
+    smallest left descent of w, so greedy left descent spells it. Descent
+    runs on the inverse perm: the inverse of tau_i w is w^-1 tau_i, one
+    getter step, and w^-1 has the length of w.
+    """
+    steps = [
+        itemgetter(*simple_reflection(system, i).perm) for i in range(1, system.rank + 1)
+    ]
+    pc = system.positive_count
+
+    def depth(p) -> int:
+        return sum(x >= pc for x in p[:pc])
+
+    def key(w: GroupElement) -> tuple[int, tuple[int, ...]]:
+        word = descend(inverse(w).perm, depth, steps)
+        return len(word), word
+
+    return key
+
+
 def element_to_json(group: GeneratedGroup, w: GroupElement) -> dict:
     """Wire form of an element: its recorded reduced word plus permutation."""
     return {"word": list(group.word_of(w)), "perm": list(w.perm)}

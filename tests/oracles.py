@@ -11,6 +11,7 @@ from __future__ import annotations
 import functools
 import importlib.util
 import itertools
+import math
 import random
 import warnings
 import zlib
@@ -57,7 +58,6 @@ from weylspecht.subsystem import (
     Subsystem,
     _connected_components,
     cartan_matrix,
-    normalizer,
 )
 from weylspecht.weyl import product_keys
 
@@ -646,10 +646,10 @@ def coefficient_law_violations(system, group, psi, psi_prime, check_norm=False):
     tag = f"{system.label} J={psi.simples} J'={psi_prime.simples}"
     useful_sys = is_useful_system(system, psi, psi_prime)
     useful = is_useful_subsystem(system, psi, psi_prime, group=group)
-    pair = normalizer(system, psi, group)
+    n_j = normalizer_by_definition(system, psi, group)[1]
     if useful and not useful_sys:
         bad.append(f"{tag}: useful sub-system but not a useful system")
-    if len(pair.n_j) == 1 and useful_sys != useful:
+    if len(n_j) == 1 and useful_sys != useful:
         bad.append(f"{tag}: predicates differ although N(J) is trivial")
     if not useful:
         return bad
@@ -722,17 +722,75 @@ def coefficient_law_violations(system, group, psi, psi_prime, check_norm=False):
 def semidirect_violations(system, group, psi):
     """|N(psi)| = |W(psi)| * |N(J)| with unique factorization n = w u."""
     bad = []
-    pair = normalizer(system, psi, group)
+    n_psi, n_j = normalizer_by_definition(system, psi, group)
     w_psi = subgroup_generated(system, psi.simples)
-    if len(pair.n_psi) != len(w_psi) * len(pair.n_j):
+    if len(n_psi) != len(w_psi) * len(n_j):
         bad.append(f"{system.label} J={psi.simples}: order product mismatch")
         return bad
-    n_set = {w.perm for w in pair.n_psi}
+    n_set = {w.perm for w in n_psi}
     counts: dict = {}
     for w in w_psi:
-        for u in pair.n_j:
+        for u in n_j:
             p = compose(w, u).perm
             counts[p] = counts.get(p, 0) + 1
     if set(counts) != n_set or any(v != 1 for v in counts.values()):
         bad.append(f"{system.label} J={psi.simples}: factorization not unique")
     return bad
+
+
+# --------------------------------------------------------------------------
+# classical type A, from the combinatorics of partitions alone
+
+
+def distinct_part_partitions(n, cap=None):
+    """The partitions of n into distinct parts, largest part first."""
+    cap = n if cap is None else cap
+    if n == 0:
+        return [()]
+    return [
+        (k,) + rest
+        for k in range(min(n, cap), 0, -1)
+        for rest in distinct_part_partitions(n - k, k - 1)
+    ]
+
+
+def hook_lengths(shape):
+    """The hook length of every cell of the Young diagram of `shape`."""
+    conjugate = [sum(1 for r in shape if r > j) for j in range(shape[0])]
+    return [
+        shape[i] - j + conjugate[j] - i - 1
+        for i in range(len(shape))
+        for j in range(shape[i])
+    ]
+
+
+def hook_dimension(shape):
+    """f^lambda, the number of standard tableaux, by the hook length formula."""
+    return math.factorial(sum(shape)) // math.prod(hook_lengths(shape))
+
+
+def is_p_core(shape, p):
+    """No hook length divisible by p (James 1978, 18.1)."""
+    return all(h % p for h in hook_lengths(shape))
+
+
+def row_reading_pair(shape):
+    """(J, J') in A_{n-1} for the tableau of `shape` filled with 1..n row by
+    row: the consecutive differences e_a - e_b along each row, and down
+    each column, in simple-root coordinates."""
+    n = sum(shape)
+    rows, start = [], 1
+    for r in shape:
+        rows.append(range(start, start + r))
+        start += r
+    cols = [[row[c] for row in rows if c < len(row)] for c in range(shape[0])]
+
+    def differences(lines):
+        # e_a - e_b is alpha_a + ... + alpha_{b-1}
+        return [
+            tuple(int(a <= k < b) for k in range(1, n))
+            for line in lines
+            for a, b in zip(line, line[1:])
+        ]
+
+    return differences(rows), differences(cols)

@@ -35,7 +35,7 @@ from weylspecht.specht import (
     polytabloid,
 )
 from weylspecht.subsystem import distinguished_reps, normalizer
-from weylspecht.weyl import GeneratedGroup, compose, subgroup_generated
+from weylspecht.weyl import GeneratedGroup, compose, generate_group, subgroup_generated
 
 
 def _call_counts(fn, *args):
@@ -54,11 +54,12 @@ D4_SPECHT = [
 
 
 def test_specht_command_builds_the_pair_once():
-    # W is scanned by the normalizer sweep and by the generator listing's D_psi'
+    # W is scanned only by the generator listing's D_psi'; the tabloids are
+    # the orbit of psi, and |N(psi)| is |W| over their count
     with contextlib.redirect_stdout(io.StringIO()):
         calls = _call_counts(cli.main, D4_SPECHT)
-    assert calls(GeneratedGroup.__iter__) == 2
-    assert calls(normalizer) == 1
+    assert calls(GeneratedGroup.__iter__) == 1
+    assert calls(normalizer) == 0
     assert calls(enumerate_tabloids) == 1
     # W(psi') only: the complement half of usefulness closes no group
     assert calls(subgroup_generated) == 1
@@ -67,10 +68,11 @@ def test_specht_command_builds_the_pair_once():
 A5_TABLOIDS = ["tabloids", "--type", "A5", "--J", "10000,01000,00010"]
 
 
-def test_tabloids_command_scans_the_group_once():
+def test_tabloids_command_never_scans_the_group():
     with contextlib.redirect_stdout(io.StringIO()):
         calls = _call_counts(cli.main, A5_TABLOIDS)
-    assert calls(GeneratedGroup.__iter__) == 1
+    assert calls(GeneratedGroup.__iter__) == 0
+    assert calls(normalizer) == 0
 
 
 @pytest.mark.parametrize(
@@ -89,6 +91,7 @@ def test_zero_module_skips_the_generator_scan():
     with contextlib.redirect_stdout(io.StringIO()):
         calls = _call_counts(cli.main, argv)
     assert calls(distinguished_reps) == 0
+    assert calls(GeneratedGroup.__iter__) == 0
     with contextlib.redirect_stdout(io.StringIO()):
         calls = _call_counts(cli.main, D4_SPECHT)
     assert calls(distinguished_reps) == 1
@@ -102,11 +105,18 @@ def test_specht_command_computes_one_kappa_sum(field):
     assert calls(apply_kappa) == 1
 
 
-def test_standalone_goodness_scans_the_normalizer_once(case_d4_rank3):
+def test_standalone_goodness_never_scans_the_group(case_d4_rank3):
     c = case_d4_rank3
     calls = _call_counts(is_good_subsystem, c.system, c.psi, c.psi_prime, c.group)
-    assert calls(GeneratedGroup.__iter__) == 1
-    assert calls(normalizer) == 1
+    assert calls(GeneratedGroup.__iter__) == 0
+    assert calls(normalizer) == 0
+
+
+def test_tabloid_orbit_never_scans_the_group(case_d4_rank3):
+    c = case_d4_rank3
+    calls = _call_counts(enumerate_tabloids, c.system, c.psi, c.group, c.psi_prime)
+    assert calls(GeneratedGroup.__iter__) == 0
+    assert calls(GeneratedGroup.word_of) == 0
 
 
 def test_standalone_usefulness_never_scans_the_group(case_d4_rank3):
@@ -119,11 +129,16 @@ def test_standalone_usefulness_never_scans_the_group(case_d4_rank3):
 
 
 def test_standalone_obstruction_never_scans_the_group(case_g2, case_d4_rank3):
-    # N(psi) meet W(psi') is the stabilizer of psi inside W(psi')
+    # N(psi) meet W(psi') is the stabilizer of psi inside W(psi'), ordered
+    # by (length, word) without W, so no group is generated either
     for c in (case_g2, case_d4_rank3):
-        calls = _call_counts(vanishing_obstruction, c.system, c.psi, c.psi_prime, c.group)
-        assert calls(GeneratedGroup.__iter__) == 0
-        assert calls(normalizer) == 0
+        for group in (c.group, None):
+            args = (c.system, c.psi, c.psi_prime, group)
+            calls = _call_counts(vanishing_obstruction, *args)
+            assert calls(GeneratedGroup.__iter__) == 0
+            assert calls(GeneratedGroup.position) == 0
+            assert calls(normalizer) == 0
+            assert calls(generate_group) == 0
 
 
 def test_probe_trial_asks_one_membership_and_no_complement(case_d4_deg6):

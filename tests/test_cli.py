@@ -1,5 +1,9 @@
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 from weylspecht.cli import main
 
@@ -356,3 +360,16 @@ def test_json_reports_reparse(capsys):
         assert code == 0
         doc = json.loads(out)
         assert doc["schema"] == "weyl-specht/1"
+
+
+def test_closed_stdout_exits_1_without_traceback():
+    # the reader closes the pipe before the child writes, as `| head -1` may
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    argv = [sys.executable, "-m", "weylspecht.cli", "tabloids", "--type", "A5", "--J", "10000"]
+    proc = subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait() == 1
+    assert err == b""

@@ -143,7 +143,7 @@ def _space(label, j_texts, jp_texts):
     ids=["A3", "G2", "D4-3", "D4-6", "F4"],
 )
 def test_tabloid_keys_are_the_images_of_psi(label, j_texts):
-    # the keys come from the normalizer sweep's root indices
+    # the keys come from the orbit of psi's root indices
     system = build_root_system(label)
     psi = closure_from_simples(system, [parse_root(system, t) for t in j_texts])
     space = enumerate_tabloids(system, psi, generate_group(system))

@@ -10,6 +10,7 @@ from oracles import (
     closure_by_search,
     eps_dot,
     eps_embed,
+    index_action_by_keys,
     normalizer_by_definition,
     normalizer_reps_by_products,
     orthogonal_complement_by_search,
@@ -28,6 +29,7 @@ from weylspecht.subsystem import (
 )
 from weylspecht.specht import enumerate_tabloids
 from weylspecht.weyl import (
+    apply_to_root,
     compose,
     generate_group,
     identity,
@@ -256,19 +258,19 @@ def test_double_complement_contains_original(a3, g2):
 
 def test_normalizer_g2_single_root(g2, w_g2):
     psi = closure_from_simples(g2, roots_of(g2, "10"))
-    pair = normalizer(g2, psi, w_g2)
+    n_psi = normalizer(g2, psi, w_g2)
     expected_words = [(), (1,), (2, 1, 2, 1, 2), (2, 1, 2, 1, 2, 1)]
     expected = {word_to_element(g2, w).perm for w in expected_words}
-    assert {w.perm for w in pair.n_psi} == expected
+    assert {w.perm for w in n_psi} == expected
 
 
 def test_normalizer_d4_chain(d4, w_d4):
     psi = closure_from_simples(d4, roots_of(d4, "1000", "0100", "0001"))
-    pair = normalizer(d4, psi, w_d4)
-    assert len(pair.n_psi) == 48
+    n_psi = normalizer(d4, psi, w_d4)
+    assert len(n_psi) == 48
     # generated by the reflections of its action on the span of psi; the
     # ambient group contributes only the 6 reflections of W(psi) itself
-    refl = restricted_reflections(d4, psi, pair.n_psi)
+    refl = restricted_reflections(d4, psi, n_psi)
     assert len(refl) == 9
     assert _closure_order(refl) == 48
 
@@ -298,8 +300,7 @@ def _closure_order(elements):
 
 def test_normalizer_of_whole_system(a3, w_a3):
     full = closure_from_simples(a3, a3.simple_roots())
-    pair = normalizer(a3, full, w_a3)
-    assert len(pair.n_psi) == len(w_a3)
+    assert normalizer(a3, full, w_a3) == tuple(w_a3)
 
 
 def test_semidirect_decomposition(a3, w_a3, g2, w_g2, d4, w_d4):
@@ -341,9 +342,7 @@ def test_distinguished_reps_trivial_cases(a3, w_a3):
 
 
 def _assert_reps_words(system, group, psi, expected):
-    reps = normalizer(system, psi, group).reps
-    assert [group.word_of(w) for w in reps] == expected
-    space = enumerate_tabloids(system, psi, group)
+    space = _assert_orbit_matches_oracle(system, group, psi)
     assert [t.rep_word for t in space] == expected
 
 
@@ -366,26 +365,38 @@ def test_coset_reps_lie_among_distinguished(a3, w_a3, g2, w_g2, d4, w_d4):
     for system, group in ((a3, w_a3), (g2, w_g2), (d4, w_d4)):
         for psi in candidate_subsystems(system, max_size=3):
             dist = set(distinguished_reps(system, psi, group))
-            for rep in normalizer(system, psi, group).reps:
-                assert rep in dist
+            for t in enumerate_tabloids(system, psi, group):
+                assert t.rep in dist
 
 
 # --------------------------------------------------------------------------
-# the one sweep against the definitions
+# the orbit of psi against the W-based definitions
 
 
-def _assert_sweep_matches_oracle(system, group, psi):
-    norm = normalizer(system, psi, group)
-    n_psi, n_j = normalizer_by_definition(system, psi, group)
-    assert norm.n_psi == n_psi
-    assert norm.n_j == n_j
-    assert norm.reps == normalizer_reps_by_products(system, group, n_psi)
+def _assert_orbit_matches_oracle(system, group, psi):
+    """Reps, words, key order and tables of the orbit against the coset
+    scan of W, and the lazy N(psi) against its definition; returns the
+    space."""
+    space = enumerate_tabloids(system, psi, group)
+    n_psi = normalizer_by_definition(system, psi, group)[0]
+    reps = normalizer_reps_by_products(system, group, n_psi)
+    assert [t.rep for t in space] == list(reps)
+    assert [t.rep_word for t in space] == [group.word_of(d) for d in reps]
+    assert [t.key for t in space] == [
+        frozenset(apply_to_root(system, d, r) for r in psi.roots) for d in reps
+    ]
+    assert space.n_psi == n_psi
+    for i, table in enumerate(space._tables):
+        assert table == index_action_by_keys(space, group[i + 1])
+    return space
 
 
-def test_sweep_matches_oracle_on_candidates(a3, w_a3, g2, w_g2, d4, w_d4):
-    for system, group in ((a3, w_a3), (g2, w_g2), (d4, w_d4)):
-        for psi in candidate_subsystems(system):
-            _assert_sweep_matches_oracle(system, group, psi)
+@pytest.mark.parametrize("label", ["A3", "B3", "C3", "G2", "D4"])
+def test_sweep_matches_oracle_on_candidates(label):
+    system = build_root_system(label)
+    group = generate_group(system)
+    for psi in candidate_subsystems(system, max_size=2):
+        _assert_orbit_matches_oracle(system, group, psi)
 
 
 # the J's of the benchmark pairs F4, A5, A6 and of the large-W screens
@@ -406,21 +417,20 @@ def test_sweep_matches_oracle_on_candidates(a3, w_a3, g2, w_g2, d4, w_d4):
 def test_sweep_matches_oracle_on_benchmark_pairs(label, j_texts):
     system = build_root_system(label)
     psi = closure_from_simples(system, roots_of(system, *j_texts))
-    _assert_sweep_matches_oracle(system, generate_group(system), psi)
+    _assert_orbit_matches_oracle(system, generate_group(system), psi)
 
 
 def test_sweep_of_empty_psi(a3, w_a3):
     empty = closure_from_simples(a3, [])
-    _assert_sweep_matches_oracle(a3, w_a3, empty)
-    norm = normalizer(a3, empty, w_a3)
-    assert norm.n_psi == norm.n_j == tuple(w_a3)
-    assert norm.reps == (w_a3.identity,)
+    space = _assert_orbit_matches_oracle(a3, w_a3, empty)
+    assert space.n_psi == tuple(w_a3)
+    assert [t.rep for t in space] == [w_a3.identity]
 
 
 def test_sweep_of_whole_system(d4, w_d4):
     full = closure_from_simples(d4, d4.simple_roots())
-    _assert_sweep_matches_oracle(d4, w_d4, full)
-    norm = normalizer(d4, full, w_d4)
-    assert norm.n_psi == tuple(w_d4)
+    space = _assert_orbit_matches_oracle(d4, w_d4, full)
+    assert space.n_psi == tuple(w_d4)
+    assert [t.rep for t in space] == [w_d4.identity]
     # W acts simply transitively on simple systems
-    assert norm.n_j == norm.reps == (w_d4.identity,)
+    assert normalizer_by_definition(d4, full, w_d4)[1] == (w_d4.identity,)

@@ -134,7 +134,11 @@ def _closure_verdicts(system, group, psi, pp, n_psi):
     assert is_useful_system(system, psi, pp) == useful_system_by_closures(system, psi, pp), tag
     meet = col_stabilizer_by_filter(system, n_psi, pp)
     assert space.col_stabilizer == meet, tag
-    assert obstruction_from_space(space) == obstruction_by_scan(system, n_psi, pp), tag
+    # both entry points find the scan's witness, with or without W
+    witness = obstruction_by_scan(system, n_psi, pp)
+    assert obstruction_from_space(space) == witness, tag
+    for g in (group, None):
+        assert vanishing_obstruction(system, psi, pp, group=g) == witness, tag
     return len(meet) == 1 and not useful
 
 
@@ -170,8 +174,6 @@ def test_usefulness_matches_closures_on_benchmark_pairs(name):
     pp = closure_from_simples(system, roots_of(system, *jp_text.split(",")))
     n_psi = normalizer_by_definition(system, psi, group)[0]
     _closure_verdicts(system, group, psi, pp, n_psi)
-    witness = obstruction_by_scan(system, n_psi, pp)
-    assert vanishing_obstruction(system, psi, pp, group=group) == witness
 
 
 # --------------------------------------------------------------------------

@@ -17,6 +17,7 @@ from weylspecht.weyl import (
     sign,
     simple_reflection,
     subgroup_generated,
+    word_order,
     word_to_element,
 )
 
@@ -171,6 +172,20 @@ def test_generation_matches_compose_bfs(label):
     assert group.words == words
     assert all(group.position(w) == i for i, w in enumerate(elements))
     assert group._pos == {w.perm: i for i, w in enumerate(elements)}
+
+
+@pytest.mark.parametrize("label", ["A3", "B3", "C3", "G2", "D4", "F4", "A5"])
+def test_word_order_is_the_bfs_order(label):
+    # greedy left descent spells the recorded lex-least reduced word, so the
+    # W-free key sorts W into its BFS order
+    system = build_root_system(label)
+    group = generate_group(system)
+    key = word_order(system)
+    for w in group:
+        assert key(w) == (length(system, w), group.word_of(w))
+    shuffled = list(group)
+    random.Random(label).shuffle(shuffled)
+    assert sorted(shuffled, key=key) == list(group)
 
 
 def _corpus_root_sets():
