@@ -1,8 +1,12 @@
 """Exact-arithmetic Specht modules for Weyl groups.
 
-Pipeline: build a root system, generate its Weyl group as root permutations,
-cut out subsystems, enumerate tabloids, span the module with polytabloids,
-and decide the structural predicates, all over Q or a prime field.
+Pipeline: build a root system, cut out subsystems, enumerate tabloids as
+the orbit of psi, span the module with polytabloids, and decide the
+structural predicates, all over Q or a prime field. An element of W acts on
+tabloids by folding a word for it over the simple reflections' tables: a
+word the caller holds, or one read off the element's descents. W itself is
+generated as root permutations only for what enumerates it: the
+distinguished representatives, the character norm, N(psi) and the oracles.
 """
 
 from .exactlin import QQ, PrimeField, field_by_name
@@ -57,7 +61,9 @@ from .weyl import (
     GroupLimitError,
     apply_to_root,
     compose,
+    descent_word,
     generate_group,
+    group_order,
     identity,
     inverse,
     length,

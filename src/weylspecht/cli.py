@@ -16,8 +16,8 @@ import warnings
 from . import specht, verify
 from .exactlin import echelon_insert, field_by_name, field_name
 from .rootsys import build_root_system, format_root, parse_root, root_system_to_json
-from .subsystem import closure_from_simples, subsystem_to_json
-from .weyl import DEFAULT_GROUP_LIMIT, GroupLimitError, generate_group, word_to_element
+from .subsystem import closure_from_simples, distinguished_reps, subsystem_to_json
+from .weyl import DEFAULT_GROUP_LIMIT, generate_group, group_order, word_order
 
 SCHEMA = "weyl-specht/1"
 EXIT_OK = 0
@@ -56,13 +56,17 @@ def _closure(system, roots):
         raise CommandError(str(exc)) from None
 
 
-def _group(system, limit: int):
+def _order(system, limit: int) -> int:
+    """|W| from the degrees, refused above the limit before any work."""
     if limit < 1:
         raise CommandError(f"--limit must be at least 1, got {limit}")
-    try:
-        return generate_group(system, limit=limit)
-    except GroupLimitError as exc:
-        raise CommandError(str(exc), code=EXIT_GROUP_LIMIT) from None
+    order = group_order(system)
+    if order > limit:
+        raise CommandError(
+            f"group of {system.label} exceeds the limit of {limit} elements",
+            code=EXIT_GROUP_LIMIT,
+        )
+    return order
 
 
 def _word_text(word) -> str:
@@ -127,12 +131,12 @@ def cmd_roots(args) -> int:
 
 def cmd_tabloids(args) -> int:
     system = _system(args.type)
-    group = _group(system, args.limit)
+    order = _order(system, args.limit)
     psi = _closure(system, _simples(system, args.J))
-    space = specht.enumerate_tabloids(system, psi, group)
+    space = specht.enumerate_tabloids(system, psi)
     if args.json:
         psi_doc = subsystem_to_json(system, psi)
-        psi_doc["normalizer_order"] = len(group) // len(space)
+        psi_doc["normalizer_order"] = order // len(space)
         psi_doc["index"] = len(space)
         doc = {
             "schema": SCHEMA,
@@ -146,10 +150,10 @@ def cmd_tabloids(args) -> int:
         }
         _emit(doc)
         return EXIT_OK
-    print(f"ambient {system.label}: |W| = {len(group)}")
+    print(f"ambient {system.label}: |W| = {order}")
     print(
         f"psi {psi.label}: J = {','.join(format_root(system, r) for r in psi.simples)}, "
-        f"size {psi.size}, |N(psi)| = {len(group) // len(space)}, index {len(space)}"
+        f"size {psi.size}, |N(psi)| = {order // len(space)}, index {len(space)}"
     )
     print(f"tabloids ({len(space)}):")
     width = max((len(_word_text(t.rep_word)) for t in space), default=1)
@@ -158,16 +162,19 @@ def cmd_tabloids(args) -> int:
     return EXIT_OK
 
 
-def _independent_generators(module):
-    # the first translates d e_{J,J'}, d in D_psi', that are independent;
-    # the fold stops at the dim-th, so later translates are never computed
+def _independent_generators(module, limit: int):
+    # the first translates d e_{J,J'}, d in D_psi', that are independent,
+    # each with the word of d; the fold stops at the dim-th, so later
+    # translates are never computed
     space, field, e_vec = module.space, module.field, module.e_vec
+    group = generate_group(space.system, limit=limit)
     by_pivot: dict = {}
     picked = []
-    for d in module.generators:
-        vec = specht.act_vector(space, field, d, e_vec)
+    for d in distinguished_reps(space.system, space.psi_prime, group):
+        word = group.word_of(d)
+        vec = specht.act_vector(space, field, word, e_vec)
         if echelon_insert(field, by_pivot, vec):
-            picked.append((d, vec))
+            picked.append((word, vec))
             if len(picked) == module.dimension:
                 break
     return picked
@@ -175,7 +182,7 @@ def _independent_generators(module):
 
 def cmd_specht(args) -> int:
     system = _system(args.type)
-    group = _group(system, args.limit)
+    order = _order(system, args.limit)
     psi = _closure(system, _simples(system, args.J))
     psi_prime = _closure(system, _simples(system, args.Jp))
     if psi.roots & psi_prime.roots:
@@ -196,12 +203,15 @@ def cmd_specht(args) -> int:
 
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        module = specht.build_specht_module(system, psi, psi_prime, field, group=group)
+        module = specht.build_specht_module(system, psi, psi_prime, field)
     space = module.space
     useful = space.useful
     e_vec = module.e_vec
     good = verify.good_from_space(space)
+    missing = set(good.witnesses)
+    good_words = [t.rep_word for t in space if t.rep in missing]
     witness = verify.obstruction_from_space(space)
+    witness_word = word_order(system)(witness)[1] if witness is not None else None
     probe = None
     if "probe" in checks:
         probe = verify.submodule_theorem_probe(
@@ -222,14 +232,14 @@ def cmd_specht(args) -> int:
         doc["useful"] = useful
         doc["good"] = good.is_good
         check_doc = {
-            "vanishing_witness": list(group.word_of(witness)) if witness else None
+            "vanishing_witness": list(witness_word) if witness_word is not None else None
         }
         if "useful" in checks:
             check_doc["useful"] = useful
         if "good" in checks:
             check_doc["good"] = {
                 "good": good.is_good,
-                "witnesses": [list(group.word_of(d)) for d in good.witnesses],
+                "witnesses": [list(word) for word in good_words],
             }
         if probe is not None:
             check_doc["probe"] = {
@@ -242,10 +252,10 @@ def cmd_specht(args) -> int:
         _emit(doc)
         return EXIT_CHECK_FAILED if failed else EXIT_OK
 
-    print(f"ambient {system.label}: |W| = {len(group)}")
+    print(f"ambient {system.label}: |W| = {order}")
     print(
         f"psi {psi.label}: J = {','.join(format_root(system, r) for r in psi.simples)}, "
-        f"|N(psi)| = {len(group) // len(space)}"
+        f"|N(psi)| = {order // len(space)}"
     )
     print(
         f"psi' {psi_prime.label}: J' = "
@@ -261,18 +271,14 @@ def cmd_specht(args) -> int:
     print(f"e_{{J,J'}} = {specht.format_module_vector(space, field, e_vec)}")
     if module.dimension:
         print("independent generators:")
-        for d, vec in _independent_generators(module):
-            print(
-                f"  {_word_text(group.word_of(d))} | "
-                f"{specht.format_module_vector(space, field, vec)}"
-            )
-    if witness is not None:
-        print(f"vanishing witness: {_word_text(group.word_of(witness))}")
+        for word, vec in _independent_generators(module, args.limit):
+            print(f"  {_word_text(word)} | {specht.format_module_vector(space, field, vec)}")
+    if witness_word is not None:
+        print(f"vanishing witness: {_word_text(witness_word)}")
     if words:
         print("character values:")
         for word in words:
-            w = word_to_element(system, word)
-            tr = specht.character_value(module, w)
+            tr = specht.character_value(module, word)
             print(f"  psi({_word_text(word)}) = {field.format(tr)}")
     if checks:
         print("checks:")
@@ -280,11 +286,8 @@ def cmd_specht(args) -> int:
             print(f"  useful: {'pass' if useful else 'FAIL'}")
         if "good" in checks:
             line = f"  good: {'pass' if good.is_good else 'FAIL'}"
-            if good.witnesses:
-                missing = " ".join(
-                    _word_text(group.word_of(d)) for d in good.witnesses
-                )
-                line += f" (missing cosets: {missing})"
+            if good_words:
+                line += f" (missing cosets: {' '.join(map(_word_text, good_words))})"
             elif good.reason:
                 line += f" ({good.reason})"
             print(line)

@@ -14,6 +14,7 @@ import re
 import warnings
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from operator import mul
 
 Root = tuple[int, ...]
@@ -50,6 +51,15 @@ class RootSystem:
     def simple_roots(self) -> tuple[Root, ...]:
         n = self.rank
         return tuple(tuple(1 if j == i else 0 for j in range(n)) for i in range(n))
+
+    @cached_property
+    def simple_reflection_perms(self) -> tuple[tuple[int, ...], ...]:
+        """The permutation of the root list induced by each simple
+        reflection, computed once per system."""
+        return tuple(
+            tuple(self.root_index(refl(r)) for r in self.roots)
+            for refl in (reflection(self.doubled_gram, a) for a in self.simple_roots())
+        )
 
     def root_index(self, v: Root) -> int:
         try:

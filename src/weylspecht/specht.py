@@ -9,11 +9,13 @@ orbit of psi's root set, found breadth-first under the simple reflections,
 image of every key under every simple reflection, and these lists are the
 permutation tables of the action on tabloid indices. The module M^psi is
 the free module on the tabloids; an element acts by folding the tables
-along its recorded reduced word, and a cyclic submodule is spun by
-applying them one at a time. The kappa operator is the signed sum over the
-reflection group of the column system, and the polytabloid e_{wJ,wJ'} is
-the translate w e_{J,J'} of kappa applied to the base tabloid. The module
-S is the submodule spun from e_{J,J'}.
+along a word for it, one the caller holds or else its descent word read
+off its permutation, and a cyclic submodule is spun by applying them one
+at a time. The kappa operator is the signed sum over the reflection group
+of the column system, and the polytabloid e_{wJ,wJ'} is the translate
+w e_{J,J'} of kappa applied to the base tabloid. The module S is the
+submodule spun from e_{J,J'}. None of this generates W; `group` does,
+when first read.
 """
 
 from __future__ import annotations
@@ -51,11 +53,17 @@ from .weyl import (
     GroupElement,
     apply_to_root,
     descend,
+    descent_word,
     generate_group,
-    sign,
+    identity,
+    reflection_in,
+    simple_reflection,
     subgroup_generated,
-    word_to_element,
+    word_order,
 )
+
+# an element of W, or a word in the 1-based simple reflections naming one
+Element = GroupElement | tuple[int, ...]
 
 
 @dataclass(frozen=True)
@@ -72,15 +80,15 @@ class Tabloid:
 class TabloidSpace:
     """Indexed tabloid family for (system, psi) with optional column system.
 
-    The record of the pair: W(psi') with its signs and the usefulness of
-    the pair are computed here once and read by every later stage; N(psi)
-    is swept from W only when read. Tabloids are sorted by (length, word)
-    of their representatives, which is the BFS order of the group, so the
-    family prints identically from run to run. The action of W is the
-    tabloid-index permutation of each simple reflection, recorded by the
-    orbit search and folded along the recorded word of an element, or
-    applied one reflection at a time by `cyclic_submodule`; nothing is
-    stored per element.
+    The record of the pair: W(psi') with its words and signs and the
+    usefulness of the pair are computed here once and read by every later
+    stage; W itself, and N(psi) swept from it, only when read. Tabloids are
+    sorted by (length, word) of their representatives, which is the BFS
+    order of the group, so the family prints identically from run to run.
+    The action of W is the tabloid-index permutation of each simple
+    reflection, recorded by the orbit search and folded along a word for an
+    element, or applied one reflection at a time by `cyclic_submodule`;
+    nothing is stored per element.
     """
 
     def __init__(
@@ -88,24 +96,28 @@ class TabloidSpace:
         system: RootSystem,
         psi: Subsystem,
         psi_prime: Subsystem | None,
-        group: GeneratedGroup,
+        group: GeneratedGroup | None,
         tabloids: tuple[Tabloid, ...],
         tables: tuple[tuple[int, ...], ...],
         col_group: tuple[GroupElement, ...],
-        col_signs: tuple[int, ...],
+        col_words: tuple[tuple[int, ...], ...],
     ):
         self.system = system
         self.psi = psi
         self.psi_prime = psi_prime
-        self.group = group
+        if group is not None:
+            self.group = group
         self.tabloids = tabloids
         self.index = {t.key: i for i, t in enumerate(tabloids)}
+        # W(psi'), each element with its word in the sorted J' reflections
         self.col_group = col_group
-        self.col_signs = col_signs
+        self.col_words = col_words
+        # a reflection has determinant -1
+        self.col_signs = tuple(-1 if len(w) % 2 else 1 for w in col_words)
         # entry k of table i is the index of tau_i applied to tabloid k
         self._tables = tables
         # step i sends a permutation p to p o (table of tau_i)
-        self._steps = tuple(itemgetter(*t) for t in self._tables)
+        self._steps = tuple(map(_step, tables))
 
     def __len__(self) -> int:
         return len(self.tabloids)
@@ -115,6 +127,11 @@ class TabloidSpace:
 
     def __getitem__(self, i: int) -> Tabloid:
         return self.tabloids[i]
+
+    @cached_property
+    def group(self) -> GeneratedGroup:
+        """All of W, generated when first read unless given."""
+        return generate_group(self.system)
 
     @cached_property
     def n_psi(self) -> tuple[GroupElement, ...]:
@@ -135,7 +152,7 @@ class TabloidSpace:
         """N(psi) meet W(psi'), in group order: the stabilizer of psi's root
         set inside the column group, so N(psi) itself is never walked."""
         found = stabilizer(self.system, self.psi, self.col_group)
-        return tuple(sorted(found, key=self.group.position))
+        return tuple(sorted(found, key=word_order(self.system)))
 
     @cached_property
     def useful(self) -> bool:
@@ -147,39 +164,55 @@ class TabloidSpace:
             self.system, self.psi, self.psi_prime
         )
 
-    def _require_member(self, w: GroupElement) -> None:
-        if w.system_label != self.system.label:
-            raise ValueError("element belongs to a different root system")
+    @cached_property
+    def _spell(self):
+        return descent_word(self.system)
 
-    def index_action(self, w: GroupElement) -> tuple[int, ...]:
-        """The permutation of tabloid indices induced by w: entry i is the
-        index of w applied to tabloid i."""
-        self._require_member(w)
-        perm = tuple(range(len(self.tabloids)))
-        word = self.group.word_of(w)
-        if len(perm) == 1:  # nothing moves; a one-index getter returns a scalar
-            return perm
+    @cached_property
+    def _col_steps(self) -> tuple:
+        # the tables of the J' reflections, each its descent word folded once
+        psi_prime = self.psi_prime
+        roots = sorted(set(psi_prime.simples)) if psi_prime is not None else ()
+        return tuple(_step(self.index_action(reflection_in(self.system, r))) for r in roots)
+
+    def index_action(self, w: Element) -> tuple[int, ...]:
+        """The permutation of tabloid indices induced by w, an element or a
+        word in the simple reflections: entry i is the index of w applied to
+        tabloid i. An element acts by its descent word."""
+        if isinstance(w, GroupElement):
+            if w.system_label != self.system.label:
+                raise ValueError("element belongs to a different root system")
+            w = self._spell(w.perm)
+        perm = tuple(range(len(self)))
         # w = tau_a tau_b ... acts as table_a o table_b o ...
-        for i in word:
+        for i in w:
             perm = self._steps[i - 1](perm)
         return perm
+
+
+def _step(table: tuple[int, ...]):
+    """p -> p o table; a one-index getter would return a scalar."""
+    return itemgetter(*table) if len(table) > 1 else tuple
 
 
 def enumerate_tabloids(
     system: RootSystem,
     psi: Subsystem,
-    group: GeneratedGroup,
+    group: GeneratedGroup | None = None,
     psi_prime: Subsystem | None = None,
 ) -> TabloidSpace:
-    """One tabloid per coset of N(psi); count equals the index of N(psi)."""
-    labels = {psi.ambient_label, group.system_label}
+    """One tabloid per coset of N(psi); count equals the index of N(psi).
+    W is not generated; a given `group` is kept as the space's `group`."""
+    labels = {psi.ambient_label}
+    if group is not None:
+        labels.add(group.system_label)
     if psi_prime is not None:
         labels.add(psi_prime.ambient_label)
     if labels != {system.label}:
         raise ValueError("subsystems and group must share the ambient system")
     # the orbit of psi's root indices under the simple reflections, found
-    # breadth-first; BFS over W puts tau_i at position i of the group
-    gens = [group[i].perm for i in range(1, system.rank + 1)]
+    # breadth-first
+    gens = [simple_reflection(system, i).perm for i in range(1, system.rank + 1)]
     keys = [frozenset(system.root_index(r) for r in psi.roots)]
     depths, position = [0], {keys[0]: 0}
     images: list[list[int]] = [[] for _ in gens]
@@ -201,8 +234,9 @@ def enumerate_tabloids(
     folds = [itemgetter(*s) for s in gens]
     tabloids = []
     roots = system.roots
+    e = identity(system).perm
     for k in order:
-        perm = group.identity.perm
+        perm = e
         for i in words[k]:
             perm = folds[i - 1](perm)
         d = GroupElement(perm, system.label)
@@ -217,11 +251,9 @@ def enumerate_tabloids(
             Tabloid(key=key, rep=d, rep_word=words[k], rows=rows, cols=cols)
         )
     if psi_prime is not None:
-        col_group = subgroup_generated(system, psi_prime.simples)
-        col_signs = tuple(sign(system, s) for s in col_group)
+        col_group, col_words = subgroup_generated(system, psi_prime.simples, words=True)
     else:
-        col_group = (group.identity,)
-        col_signs = (1,)
+        col_group, col_words = (identity(system),), ((),)
     return TabloidSpace(
         system=system,
         psi=psi,
@@ -230,11 +262,11 @@ def enumerate_tabloids(
         tabloids=tuple(tabloids),
         tables=tables,
         col_group=col_group,
-        col_signs=col_signs,
+        col_words=col_words,
     )
 
 
-def act_tabloid(space: TabloidSpace, w: GroupElement, t: Tabloid) -> Tabloid:
+def act_tabloid(space: TabloidSpace, w: Element, t: Tabloid) -> Tabloid:
     """The tabloid with key w(key); a well-defined action on the family."""
     i = space.index[t.key]
     return space.tabloids[space.index_action(w)[i]]
@@ -244,7 +276,7 @@ def _permuted(m: tuple[int, ...], v: SparseVector) -> SparseVector:
     return SparseVector(v.dim, {m[i]: c for i, c in v.entries.items()})
 
 
-def act_vector(space: TabloidSpace, field, w: GroupElement, v: SparseVector) -> SparseVector:
+def act_vector(space: TabloidSpace, field, w: Element, v: SparseVector) -> SparseVector:
     """Permute the coordinates of a module vector by the action of w."""
     if v.dim != len(space):
         raise ValueError("vector does not belong to this tabloid space")
@@ -275,20 +307,28 @@ def cyclic_submodule(space: TabloidSpace, field, v: SparseVector) -> SubspaceBas
 
 
 def apply_kappa(space: TabloidSpace, field, v: SparseVector) -> SparseVector:
-    """The signed sum over the column reflection group, applied to v."""
+    """The signed sum over the column reflection group, applied to v.
+
+    Each sigma acts by its word in the J' reflections. The closure lists
+    every word after its prefix, so each fold is one step past the fold of
+    the prefix."""
     if v.dim != len(space):
         raise ValueError("vector does not belong to this tabloid space")
     acc: dict = {}
     get = acc.get
-    for sigma, sgn in zip(space.col_group, space.col_signs):
-        m = space.index_action(sigma)
+    steps = space._col_steps
+    acts = {(): tuple(range(len(space)))}
+    for word, sgn in zip(space.col_words, space.col_signs):
+        if word:
+            acts[word] = steps[word[-1] - 1](acts[word[:-1]])
+        m = acts[word]
         for i, c in v.entries.items():
             j = m[i]
             acc[j] = get(j, 0) + (c if sgn > 0 else -c)
     return vector(field, v.dim, acc.items())
 
 
-def polytabloid(space: TabloidSpace, field, w: GroupElement) -> SparseVector:
+def polytabloid(space: TabloidSpace, field, w: Element) -> SparseVector:
     """e_{wJ,wJ'} = w e_{J,J'}, where e_{J,J'} is kappa of the base tabloid."""
     base = space.base_polytabloid.entries
     e = vector(field, len(space), ((i, field.from_int(int(c))) for i, c in base.items()))
@@ -331,14 +371,13 @@ def build_specht_module(
     """The cyclic module generated by e_{J,J'}.
 
     The basis is the spin of e_{J,J'} under the simple reflections (see
-    `cyclic_submodule`); `generators` is found only when read.
+    `cyclic_submodule`); W is generated only when `generators` or
+    `check_full_span` reads it, unless given.
 
     Warns when the pair is not a useful sub-system; the computation still
     runs and may produce the zero module. `check_full_span` re-derives the
     basis from the full group orbit and raises on disagreement.
     """
-    if group is None:
-        group = generate_group(system)
     space = enumerate_tabloids(system, psi, group, psi_prime)
     if not space.useful:
         warnings.warn(
@@ -346,11 +385,13 @@ def build_specht_module(
             "the module may degenerate",
             stacklevel=2,
         )
-    e_vec = polytabloid(space, field, group.identity)
+    e_vec = polytabloid(space, field, ())
     basis = cyclic_submodule(space, field, e_vec)
     if check_full_span:
         full = row_reduce(
-            field, [act_vector(space, field, w, e_vec) for w in group], dim=len(space)
+            field,
+            [act_vector(space, field, word, e_vec) for word in space.group.words],
+            dim=len(space),
         )
         if full != basis:
             raise RuntimeError("generator span differs from the full orbit span")
@@ -373,7 +414,7 @@ def quotient_dimension(module: SpechtModuleData) -> tuple[int, int, int]:
     return (dim_s, radical, dim_s - radical)
 
 
-def matrix_of(module: SpechtModuleData, w: GroupElement, basis_vectors=None):
+def matrix_of(module: SpechtModuleData, w: Element, basis_vectors=None):
     """Matrix of w acting on the module; column j holds coordinates of w b_j.
 
     With no explicit basis the canonical echelon basis is used, where the
@@ -407,13 +448,12 @@ def matrix_of(module: SpechtModuleData, w: GroupElement, basis_vectors=None):
     return tuple(tuple(cols[j][i] for j in range(k)) for i in range(k))
 
 
-def character_value(module: SpechtModuleData, w: GroupElement):
+def character_value(module: SpechtModuleData, w: Element):
     """Trace of the action of w; zero on the zero module."""
     field = module.field
-    module.space._require_member(w)
+    m = module.space.index_action(w)
     if module.dimension == 0:
         return field.zero
-    m = module.space.index_action(w)
     source = dict(zip(m, range(len(m))))  # w sends source[p] to p
     tr = field.zero
     for r, p in zip(module.basis.rows, module.basis.pivots):
@@ -429,8 +469,8 @@ def character_norm(module: SpechtModuleData) -> Fraction:
     real, so psi(w^-1) = psi(w) and the sum is one of squares."""
     if module.field.characteristic != 0:
         raise ValueError("character norm requires characteristic zero")
-    group = module.space.group
-    return sum((character_value(module, w) ** 2 for w in group), Fraction(0)) / len(group)
+    words = module.space.group.words
+    return sum((character_value(module, w) ** 2 for w in words), Fraction(0)) / len(words)
 
 
 def format_tabloid(space: TabloidSpace, t: Tabloid) -> str:
@@ -486,9 +526,8 @@ def specht_report(
     }
     chars = []
     for word in sample_words:
-        w = word_to_element(system, word)
         chars.append(
-            {"word": list(word), "trace": module.field.format(character_value(module, w))}
+            {"word": list(word), "trace": module.field.format(character_value(module, word))}
         )
     report["sample_characters"] = chars
     return report

@@ -24,7 +24,6 @@ from .subsystem import Subsystem, complements_meet_trivially, stabilizer
 from .weyl import (
     GeneratedGroup,
     GroupElement,
-    generate_group,
     sign,
     subgroup_generated,
     word_order,
@@ -143,10 +142,9 @@ def is_good_subsystem(
     group: GeneratedGroup | None = None,
 ) -> GoodSubsystemResult:
     """Every representative whose image of psi misses psi' must appear with
-    nonzero coefficient in the base polytabloid."""
-    _require_pair(system, psi, psi_prime)
-    if group is None:
-        group = generate_group(system)
+    nonzero coefficient in the base polytabloid. W is never generated;
+    `group` is only checked to belong to the system."""
+    _require_pair(system, psi, psi_prime, group)
     space = enumerate_tabloids(system, psi, group, psi_prime)
     return good_from_space(space)
 

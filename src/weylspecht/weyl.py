@@ -14,6 +14,7 @@ elements apart by the images of the simple roots alone (see
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 from operator import itemgetter
 
@@ -53,7 +54,7 @@ def simple_reflection(system: RootSystem, i: int) -> GroupElement:
     """tau_i for a 1-based generator index."""
     if not 1 <= i <= system.rank:
         raise IndexError(f"generator index {i} out of range 1..{system.rank}")
-    return reflection_in(system, system.simple_roots()[i - 1])
+    return GroupElement(system.simple_reflection_perms[i - 1], system.label)
 
 
 def compose(a: GroupElement, b: GroupElement) -> GroupElement:
@@ -171,13 +172,18 @@ def generate_group(system: RootSystem, limit: int = DEFAULT_GROUP_LIMIT) -> Gene
 
 
 def subgroup_generated(
-    system: RootSystem, gens, limit: int = DEFAULT_GROUP_LIMIT
-) -> tuple[GroupElement, ...]:
-    """Closure of the reflections in the given roots, in deterministic order."""
+    system: RootSystem, gens, limit: int = DEFAULT_GROUP_LIMIT, words: bool = False
+):
+    """Closure of the reflections in the given roots, in deterministic order.
+
+    With `words`, also the word of each element in those reflections: the
+    letter i is the reflection in the i-th of the sorted distinct roots.
+    """
     refl = [reflection_in(system, g) for g in sorted(set(gens))]
-    perms, _ = _closure(system, refl, limit, "subgroup closure")
+    perms, found = _closure(system, refl, limit, "subgroup closure")
     label = system.label
-    return tuple(GroupElement(p, label) for p in perms)
+    elements = tuple(GroupElement(p, label) for p in perms)
+    return (elements, tuple(found)) if words else elements
 
 
 def descend(x, depth, steps) -> tuple[int, ...]:
@@ -193,25 +199,59 @@ def descend(x, depth, steps) -> tuple[int, ...]:
     return tuple(word)
 
 
+def group_order(system: RootSystem) -> int:
+    """|W| without generating W: the product of m + 1 over the exponents m.
+
+    By Kostant's theorem (Humphreys 1990, 3.20) the exponents are the dual
+    partition of the heights of the positive roots: the j-th exponent counts
+    the heights held by at least j positive roots.
+    """
+    per_height = Counter(sum(r) for r in system.roots[: system.positive_count])
+    order = 1
+    for j in range(1, system.rank + 1):
+        order *= 1 + sum(n >= j for n in per_height.values())
+    return order
+
+
+def descent_word(system: RootSystem):
+    """The map from a perm to a reduced word of its element.
+
+    tau_i is a right descent of w exactly when w sends alpha_i negative, and
+    then w tau_i is one shorter, one getter step away. The word is read from
+    its end, taking the smallest descent at each step.
+    """
+    pc = system.positive_count
+    descents = [
+        (i, system.index[a], itemgetter(*simple_reflection(system, i).perm))
+        for i, a in enumerate(system.simple_roots(), start=1)
+    ]
+
+    def spell(perm) -> tuple[int, ...]:
+        word = []
+        while True:
+            for i, j, step in descents:
+                if perm[j] >= pc:
+                    word.append(i)
+                    perm = step(perm)
+                    break
+            else:
+                return tuple(reversed(word))
+
+    return spell
+
+
 def word_order(system: RootSystem):
     """Sort key on elements, (length, lex-least reduced word), computed
     without W; it orders elements as `generate_group` lists them.
 
     BFS records the lex-least reduced word, whose first letter is the
-    smallest left descent of w, so greedy left descent spells it. Descent
-    runs on the inverse perm: the inverse of tau_i w is w^-1 tau_i, one
-    getter step, and w^-1 has the length of w.
+    smallest left descent of w. The left descents of w are the right
+    descents of w^-1, so the descent word of w^-1, reversed, spells it.
     """
-    steps = [
-        itemgetter(*simple_reflection(system, i).perm) for i in range(1, system.rank + 1)
-    ]
-    pc = system.positive_count
-
-    def depth(p) -> int:
-        return sum(x >= pc for x in p[:pc])
+    spell = descent_word(system)
 
     def key(w: GroupElement) -> tuple[int, tuple[int, ...]]:
-        word = descend(inverse(w).perm, depth, steps)
+        word = spell(inverse(w).perm)[::-1]
         return len(word), word
 
     return key

@@ -54,10 +54,11 @@ D4_SPECHT = [
 
 
 def test_specht_command_builds_the_pair_once():
-    # W is scanned only by the generator listing's D_psi'; the tabloids are
-    # the orbit of psi, and |N(psi)| is |W| over their count
+    # W is generated and scanned only by the generator listing's D_psi'; the
+    # tabloids are the orbit of psi, and |N(psi)| is |W| over their count
     with contextlib.redirect_stdout(io.StringIO()):
         calls = _call_counts(cli.main, D4_SPECHT)
+    assert calls(generate_group) == 1
     assert calls(GeneratedGroup.__iter__) == 1
     assert calls(normalizer) == 0
     assert calls(enumerate_tabloids) == 1
@@ -69,10 +70,14 @@ A5_TABLOIDS = ["tabloids", "--type", "A5", "--J", "10000,01000,00010"]
 
 
 def test_tabloids_command_never_scans_the_group():
-    with contextlib.redirect_stdout(io.StringIO()):
-        calls = _call_counts(cli.main, A5_TABLOIDS)
-    assert calls(GeneratedGroup.__iter__) == 0
-    assert calls(normalizer) == 0
+    # |W| comes from the degrees and the tabloids from the orbit of psi
+    a7 = ["tabloids", "--type", "A7", "--J", "1000000"]
+    for argv in (A5_TABLOIDS, A5_TABLOIDS + ["--json"], a7, a7 + ["--json"]):
+        with contextlib.redirect_stdout(io.StringIO()):
+            calls = _call_counts(cli.main, argv)
+        assert calls(generate_group) == 0
+        assert calls(GeneratedGroup.__iter__) == 0
+        assert calls(normalizer) == 0
 
 
 @pytest.mark.parametrize(
@@ -86,12 +91,16 @@ def test_commands_compose_no_group_elements(argv):
 
 
 def test_zero_module_skips_the_generator_scan():
-    # the G2 pair affords the zero module; only the generator listing reads D_psi'
+    # the G2 pair affords the zero module; only the generator listing reads
+    # D_psi', and so W; the witness words and characters need no W either
     argv = ["specht", "--type", "G2", "--J", "10", "--Jp", "01,31"]
-    with contextlib.redirect_stdout(io.StringIO()):
-        calls = _call_counts(cli.main, argv)
-    assert calls(distinguished_reps) == 0
-    assert calls(GeneratedGroup.__iter__) == 0
+    checked = argv + ["--check", "useful,good", "--char", "1 2"]
+    for run in (argv, checked, checked + ["--json"]):
+        with contextlib.redirect_stdout(io.StringIO()):
+            calls = _call_counts(cli.main, run)
+        assert calls(generate_group) == 0
+        assert calls(distinguished_reps) == 0
+        assert calls(GeneratedGroup.__iter__) == 0
     with contextlib.redirect_stdout(io.StringIO()):
         calls = _call_counts(cli.main, D4_SPECHT)
     assert calls(distinguished_reps) == 1
@@ -107,16 +116,29 @@ def test_specht_command_computes_one_kappa_sum(field):
 
 def test_standalone_goodness_never_scans_the_group(case_d4_rank3):
     c = case_d4_rank3
-    calls = _call_counts(is_good_subsystem, c.system, c.psi, c.psi_prime, c.group)
-    assert calls(GeneratedGroup.__iter__) == 0
-    assert calls(normalizer) == 0
+    for group in (c.group, None):
+        calls = _call_counts(is_good_subsystem, c.system, c.psi, c.psi_prime, group)
+        assert calls(generate_group) == 0
+        assert calls(GeneratedGroup.__iter__) == 0
+        assert calls(normalizer) == 0
+
+
+def test_standalone_build_never_generates_the_group(case_d4_rank3, case_g2):
+    # the basis is spun from e_{J,J'}; only `generators` reads W
+    for c in (case_d4_rank3, case_g2):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            calls = _call_counts(build_specht_module, c.system, c.psi, c.psi_prime, QQ)
+        assert calls(generate_group) == 0
 
 
 def test_tabloid_orbit_never_scans_the_group(case_d4_rank3):
     c = case_d4_rank3
-    calls = _call_counts(enumerate_tabloids, c.system, c.psi, c.group, c.psi_prime)
-    assert calls(GeneratedGroup.__iter__) == 0
-    assert calls(GeneratedGroup.word_of) == 0
+    for group in (c.group, None):
+        calls = _call_counts(enumerate_tabloids, c.system, c.psi, group, c.psi_prime)
+        assert calls(generate_group) == 0
+        assert calls(GeneratedGroup.__iter__) == 0
+        assert calls(GeneratedGroup.word_of) == 0
 
 
 def test_standalone_usefulness_never_scans_the_group(case_d4_rank3):

@@ -308,14 +308,30 @@ def test_probe_trials_below_one_is_usage_error(capsys):
         assert "--probe-trials" in err
 
 
+D4_COMMANDS = (
+    ("tabloids", "--type", "D4", "--J", "1000"),
+    ("specht", "--type", "D4", "--J", "1000,0100,0001", "--Jp", "1110"),
+)
+
+
 def test_group_limit_exit_code(capsys):
-    code, _, err = run(
-        capsys,
-        "specht", "--type", "D4", "--J", "1000,0100,0001", "--Jp", "1110",
-        "--limit", "10",
-    )
-    assert code == 4
-    assert "limit" in err
+    for argv in D4_COMMANDS:
+        code, out, err = run(capsys, *argv, "--limit", "10")
+        assert code == 4
+        assert out == ""
+        assert "limit" in err
+
+
+def test_group_limit_is_the_order(capsys):
+    # |W(D4)| = 192: a limit of exactly |W| passes, one less exits 4
+    for argv in D4_COMMANDS:
+        code, out, err = run(capsys, *argv, "--limit", "192")
+        assert code == 0
+        assert out.startswith("ambient D4: |W| = 192\n")
+        code, out, err = run(capsys, *argv, "--limit", "191")
+        assert code == 4
+        assert out == ""
+        assert err == "error: group of D4 exceeds the limit of 191 elements\n"
 
 
 def test_limit_below_one_is_usage_error(capsys):

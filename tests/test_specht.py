@@ -36,7 +36,14 @@ from weylspecht import (
 from weylspecht.exactlin import QQ, PrimeField, SparseVector, row_reduce
 from weylspecht.rootsys import parse_root
 from weylspecht.verify import DEFAULT_PROBE_SEED, probe_vector
-from weylspecht.weyl import apply_to_root, compose, identity, inverse, word_to_element
+from weylspecht.weyl import (
+    apply_to_root,
+    compose,
+    identity,
+    inverse,
+    sign,
+    word_to_element,
+)
 
 
 def unit(dim, i):
@@ -152,11 +159,65 @@ def test_tabloid_keys_are_the_images_of_psi(label, j_texts):
 
 
 def test_folded_action_matches_key_definition(case_a3, case_g2, case_d4_rank3, case_d4_deg6):
+    # an element folds its descent word, a word folds itself
     f4 = _space("F4", ("1000", "0100", "0010"), ("0001",))
     spaces = [c.space for c in (case_a3, case_g2, case_d4_rank3, case_d4_deg6)]
     for space in spaces + [f4]:
-        for w in space.group:
-            assert space.index_action(w) == index_action_by_keys(space, w)
+        group = space.group
+        for w, word in zip(group.elements, group.words):
+            expected = index_action_by_keys(space, w)
+            assert space.index_action(w) == expected
+            assert space.index_action(word) == expected
+
+
+def _kappa_by_keys(space, i):
+    # the signed sum over W(psi') of the images of tabloid i, by key
+    acc = {}
+    for sigma in space.col_group:
+        j = index_action_by_keys(space, sigma)[i]
+        acc[j] = acc.get(j, 0) + sign(space.system, sigma)
+    return {j: Fraction(c) for j, c in acc.items() if c}
+
+
+@pytest.mark.parametrize(
+    "label, j_texts, jp_texts",
+    [
+        ("A3", ("100", "001"), ("110",)),
+        ("G2", ("10",), ("01", "31")),
+        ("D4", ("1000", "0100"), ("0001", "0110")),
+        ("F4", ("1000", "0100", "0010"), ("0001",)),
+        pytest.param(
+            "A7",
+            ("1000000",),
+            ("1100000", "0010000", "0001000", "0000100", "0000010", "0000001"),
+            marks=pytest.mark.slow,
+        ),
+    ],
+    ids=["A3", "G2", "D4-6", "F4", "A7"],
+)
+def test_kappa_folds_the_column_words(label, j_texts, jp_texts):
+    # each sigma acts by its word in the J' reflections; W is never generated
+    system = build_root_system(label)
+    psi, pp = (
+        closure_from_simples(system, [parse_root(system, t) for t in texts])
+        for texts in (j_texts, jp_texts)
+    )
+    space = enumerate_tabloids(system, psi, psi_prime=pp)
+    for i in range(len(space)):
+        assert apply_kappa(space, QQ, unit(len(space), i)).entries == _kappa_by_keys(space, i)
+    assert space.col_signs == tuple(sign(system, w) for w in space.col_group)
+    assert "group" not in vars(space)
+
+
+def test_space_without_group_matches_space_with_group(case_d4_rank3, case_g2):
+    # W is generated when `group` is first read, and equals the given one
+    for c in (case_d4_rank3, case_g2):
+        space = enumerate_tabloids(c.system, c.psi, psi_prime=c.psi_prime)
+        assert space.tabloids == c.space.tabloids
+        assert space.col_stabilizer == c.space.col_stabilizer
+        assert space.base_polytabloid == c.space.base_polytabloid
+        assert "group" not in vars(space)
+        assert space.group == c.group
 
 
 def test_action_rejects_element_of_another_system():

@@ -1,3 +1,4 @@
+import math
 import random
 
 import pytest
@@ -9,7 +10,9 @@ from weylspecht.weyl import (
     GroupLimitError,
     apply_to_root,
     compose,
+    descent_word,
     generate_group,
+    group_order,
     identity,
     inverse,
     length,
@@ -55,6 +58,44 @@ def test_group_orders(label, order):
 def test_group_orders_rank_five_plus(label, order):
     system = build_root_system(label)
     assert len(generate_group(system)) == order
+
+
+# every supported type up to rank 6, with A7; rank 5 and up generates slowly
+ORDER_LABELS = [
+    f"{series}{n}" for series in "ABCD" for n in range(2 if series == "D" else 1, 7)
+] + ["G2", "F4", "A7"]
+
+
+@pytest.mark.parametrize(
+    "label",
+    [pytest.param(x, marks=pytest.mark.slow) if int(x[1:]) > 4 else x for x in ORDER_LABELS],
+)
+def test_group_order_from_the_degrees_counts_w(label):
+    system = build_root_system(label)
+    assert group_order(system) == len(generate_group(system))
+
+
+@pytest.mark.parametrize("series", "ABCD")
+def test_group_order_beyond_generation(series):
+    # the classical formulas in the ranks the default limit refuses to generate
+    for n in (7, 8):
+        formula = {
+            "A": math.factorial(n + 1),
+            "B": 2**n * math.factorial(n),
+            "C": 2**n * math.factorial(n),
+            "D": 2 ** (n - 1) * math.factorial(n),
+        }[series]
+        assert group_order(build_root_system(f"{series}{n}")) == formula
+
+
+@pytest.mark.parametrize("label", ["A3", "B3", "G2", "D4", "F4"])
+def test_descent_word_spells_every_element(label):
+    system = build_root_system(label)
+    spell = descent_word(system)
+    for w in generate_group(system):
+        word = spell(w.perm)
+        assert word_to_element(system, word) == w
+        assert len(word) == length(system, w)
 
 
 def test_simple_reflection_negates_its_root(a3):
@@ -205,7 +246,9 @@ def _corpus_root_sets():
 def test_subgroup_matches_compose_bfs(ambient, roots):
     system = build_root_system(ambient)
     refl = [reflection_in(system, r) for r in sorted(set(roots))]
-    assert subgroup_generated(system, roots) == bfs_by_compose(system, refl)[0]
+    elements, words = bfs_by_compose(system, refl)
+    assert subgroup_generated(system, roots) == elements
+    assert subgroup_generated(system, roots, words=True) == (elements, words)
 
 
 def test_length_and_sign_basics(a3, w_a3):
