@@ -51,8 +51,8 @@ def run_case(label, j_texts, jp_texts, char_word):
     print(f"{label}: J = {','.join(j_texts)}  J' = {','.join(jp_texts)}")
     print(f"|W| = {len(group)}  psi {psi.label} ({psi.size} roots)  psi' {pp.label}")
 
-    useful = is_useful_subsystem(system, psi, pp, group=group)
-    good = is_good_subsystem(system, psi, pp, group=group)
+    useful = is_useful_subsystem(system, psi, pp)
+    good = is_good_subsystem(system, psi, pp)
     print(f"useful sub-system: {useful}   good sub-system: {good.is_good}")
 
     with warnings.catch_warnings():
@@ -68,7 +68,7 @@ def run_case(label, j_texts, jp_texts, char_word):
     dims = quotient_dimension(module)
     print(f"dim S = {dims[0]}   dim radical = {dims[1]}   dim D = {dims[2]}")
 
-    witness = vanishing_obstruction(system, psi, pp, group=group)
+    witness = vanishing_obstruction(system, psi, pp)
     if witness is not None:
         print(f"vanishing witness: {word_text(group.word_of(witness))}")
 

@@ -17,7 +17,7 @@ from . import specht, verify
 from .exactlin import echelon_insert, field_by_name, field_name
 from .rootsys import build_root_system, format_root, parse_root, root_system_to_json
 from .subsystem import closure_from_simples, distinguished_reps, subsystem_to_json
-from .weyl import DEFAULT_GROUP_LIMIT, generate_group, group_order, word_order
+from .weyl import DEFAULT_GROUP_LIMIT, group_order, word_order
 
 SCHEMA = "weyl-specht/1"
 EXIT_OK = 0
@@ -74,8 +74,9 @@ def _word_text(word) -> str:
 
 
 def _parse_word(system, text: str):
+    # the reports write the empty word as e
     parts = text.split()
-    if not parts:
+    if parts in ([], ["e"]):
         return ()
     try:
         word = tuple(int(p) for p in parts)
@@ -167,11 +168,10 @@ def _independent_generators(module, limit: int):
     # each with the word of d; the fold stops at the dim-th, so later
     # translates are never computed
     space, field, e_vec = module.space, module.field, module.e_vec
-    group = generate_group(space.system, limit=limit)
+    _, words = distinguished_reps(space.system, space.psi_prime, limit, words=True)
     by_pivot: dict = {}
     picked = []
-    for d in distinguished_reps(space.system, space.psi_prime, group):
-        word = group.word_of(d)
+    for word in words:
         vec = specht.act_vector(space, field, word, e_vec)
         if echelon_insert(field, by_pivot, vec):
             picked.append((word, vec))

@@ -4,8 +4,8 @@ module.
 A tabloid is a left coset of the setwise stabilizer N(psi), keyed by the
 image root set d(psi) itself; the stabilizer is exactly the subgroup fixing
 that set, so the key is canonical. By orbit-stabilizer the keys are the
-orbit of psi's root set, found breadth-first under the simple reflections,
-|W:N(psi)| sets in all; W itself is never walked. The BFS records the
+orbit of psi's root set, |W:N(psi)| sets in all, which `weyl.coset_walk`
+lists in W's order of their shortest representatives. The walk records the
 image of every key under every simple reflection, and these lists are the
 permutation tables of the action on tabloid indices. The module M^psi is
 the free module on the tabloids; an element acts by folding the tables
@@ -14,8 +14,9 @@ off its permutation, and a cyclic submodule is spun by applying them one
 at a time. The kappa operator is the signed sum over the reflection group
 of the column system, and the polytabloid e_{wJ,wJ'} is the translate
 w e_{J,J'} of kappa applied to the base tabloid. The module S is the
-submodule spun from e_{J,J'}. None of this generates W; `group` does,
-when first read.
+submodule spun from e_{J,J'}; it is spanned by the translates d e_{J,J'}
+for d in D_psi', which the same walk lists. None of this generates W;
+`group` does, when first read.
 """
 
 from __future__ import annotations
@@ -52,12 +53,11 @@ from .weyl import (
     GeneratedGroup,
     GroupElement,
     apply_to_root,
-    descend,
+    coset_walk,
     descent_word,
     generate_group,
     identity,
     reflection_in,
-    simple_reflection,
     subgroup_generated,
     word_order,
 )
@@ -82,11 +82,11 @@ class TabloidSpace:
 
     The record of the pair: W(psi') with its words and signs and the
     usefulness of the pair are computed here once and read by every later
-    stage; W itself, and N(psi) swept from it, only when read. Tabloids are
-    sorted by (length, word) of their representatives, which is the BFS
+    stage; W itself, and N(psi) swept from it, only when read. Tabloids come
+    in the (length, word) order of their representatives, which is the BFS
     order of the group, so the family prints identically from run to run.
     The action of W is the tabloid-index permutation of each simple
-    reflection, recorded by the orbit search and folded along a word for an
+    reflection, recorded by the orbit walk and folded along a word for an
     element, or applied one reflection at a time by `cyclic_submodule`;
     nothing is stored per element.
     """
@@ -210,46 +210,22 @@ def enumerate_tabloids(
         labels.add(psi_prime.ambient_label)
     if labels != {system.label}:
         raise ValueError("subsystems and group must share the ambient system")
-    # the orbit of psi's root indices under the simple reflections, found
-    # breadth-first
-    gens = [simple_reflection(system, i).perm for i in range(1, system.rank + 1)]
-    keys = [frozenset(system.root_index(r) for r in psi.roots)]
-    depths, position = [0], {keys[0]: 0}
-    images: list[list[int]] = [[] for _ in gens]
-    for k, key in enumerate(keys):  # keys grows while read: the BFS queue
-        for s, row in zip(gens, images):
-            img = frozenset(map(s.__getitem__, key))
-            if img not in position:
-                position[img] = len(keys)
-                keys.append(img)
-                depths.append(depths[k] + 1)
-            row.append(position[img])
-    # the product of a key's greedy descent word is the shortest, then
-    # lex-least, element of its coset, so (depth, word) is BFS order over W
-    steps = [row.__getitem__ for row in images]
-    words = [descend(k, depths.__getitem__, steps) for k in range(len(keys))]
-    order = sorted(range(len(keys)), key=lambda k: (depths[k], words[k]))
-    new = {k: i for i, k in enumerate(order)}
-    tables = tuple(tuple(new[row[k]] for k in order) for row in images)
-    folds = [itemgetter(*s) for s in gens]
+    # the orbit of psi's root indices, each point with the shortest element
+    # reaching it and its lex-least word, in W's order
+    seed = frozenset(system.root_index(r) for r in psi.roots)
+    points, perms, words, tables = coset_walk(system, seed)
     tabloids = []
     roots = system.roots
-    e = identity(system).perm
-    for k in order:
-        perm = e
-        for i in words[k]:
-            perm = folds[i - 1](perm)
+    for point, perm, word in zip(points, perms, words):
         d = GroupElement(perm, system.label)
-        key = frozenset(roots[i] for i in keys[k])
         rows = tuple(apply_to_root(system, d, j) for j in psi.simples)
         cols = (
             tuple(apply_to_root(system, d, j) for j in psi_prime.simples)
             if psi_prime is not None
             else ()
         )
-        tabloids.append(
-            Tabloid(key=key, rep=d, rep_word=words[k], rows=rows, cols=cols)
-        )
+        key = frozenset(roots[i] for i in point)
+        tabloids.append(Tabloid(key=key, rep=d, rep_word=word, rows=rows, cols=cols))
     if psi_prime is not None:
         col_group, col_words = subgroup_generated(system, psi_prime.simples, words=True)
     else:
@@ -260,7 +236,7 @@ def enumerate_tabloids(
         psi_prime=psi_prime,
         group=group,
         tabloids=tuple(tabloids),
-        tables=tables,
+        tables=tuple(map(tuple, tables)),
         col_group=col_group,
         col_words=col_words,
     )
@@ -348,8 +324,7 @@ class SpechtModuleData:
     def generators(self) -> tuple[GroupElement, ...]:
         """D_psi', the distinguished representatives d of the column system,
         in group order, identity first; the translates d e_{J,J'} span S."""
-        space = self.space
-        return distinguished_reps(space.system, space.psi_prime, space.group)
+        return distinguished_reps(self.space.system, self.space.psi_prime)
 
     @property
     def dimension(self) -> int:
@@ -371,8 +346,8 @@ def build_specht_module(
     """The cyclic module generated by e_{J,J'}.
 
     The basis is the spin of e_{J,J'} under the simple reflections (see
-    `cyclic_submodule`); W is generated only when `generators` or
-    `check_full_span` reads it, unless given.
+    `cyclic_submodule`); W is generated only when `check_full_span` reads
+    it, unless given.
 
     Warns when the pair is not a useful sub-system; the computation still
     runs and may produce the zero module. `check_full_span` re-derives the

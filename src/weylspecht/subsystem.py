@@ -19,7 +19,13 @@ from operator import itemgetter
 from . import rootsys
 from .exactlin import QQ, from_dense, row_reduce
 from .rootsys import Root, RootSystem, inner_product, negate, reflection
-from .weyl import GeneratedGroup, GroupElement, apply_to_root
+from .weyl import (
+    DEFAULT_GROUP_LIMIT,
+    GeneratedGroup,
+    GroupElement,
+    apply_to_root,
+    coset_walk,
+)
 
 
 @dataclass(frozen=True)
@@ -127,12 +133,6 @@ def orthogonal_complement(system: RootSystem, psi: Subsystem) -> Subsystem:
     return _classified(system, ortho, _indecomposables(system, ortho))
 
 
-def _check_group(system: RootSystem, group: GeneratedGroup) -> None:
-    # the W scans below read w.perm directly, so check the group's system once
-    if group.system_label != system.label:
-        raise ValueError("group belongs to a different root system")
-
-
 def stabilizer(system: RootSystem, psi: Subsystem, elements) -> tuple[GroupElement, ...]:
     """The given elements that map psi's root set onto itself, in order."""
     r_idx = [system.root_index(r) for r in psi.roots]
@@ -144,7 +144,8 @@ def stabilizer(system: RootSystem, psi: Subsystem, elements) -> tuple[GroupEleme
 
 def normalizer(system: RootSystem, psi: Subsystem, group: GeneratedGroup) -> tuple:
     """N(psi), the stabilizer of psi's root set, swept from W in group order."""
-    _check_group(system, group)
+    if group.system_label != system.label:
+        raise ValueError("group belongs to a different root system")
     return stabilizer(system, psi, group)
 
 
@@ -166,16 +167,26 @@ def complements_meet_trivially(
 
 
 def distinguished_reps(
-    system: RootSystem, psi: Subsystem, group: GeneratedGroup
-) -> tuple[GroupElement, ...]:
-    """D_psi: elements keeping every simple root of psi positive.
+    system: RootSystem, psi: Subsystem, limit: int = DEFAULT_GROUP_LIMIT, words: bool = False
+):
+    """D_psi: elements keeping every simple root of psi positive, in W's
+    order, identity first; with `words`, also their lex-least reduced words.
 
-    One per coset of the reflection subgroup of psi, each of minimal length.
+    One per coset of the reflection subgroup of psi, each of minimal length
+    (Dyer 1990). If the reflection in a simple root a is a left descent of
+    such d, it sends d(J) negative only where d sends a root of J to a; but
+    d^-1(a) is negative. So the walk from e that keeps J positive reaches
+    all of D_psi. Its points lead with the images of the simple roots, which
+    name the element.
     """
-    _check_group(system, group)
-    j_idx = [system.root_index(r) for r in psi.simples]
-    pc = system.positive_count
-    return tuple(w for w in group if all(w.perm[j] < pc for j in j_idx))
+    rank, pc = system.rank, system.positive_count
+    seed = tuple(system.index[a] for a in system.simple_roots())
+    seed += tuple(system.root_index(r) for r in psi.simples)
+    _, perms, found, _ = coset_walk(
+        system, seed, keep=lambda x: all(j < pc for j in x[rank:]), limit=limit
+    )
+    elements = tuple(GroupElement(p, system.label) for p in perms)
+    return (elements, tuple(found)) if words else elements
 
 
 def cartan_matrix(system: RootSystem, simples) -> tuple[tuple[int, ...], ...]:

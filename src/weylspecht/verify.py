@@ -21,22 +21,14 @@ from .specht import (
     enumerate_tabloids,
 )
 from .subsystem import Subsystem, complements_meet_trivially, stabilizer
-from .weyl import (
-    GeneratedGroup,
-    GroupElement,
-    sign,
-    subgroup_generated,
-    word_order,
-)
+from .weyl import GroupElement, sign, subgroup_generated, word_order
 
 DEFAULT_PROBE_SEED = 1729
 
 
-def _require_pair(system: RootSystem, psi: Subsystem, psi_prime: Subsystem, group=None):
+def _require_pair(system: RootSystem, psi: Subsystem, psi_prime: Subsystem):
     if psi.ambient_label != system.label or psi_prime.ambient_label != system.label:
         raise ValueError("subsystems must belong to the ambient system")
-    if group is not None and group.system_label != system.label:
-        raise ValueError("group belongs to a different root system")
     if psi.roots & psi_prime.roots:
         raise ValueError("psi_prime must be contained in the ambient system minus psi")
 
@@ -49,16 +41,10 @@ def is_useful_system(system: RootSystem, psi: Subsystem, psi_prime: Subsystem) -
     return len(meet) == 1 and complements_meet_trivially(system, psi, psi_prime)
 
 
-def is_useful_subsystem(
-    system: RootSystem,
-    psi: Subsystem,
-    psi_prime: Subsystem,
-    group: GeneratedGroup | None = None,
-) -> bool:
+def is_useful_subsystem(system: RootSystem, psi: Subsystem, psi_prime: Subsystem) -> bool:
     """N(psi) meets W(psi') trivially, and likewise for the two complements.
-    The meet is the stabilizer of psi in W(psi'), so only W(psi') is closed;
-    `group` is only checked to belong to the system."""
-    _require_pair(system, psi, psi_prime, group)
+    The meet is the stabilizer of psi in W(psi'), so only W(psi') is closed."""
+    _require_pair(system, psi, psi_prime)
     col_group = subgroup_generated(system, psi_prime.simples)
     return len(stabilizer(system, psi, col_group)) == 1 and complements_meet_trivially(
         system, psi, psi_prime
@@ -84,19 +70,16 @@ def obstruction_from_space(space: TabloidSpace) -> GroupElement | None:
 
 
 def vanishing_obstruction(
-    system: RootSystem,
-    psi: Subsystem,
-    psi_prime: Subsystem,
-    group: GeneratedGroup | None = None,
+    system: RootSystem, psi: Subsystem, psi_prime: Subsystem
 ) -> GroupElement | None:
     """The first order-2 negative-sign element of N(psi) meet W(psi') in
     group order, if any; the meet is the stabilizer of psi in W(psi').
-    W is never generated; `group` is only checked to belong to the system.
+    W is never generated.
 
     Such an element pairs off the terms of the polytabloid with opposite
     signs, forcing it to vanish.
     """
-    _require_pair(system, psi, psi_prime, group)
+    _require_pair(system, psi, psi_prime)
     meet = stabilizer(system, psi, subgroup_generated(system, psi_prime.simples))
     return _first_obstruction(system, meet)
 
@@ -136,16 +119,12 @@ def good_from_space(space: TabloidSpace) -> GoodSubsystemResult:
 
 
 def is_good_subsystem(
-    system: RootSystem,
-    psi: Subsystem,
-    psi_prime: Subsystem,
-    group: GeneratedGroup | None = None,
+    system: RootSystem, psi: Subsystem, psi_prime: Subsystem
 ) -> GoodSubsystemResult:
     """Every representative whose image of psi misses psi' must appear with
-    nonzero coefficient in the base polytabloid. W is never generated;
-    `group` is only checked to belong to the system."""
-    _require_pair(system, psi, psi_prime, group)
-    space = enumerate_tabloids(system, psi, group, psi_prime)
+    nonzero coefficient in the base polytabloid. W is never generated."""
+    _require_pair(system, psi, psi_prime)
+    space = enumerate_tabloids(system, psi, psi_prime=psi_prime)
     return good_from_space(space)
 
 

@@ -10,10 +10,12 @@ multiplication by a fixed g is `itemgetter(*g.perm)`, which builds the perm
 of w g in C. The closures and the scans over W run on raw perms, tell
 elements apart by the images of the simple roots alone (see
 `product_keys`), and build a `GroupElement` only for an element they keep.
+`coset_walk` lists a family of cosets in the same order without W.
 """
 
 from __future__ import annotations
 
+import math
 from collections import Counter
 from dataclasses import dataclass, field
 from operator import itemgetter
@@ -110,9 +112,6 @@ class GeneratedGroup:
     def identity(self) -> GroupElement:
         return self.elements[0]
 
-    def position(self, w: GroupElement) -> int:
-        return self._pos[w.perm]
-
     def word_of(self, w: GroupElement) -> tuple[int, ...]:
         return self.words[self._pos[w.perm]]
 
@@ -186,17 +185,43 @@ def subgroup_generated(
     return (elements, tuple(found)) if words else elements
 
 
-def descend(x, depth, steps) -> tuple[int, ...]:
-    """Greedy descent from x to depth 0: the letters taken, each the
-    smallest 1-based i whose step lowers `depth`."""
-    word = []
-    while d := depth(x):
-        for i, step in enumerate(steps, start=1):
-            if depth(step(x)) < d:
-                word.append(i)
-                x = step(x)
-                break
-    return tuple(word)
+def coset_walk(system: RootSystem, seed, keep=None, limit=math.inf):
+    """Walk `seed`, a tuple or frozenset of root indices, under the simple
+    reflections acting on the left, one length at a time; with `keep`, only
+    the images it accepts.
+
+    Within a level the points are ordered by (letter, parent's position).
+    A point is first reached from its smallest left descent, so its word is
+    the lex-least reduced word of its element, and the points come in W's
+    order: by length, then by that word. Returns the points, the perms and
+    words of their elements, and for each simple reflection its table:
+    entry k is the index of the image of point k, None if not kept.
+    """
+    make = type(seed)
+    points, perms, words = [seed], [identity(system).perm], [()]
+    position = {seed: 0}
+    tables = tuple([] for _ in range(system.rank))
+    start = 0
+    while start < len(points):
+        end = len(points)
+        for i, s in enumerate(system.simple_reflection_perms, start=1):
+            image, table = s.__getitem__, tables[i - 1]
+            for k in range(start, end):
+                x = make(map(image, points[k]))
+                if keep is not None and not keep(x):
+                    table.append(None)
+                    continue
+                j = position.get(x)
+                if j is None:
+                    if len(points) >= limit:
+                        raise GroupLimitError(f"coset walk exceeds the limit of {limit} points")
+                    j = position[x] = len(points)
+                    points.append(x)
+                    perms.append(tuple(map(image, perms[k])))
+                    words.append((i,) + words[k])
+                table.append(j)
+        start = end
+    return points, perms, words, tables
 
 
 def group_order(system: RootSystem) -> int:
@@ -255,11 +280,6 @@ def word_order(system: RootSystem):
         return len(word), word
 
     return key
-
-
-def element_to_json(group: GeneratedGroup, w: GroupElement) -> dict:
-    """Wire form of an element: its recorded reduced word plus permutation."""
-    return {"word": list(group.word_of(w)), "perm": list(w.perm)}
 
 
 def length(system: RootSystem, w: GroupElement) -> int:

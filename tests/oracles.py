@@ -296,6 +296,14 @@ def normalizer_by_definition(system, psi, group):
     return n_psi, n_j
 
 
+def distinguished_reps_by_scan(system, psi, group):
+    """D_psi: the elements of W, in group order, keeping every simple root
+    of psi positive."""
+    j_idx = [system.root_index(r) for r in psi.simples]
+    pc = system.positive_count
+    return tuple(w for w in group if all(w.perm[j] < pc for j in j_idx))
+
+
 def normalizer_reps_by_products(system, group, n_psi):
     """E_psi: scanning W in BFS order, keep each element whose coset is not
     yet marked, and mark its coset w N(psi) by the product key of w n for
@@ -645,7 +653,7 @@ def coefficient_law_violations(system, group, psi, psi_prime, check_norm=False):
     bad = []
     tag = f"{system.label} J={psi.simples} J'={psi_prime.simples}"
     useful_sys = is_useful_system(system, psi, psi_prime)
-    useful = is_useful_subsystem(system, psi, psi_prime, group=group)
+    useful = is_useful_subsystem(system, psi, psi_prime)
     n_j = normalizer_by_definition(system, psi, group)[1]
     if useful and not useful_sys:
         bad.append(f"{tag}: useful sub-system but not a useful system")
@@ -679,11 +687,11 @@ def coefficient_law_violations(system, group, psi, psi_prime, check_norm=False):
         if meets and not kappa_i.is_zero():
             bad.append(f"{tag}: kappa kept a coset meeting the column system")
 
-    witness = vanishing_obstruction(system, psi, psi_prime, group=group)
+    witness = vanishing_obstruction(system, psi, psi_prime)
     if witness is not None and not e_vec.is_zero():
         bad.append(f"{tag}: obstruction found but polytabloid is nonzero")
 
-    good = is_good_subsystem(system, psi, psi_prime, group=group)
+    good = is_good_subsystem(system, psi, psi_prime)
     if good.is_good:
         for i in range(len(space)):
             k = apply_kappa(space, QQ, _unit(len(space), i))

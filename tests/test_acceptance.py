@@ -44,9 +44,7 @@ def test_01_a3_tabloid_family(case_a3):
         "{010,111;-100}",
     ]
     assert [t.rep_word for t in space] == [(), (2,), (1, 2)]
-    assert is_useful_subsystem(
-        case_a3.system, case_a3.psi, case_a3.psi_prime, group=case_a3.group
-    )
+    assert is_useful_subsystem(case_a3.system, case_a3.psi, case_a3.psi_prime)
     _report("A3 tabloid family with representatives e, t2, t1t2")
 
 
@@ -71,7 +69,7 @@ def test_02_g2_pair_collapses(case_g2):
 
 
 def test_03_d4_three_dimensional_module(case_d4_rank3):
-    system, group = case_d4_rank3.system, case_d4_rank3.group
+    system = case_d4_rank3.system
     psi, pp = case_d4_rank3.psi, case_d4_rank3.psi_prime
     space, module = case_d4_rank3.space, case_d4_rank3.module
 
@@ -106,7 +104,7 @@ def test_03_d4_three_dimensional_module(case_d4_rank3):
     disjoint = [t.rep_word for t in space if not (t.key & pp.roots)]
     assert disjoint == [(), (1, 2, 3)]
 
-    assert is_good_subsystem(system, psi, pp, group=group).is_good
+    assert is_good_subsystem(system, psi, pp).is_good
     assert module.dimension == 3
 
     basis = [

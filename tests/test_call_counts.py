@@ -53,13 +53,19 @@ D4_SPECHT = [
 ]
 
 
+A6_SPECHT = [
+    "specht", "--type", "A6", "--J", "100000,010000,000100,000010",
+    "--Jp", "111000,011100", "--check", "useful,good",
+]
+
+
 def test_specht_command_builds_the_pair_once():
-    # W is generated and scanned only by the generator listing's D_psi'; the
-    # tabloids are the orbit of psi, and |N(psi)| is |W| over their count
+    # the tabloids and the generator listing's D_psi' are coset walks, and
+    # |N(psi)| is |W| over the tabloid count, so W is never generated
     with contextlib.redirect_stdout(io.StringIO()):
         calls = _call_counts(cli.main, D4_SPECHT)
-    assert calls(generate_group) == 1
-    assert calls(GeneratedGroup.__iter__) == 1
+    assert calls(generate_group) == 0
+    assert calls(GeneratedGroup.__iter__) == 0
     assert calls(normalizer) == 0
     assert calls(enumerate_tabloids) == 1
     # W(psi') only: the complement half of usefulness closes no group
@@ -92,7 +98,7 @@ def test_commands_compose_no_group_elements(argv):
 
 def test_zero_module_skips_the_generator_scan():
     # the G2 pair affords the zero module; only the generator listing reads
-    # D_psi', and so W; the witness words and characters need no W either
+    # D_psi'; the witness words and characters need no W either
     argv = ["specht", "--type", "G2", "--J", "10", "--Jp", "01,31"]
     checked = argv + ["--check", "useful,good", "--char", "1 2"]
     for run in (argv, checked, checked + ["--json"]):
@@ -106,6 +112,15 @@ def test_zero_module_skips_the_generator_scan():
     assert calls(distinguished_reps) == 1
 
 
+def test_a6_text_report_never_generates_the_group():
+    # the generator listing walks D_psi' instead of scanning W
+    with contextlib.redirect_stdout(io.StringIO()) as out:
+        calls = _call_counts(cli.main, A6_SPECHT)
+    assert "independent generators:" in out.getvalue()
+    assert calls(generate_group) == 0
+    assert calls(GeneratedGroup.__iter__) == 0
+
+
 @pytest.mark.parametrize("field", ["Q", "F3"])
 def test_specht_command_computes_one_kappa_sum(field):
     # the integer e_{J,J'} is summed once and read by the module and goodness
@@ -116,20 +131,24 @@ def test_specht_command_computes_one_kappa_sum(field):
 
 def test_standalone_goodness_never_scans_the_group(case_d4_rank3):
     c = case_d4_rank3
-    for group in (c.group, None):
-        calls = _call_counts(is_good_subsystem, c.system, c.psi, c.psi_prime, group)
-        assert calls(generate_group) == 0
-        assert calls(GeneratedGroup.__iter__) == 0
-        assert calls(normalizer) == 0
+    calls = _call_counts(is_good_subsystem, c.system, c.psi, c.psi_prime)
+    assert calls(generate_group) == 0
+    assert calls(GeneratedGroup.__iter__) == 0
+    assert calls(normalizer) == 0
+
+
+def _generators_of_build(c):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        return build_specht_module(c.system, c.psi, c.psi_prime, QQ).generators
 
 
 def test_standalone_build_never_generates_the_group(case_d4_rank3, case_g2):
-    # the basis is spun from e_{J,J'}; only `generators` reads W
+    # the basis is spun from e_{J,J'}, and `generators` walks D_psi'
     for c in (case_d4_rank3, case_g2):
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            calls = _call_counts(build_specht_module, c.system, c.psi, c.psi_prime, QQ)
+        calls = _call_counts(_generators_of_build, c)
         assert calls(generate_group) == 0
+        assert calls(distinguished_reps) == 1
 
 
 def test_tabloid_orbit_never_scans_the_group(case_d4_rank3):
@@ -144,7 +163,7 @@ def test_tabloid_orbit_never_scans_the_group(case_d4_rank3):
 def test_standalone_usefulness_never_scans_the_group(case_d4_rank3):
     # N(psi) meet W(psi') is the stabilizer of psi inside W(psi')
     c = case_d4_rank3
-    calls = _call_counts(is_useful_subsystem, c.system, c.psi, c.psi_prime, c.group)
+    calls = _call_counts(is_useful_subsystem, c.system, c.psi, c.psi_prime)
     assert calls(GeneratedGroup.__iter__) == 0
     assert calls(enumerate_tabloids) == 0
     assert calls(normalizer) == 0
@@ -154,13 +173,10 @@ def test_standalone_obstruction_never_scans_the_group(case_g2, case_d4_rank3):
     # N(psi) meet W(psi') is the stabilizer of psi inside W(psi'), ordered
     # by (length, word) without W, so no group is generated either
     for c in (case_g2, case_d4_rank3):
-        for group in (c.group, None):
-            args = (c.system, c.psi, c.psi_prime, group)
-            calls = _call_counts(vanishing_obstruction, *args)
-            assert calls(GeneratedGroup.__iter__) == 0
-            assert calls(GeneratedGroup.position) == 0
-            assert calls(normalizer) == 0
-            assert calls(generate_group) == 0
+        calls = _call_counts(vanishing_obstruction, c.system, c.psi, c.psi_prime)
+        assert calls(GeneratedGroup.__iter__) == 0
+        assert calls(normalizer) == 0
+        assert calls(generate_group) == 0
 
 
 def test_probe_trial_asks_one_membership_and_no_complement(case_d4_deg6):
@@ -176,7 +192,7 @@ def test_specht_report_folds_translates_up_to_the_dimension(case_d4_rank3):
     with contextlib.redirect_stdout(io.StringIO()):
         calls = _call_counts(cli.main, D4_SPECHT)
     folded = calls(act_vector) - calls(polytabloid)
-    dreps = distinguished_reps(c.system, c.psi_prime, c.group)
+    dreps = distinguished_reps(c.system, c.psi_prime)
     assert c.module.dimension <= folded < len(dreps)
 
 

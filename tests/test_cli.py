@@ -209,6 +209,25 @@ def test_specht_char_words_file(capsys, tmp_path):
     assert [c["word"] for c in doc["sample_characters"]] == [[1, 3, 2], [2]]
 
 
+def test_specht_char_accepts_e_as_the_identity(capsys, tmp_path):
+    # the reports write the identity as e, so --char reads it back
+    d4 = ["specht", "--type", "D4", "--J", "1000,0100,0001", "--Jp", "1110"]
+    code, out, _ = run(capsys, *d4, "--char", "e", "--char", " e ")
+    assert code == 0
+    assert out.endswith("character values:\n  psi(e) = 3\n  psi(e) = 3\n")
+    path = tmp_path / "words.txt"
+    path.write_text("e\n1 3 2\n")
+    code, out, _ = run(capsys, *d4, "--char", str(path), "--json")
+    assert code == 0
+    assert json.loads(out)["sample_characters"] == [
+        {"word": [], "trace": "3"},
+        {"word": [1, 3, 2], "trace": "-1"},
+    ]
+    code, out, err = run(capsys, *d4, "--char", "e 1")
+    assert code == 2 and out == ""
+    assert "malformed word 'e 1'" in err
+
+
 def test_specht_char_file_not_utf8_is_usage_error(capsys, tmp_path):
     path = tmp_path / "words.txt"
     path.write_bytes(b"\xff\xfe")

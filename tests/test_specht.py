@@ -9,6 +9,7 @@ from oracles import (
     bareiss_rank,
     cyclic_span_by_field_ops,
     cyclic_span_by_orbit,
+    distinguished_reps_by_scan,
     index_action_by_keys,
     load_workloads,
     quotient_dimension_by_complements,
@@ -24,7 +25,6 @@ from weylspecht import (
     character_value,
     closure_from_simples,
     cyclic_submodule,
-    distinguished_reps,
     enumerate_tabloids,
     format_module_vector,
     format_tabloid,
@@ -427,7 +427,7 @@ def test_full_span_cross_check(a3, w_a3):
 def test_generators_are_the_distinguished_translates_of_e(case_d4_deg6):
     module = case_d4_deg6.module
     space = module.space
-    dreps = distinguished_reps(space.system, space.psi_prime, space.group)
+    dreps = distinguished_reps_by_scan(space.system, space.psi_prime, space.group)
     assert module.generators == dreps
     assert module.generators[0] == space.group.identity
     assert module.e_vec == polytabloid(space, QQ, space.group.identity)

@@ -8,9 +8,12 @@ from oracles import (
     EPS_SIMPLES,
     candidate_subsystems,
     closure_by_search,
+    disjoint_pairs,
+    distinguished_reps_by_scan,
     eps_dot,
     eps_embed,
     index_action_by_keys,
+    load_workloads,
     normalizer_by_definition,
     normalizer_reps_by_products,
     orthogonal_complement_by_search,
@@ -29,6 +32,7 @@ from weylspecht.subsystem import (
 )
 from weylspecht.specht import enumerate_tabloids
 from weylspecht.weyl import (
+    GroupLimitError,
     apply_to_root,
     compose,
     generate_group,
@@ -320,7 +324,7 @@ def test_semidirect_decomposition(a3, w_a3, g2, w_g2, d4, w_d4):
 
 def test_distinguished_reps_a3(a3, w_a3):
     psi = closure_from_simples(a3, roots_of(a3, "100", "001"))
-    reps = distinguished_reps(a3, psi, w_a3)
+    reps = distinguished_reps(a3, psi)
     w_psi = subgroup_generated(a3, psi.simples)
     assert len(reps) == len(w_a3) // len(w_psi) == 6
     # exactly one representative per coset, of minimal length
@@ -336,9 +340,50 @@ def test_distinguished_reps_a3(a3, w_a3):
 
 def test_distinguished_reps_trivial_cases(a3, w_a3):
     empty = closure_from_simples(a3, [])
-    assert distinguished_reps(a3, empty, w_a3) == tuple(w_a3.elements)
+    assert distinguished_reps(a3, empty, words=True) == (w_a3.elements, w_a3.words)
     psi = closure_from_simples(a3, roots_of(a3, "100"))
-    assert identity(a3) in distinguished_reps(a3, psi, w_a3)
+    assert identity(a3) in distinguished_reps(a3, psi)
+
+
+def test_distinguished_reps_limit(a3):
+    empty = closure_from_simples(a3, [])
+    assert len(distinguished_reps(a3, empty, limit=24)) == 24
+    with pytest.raises(GroupLimitError, match="limit of 23"):
+        distinguished_reps(a3, empty, limit=23)
+
+
+def _assert_walk_matches_scan(system, group, psi):
+    elements, words = distinguished_reps(system, psi, words=True)
+    expected = distinguished_reps_by_scan(system, psi, group)
+    assert elements == expected
+    assert words == tuple(group.word_of(d) for d in expected)
+
+
+@pytest.mark.parametrize("label", ["A3", "G2", "B3", "C3", "D4"])
+def test_distinguished_walk_matches_scan_on_every_pair(label):
+    # D_psi' of every disjoint pair, walked without W, against the W scan
+    system = build_root_system(label)
+    group = generate_group(system)
+    columns = {pp.roots: pp for _, pp in disjoint_pairs(system, max_size=2)}
+    for pp in columns.values():
+        _assert_walk_matches_scan(system, group, pp)
+
+
+BENCHMARK_PAIRS = load_workloads().PAIRS  # name: (ambient, J, J')
+
+
+@pytest.mark.parametrize(
+    "name",
+    [
+        pytest.param(n, marks=pytest.mark.slow) if n in ("A7", "D6", "B6") else n
+        for n in sorted(BENCHMARK_PAIRS)
+    ],
+)
+def test_distinguished_walk_matches_scan_on_benchmark_pairs(name):
+    ambient, _, jp_text = BENCHMARK_PAIRS[name]
+    system = build_root_system(ambient)
+    pp = closure_from_simples(system, roots_of(system, *jp_text.split(",")))
+    _assert_walk_matches_scan(system, generate_group(system), pp)
 
 
 def _assert_reps_words(system, group, psi, expected):
@@ -364,7 +409,7 @@ def test_normalizer_reps_whole_system(a3, w_a3):
 def test_coset_reps_lie_among_distinguished(a3, w_a3, g2, w_g2, d4, w_d4):
     for system, group in ((a3, w_a3), (g2, w_g2), (d4, w_d4)):
         for psi in candidate_subsystems(system, max_size=3):
-            dist = set(distinguished_reps(system, psi, group))
+            dist = set(distinguished_reps(system, psi))
             for t in enumerate_tabloids(system, psi, group):
                 assert t.rep in dist
 

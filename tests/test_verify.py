@@ -73,20 +73,14 @@ def test_entry_points_reject_a_foreign_column_system():
     calls = [
         lambda: enumerate_tabloids(b3, psi, group, foreign),
         lambda: is_useful_system(b3, psi, foreign),
-        lambda: is_useful_subsystem(b3, psi, foreign, group=group),
-        lambda: is_good_subsystem(b3, psi, foreign, group=group),
-        lambda: vanishing_obstruction(b3, psi, foreign, group=group),
+        lambda: is_useful_subsystem(b3, psi, foreign),
+        lambda: is_good_subsystem(b3, psi, foreign),
+        lambda: vanishing_obstruction(b3, psi, foreign),
         lambda: build_specht_module(b3, psi, foreign, QQ, group=group),
     ]
     for call in calls:
         with pytest.raises(ValueError):
             call()
-
-
-def test_standalone_usefulness_rejects_a_foreign_group(case_a3, w_g2):
-    # the group is not scanned, but one of another system is still refused
-    with pytest.raises(ValueError, match="different root system"):
-        is_useful_subsystem(case_a3.system, case_a3.psi, case_a3.psi_prime, group=w_g2)
 
 
 def test_useful_system_rejects_foreign_rows():
@@ -96,18 +90,10 @@ def test_useful_system_rejects_foreign_rows():
 
 
 def test_useful_subsystem_cases(case_a3, case_g2, case_d4_rank3):
-    assert is_useful_subsystem(
-        case_a3.system, case_a3.psi, case_a3.psi_prime, group=case_a3.group
-    )
-    assert not is_useful_subsystem(
-        case_g2.system, case_g2.psi, case_g2.psi_prime, group=case_g2.group
-    )
-    assert is_useful_subsystem(
-        case_d4_rank3.system,
-        case_d4_rank3.psi,
-        case_d4_rank3.psi_prime,
-        group=case_d4_rank3.group,
-    )
+    assert is_useful_subsystem(case_a3.system, case_a3.psi, case_a3.psi_prime)
+    assert not is_useful_subsystem(case_g2.system, case_g2.psi, case_g2.psi_prime)
+    c = case_d4_rank3
+    assert is_useful_subsystem(c.system, c.psi, c.psi_prime)
 
 
 def test_g2_intersections(case_g2):
@@ -129,16 +115,15 @@ def _closure_verdicts(system, group, psi, pp, n_psi):
     tag = f"{system.label} J={psi.simples} J'={pp.simples}"
     useful = useful_subsystem_by_closures(system, psi, pp, n_psi)
     space = enumerate_tabloids(system, psi, group, pp)
-    assert is_useful_subsystem(system, psi, pp, group=group) == useful, tag
+    assert is_useful_subsystem(system, psi, pp) == useful, tag
     assert space.useful == useful, tag
     assert is_useful_system(system, psi, pp) == useful_system_by_closures(system, psi, pp), tag
     meet = col_stabilizer_by_filter(system, n_psi, pp)
     assert space.col_stabilizer == meet, tag
-    # both entry points find the scan's witness, with or without W
+    # both entry points find the scan's witness
     witness = obstruction_by_scan(system, n_psi, pp)
     assert obstruction_from_space(space) == witness, tag
-    for g in (group, None):
-        assert vanishing_obstruction(system, psi, pp, group=g) == witness, tag
+    assert vanishing_obstruction(system, psi, pp) == witness, tag
     return len(meet) == 1 and not useful
 
 
@@ -181,8 +166,8 @@ def test_usefulness_matches_closures_on_benchmark_pairs(name):
 
 
 def test_obstruction_found_in_g2(case_g2):
-    system, group = case_g2.system, case_g2.group
-    w = vanishing_obstruction(system, case_g2.psi, case_g2.psi_prime, group=group)
+    system = case_g2.system
+    w = vanishing_obstruction(system, case_g2.psi, case_g2.psi_prime)
     assert w is not None
     assert w == word_to_element(system, (2, 1, 2, 1, 2))
     assert compose(w, w) == identity(system)
@@ -191,29 +176,20 @@ def test_obstruction_found_in_g2(case_g2):
 
 
 def test_no_obstruction_in_d4(case_d4_rank3):
-    assert (
-        vanishing_obstruction(
-            case_d4_rank3.system,
-            case_d4_rank3.psi,
-            case_d4_rank3.psi_prime,
-            group=case_d4_rank3.group,
-        )
-        is None
-    )
+    c = case_d4_rank3
+    assert vanishing_obstruction(c.system, c.psi, c.psi_prime) is None
 
 
-def test_obstruction_rejects_overlap_and_foreign_group(case_a3, w_g2):
+def test_obstruction_rejects_overlap(case_a3):
     c = case_a3
     with pytest.raises(ValueError, match="psi_prime must be contained"):
-        vanishing_obstruction(c.system, c.psi, c.psi, group=c.group)
-    with pytest.raises(ValueError, match="different root system"):
-        vanishing_obstruction(c.system, c.psi, c.psi_prime, group=w_g2)
+        vanishing_obstruction(c.system, c.psi, c.psi)
 
 
-def test_no_obstruction_with_empty_columns(a3, w_a3):
+def test_no_obstruction_with_empty_columns(a3):
     psi = closure_from_simples(a3, roots_of(a3, "100", "001"))
     empty = closure_from_simples(a3, [])
-    assert vanishing_obstruction(a3, psi, empty, group=w_a3) is None
+    assert vanishing_obstruction(a3, psi, empty) is None
 
 
 # --------------------------------------------------------------------------
@@ -221,12 +197,8 @@ def test_no_obstruction_with_empty_columns(a3, w_a3):
 
 
 def test_good_d4_pair(case_d4_rank3):
-    res = is_good_subsystem(
-        case_d4_rank3.system,
-        case_d4_rank3.psi,
-        case_d4_rank3.psi_prime,
-        group=case_d4_rank3.group,
-    )
+    c = case_d4_rank3
+    res = is_good_subsystem(c.system, c.psi, c.psi_prime)
     assert res.is_good and bool(res)
     assert res.witnesses == ()
 
@@ -240,24 +212,20 @@ def test_good_a3_pair_by_direct_scan(case_a3):
         i for i, t in enumerate(space) if not (t.key & case_a3.psi_prime.roots)
     ]
     assert disjoint == [0, 2]
-    res = is_good_subsystem(
-        case_a3.system, case_a3.psi, case_a3.psi_prime, group=case_a3.group
-    )
+    res = is_good_subsystem(case_a3.system, case_a3.psi, case_a3.psi_prime)
     assert res.is_good
 
 
 def test_not_useful_pairs_are_not_good(case_g2):
-    res = is_good_subsystem(
-        case_g2.system, case_g2.psi, case_g2.psi_prime, group=case_g2.group
-    )
+    res = is_good_subsystem(case_g2.system, case_g2.psi, case_g2.psi_prime)
     assert not res.is_good
     assert res.reason == "not a useful sub-system"
 
 
-def test_empty_columns_fail_goodness(a3, w_a3):
+def test_empty_columns_fail_goodness(a3):
     psi = closure_from_simples(a3, roots_of(a3, "100", "001"))
     empty = closure_from_simples(a3, [])
-    res = is_good_subsystem(a3, psi, empty, group=w_a3)
+    res = is_good_subsystem(a3, psi, empty)
     assert not res.is_good
     assert len(res.witnesses) == 2  # every coset avoids the empty set; only t0 appears
 
@@ -335,7 +303,7 @@ def test_good_pairs_afford_norm_one_characters(a3, w_a3, g2, w_g2):
     checked = 0
     for system, group in ((a3, w_a3), (g2, w_g2)):
         for psi, pp in disjoint_pairs(system, max_size=2):
-            res = is_good_subsystem(system, psi, pp, group=group)
+            res = is_good_subsystem(system, psi, pp)
             if not res.is_good:
                 continue
             with warnings.catch_warnings():
@@ -377,7 +345,7 @@ def test_obstruction_forces_vanishing_over_corpus(a3, w_a3, g2, w_g2):
 
     for system, group in ((a3, w_a3), (g2, w_g2)):
         for psi, pp in disjoint_pairs(system, max_size=2):
-            w = vanishing_obstruction(system, psi, pp, group=group)
+            w = vanishing_obstruction(system, psi, pp)
             if w is None:
                 continue
             space = enumerate_tabloids(system, psi, group, pp)
