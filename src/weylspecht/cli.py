@@ -165,14 +165,22 @@ def cmd_tabloids(args) -> int:
 
 def _independent_generators(module, limit: int):
     # the first translates d e_{J,J'}, d in D_psi', that are independent,
-    # each with the word of d; the fold stops at the dim-th, so later
-    # translates are never computed
-    space, field, e_vec = module.space, module.field, module.e_vec
+    # each with the word of d; the listing stops at the dim-th, so later
+    # translates are never computed. The walk's word of d is a letter i
+    # before the word of its parent, one letter shorter, so d e_{J,J'} is
+    # the parent's translate moved by the table of tau_i
+    space, field = module.space, module.field
     _, words = distinguished_reps(space.system, space.psi_prime, limit, words=True)
+    tables = space._tables
     by_pivot: dict = {}
     picked = []
+    level, prev, cur = 0, {}, {(): module.e_vec}
     for word in words:
-        vec = specht.act_vector(space, field, word, e_vec)
+        if len(word) > level:
+            level, prev, cur = len(word), cur, {}
+        if word:
+            cur[word] = specht._permuted(tables[word[0] - 1], prev[word[1:]])
+        vec = cur[word]
         if echelon_insert(field, by_pivot, vec):
             picked.append((word, vec))
             if len(picked) == module.dimension:

@@ -26,6 +26,8 @@ from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from itertools import repeat
+from math import lcm
 from operator import itemgetter
 
 from .exactlin import (
@@ -440,12 +442,41 @@ def character_value(module: SpechtModuleData, w: Element):
 
 def character_norm(module: SpechtModuleData) -> Fraction:
     """(1/|W|) sum of psi(w) psi(w^-1); equals 1 exactly for an irreducible
-    rational character. Characteristic zero only. A rational character is
-    real, so psi(w^-1) = psi(w) and the sum is one of squares."""
+    rational character. Characteristic zero only.
+
+    A rational character is real, so the sum is one of squares, and since
+    inversion permutes W it is taken over psi(w^-1) = sum_r b_r[m(p_r)]:
+    the canonical rows b_r of S read at their pivots p_r moved by the
+    tabloid permutation m of w. The closure lists each word of W after its
+    parent, one letter shorter, so m is one table step from the parent's
+    permutation, and only the previous length level is kept. The rows are
+    cleared once by the lcm D of their denominators, so the sum is over
+    integers and is divided by |W| D^2 at the end.
+    """
     if module.field.characteristic != 0:
         raise ValueError("character norm requires characteristic zero")
-    words = module.space.group.words
-    return sum((character_value(module, w) ** 2 for w in words), Fraction(0)) / len(words)
+    basis = module.basis
+    if not basis.rank:
+        return Fraction(0)
+    space = module.space
+    den = lcm(*(c.denominator for r in basis.rows for c in r.entries.values()))
+    rows = [{i: int(c * den) for i, c in r.entries.items()} for r in basis.rows]
+    pivots = basis.pivots
+    # a one-index getter would return a scalar
+    at_pivots = itemgetter(*pivots) if len(pivots) > 1 else lambda m: (m[pivots[0]],)
+    steps = space._steps
+    words = space.group.words
+    level, prev, cur = 0, {}, {(): tuple(range(len(space)))}
+    total = 0
+    for word in words:
+        if len(word) > level:
+            level, prev, cur = len(word), cur, {}
+        if word:
+            cur[word] = steps[word[-1] - 1](prev[word[:-1]])
+        m = cur[word]
+        trace = sum(map(dict.get, rows, at_pivots(m), repeat(0)))
+        total += trace * trace
+    return Fraction(total, len(words) * den * den)
 
 
 def format_tabloid(space: TabloidSpace, t: Tabloid) -> str:

@@ -183,7 +183,7 @@ def distinguished_reps(
     seed = tuple(system.index[a] for a in system.simple_roots())
     seed += tuple(system.root_index(r) for r in psi.simples)
     _, perms, found, _ = coset_walk(
-        system, seed, keep=lambda x: all(j < pc for j in x[rank:]), limit=limit
+        system, seed, keep=lambda x: max(x[rank:], default=-1) < pc, limit=limit
     )
     elements = tuple(GroupElement(p, system.label) for p in perms)
     return (elements, tuple(found)) if words else elements

@@ -25,6 +25,7 @@ from weylspecht import (
     apply_to_root,
     build_root_system,
     build_specht_module,
+    character_value,
     closure_from_simples,
     compose,
     enumerate_tabloids,
@@ -620,6 +621,13 @@ def cyclic_span_by_orbit(space, field, v):
     return row_reduce(
         field, [act_vector(space, field, w, v) for w in space.group], dim=len(space)
     )
+
+
+def character_norm_by_words(module):
+    """(1/|W|) sum of psi(w)^2 over W, each trace read after folding the
+    whole word of w; a rational character is real, so psi(w^-1) = psi(w)."""
+    words = module.space.group.words
+    return sum((character_value(module, w) ** 2 for w in words), Fraction(0)) / len(words)
 
 
 # --------------------------------------------------------------------------

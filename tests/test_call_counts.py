@@ -17,6 +17,8 @@ import pytest
 from oracles import benchmark_pair_module, sparse_probe_vector
 from weylspecht import (
     build_specht_module,
+    character_norm,
+    character_value,
     cli,
     is_good_subsystem,
     is_useful_subsystem,
@@ -24,7 +26,14 @@ from weylspecht import (
     vanishing_obstruction,
     verify,
 )
-from weylspecht.exactlin import QQ, PrimeField, RationalField, contains, form_complement
+from weylspecht.exactlin import (
+    QQ,
+    PrimeField,
+    RationalField,
+    contains,
+    echelon_insert,
+    form_complement,
+)
 from weylspecht.specht import (
     TabloidSpace,
     _permuted,
@@ -32,10 +41,15 @@ from weylspecht.specht import (
     apply_kappa,
     cyclic_submodule,
     enumerate_tabloids,
-    polytabloid,
 )
 from weylspecht.subsystem import distinguished_reps, normalizer
-from weylspecht.weyl import GeneratedGroup, compose, generate_group, subgroup_generated
+from weylspecht.weyl import (
+    DEFAULT_GROUP_LIMIT,
+    GeneratedGroup,
+    compose,
+    generate_group,
+    subgroup_generated,
+)
 
 
 def _call_counts(fn, *args):
@@ -186,14 +200,26 @@ def test_probe_trial_asks_one_membership_and_no_complement(case_d4_deg6):
     assert calls(form_complement) == 0
 
 
-def test_specht_report_folds_translates_up_to_the_dimension(case_d4_rank3):
-    # the listing stops at the dim-th independent translate of e_{J,J'}
+def test_specht_report_lists_translates_up_to_the_dimension(case_d4_rank3):
+    # the listing stops at the dim-th independent translate of e_{J,J'};
+    # each translate is tested for independence once, and each but e_{J,J'}
+    # is one table step from its parent's, with no word folded
     c = case_d4_rank3
-    with contextlib.redirect_stdout(io.StringIO()):
-        calls = _call_counts(cli.main, D4_SPECHT)
-    folded = calls(act_vector) - calls(polytabloid)
+    calls = _call_counts(cli._independent_generators, c.module, DEFAULT_GROUP_LIMIT)
+    listed = calls(echelon_insert)
     dreps = distinguished_reps(c.system, c.psi_prime)
-    assert c.module.dimension <= folded < len(dreps)
+    assert c.module.dimension <= listed < len(dreps)
+    assert calls(_permuted) == listed - 1
+    assert calls(TabloidSpace.index_action) == 0
+    assert calls(act_vector) == 0
+
+
+def test_character_norm_folds_no_word(case_d4_rank3, case_d4_deg6):
+    # each element's tabloid permutation is one step from its parent's
+    for c in (case_d4_rank3, case_d4_deg6):
+        calls = _call_counts(character_norm, c.module)
+        assert calls(TabloidSpace.index_action) == 0
+        assert calls(character_value) == 0
 
 
 def test_probe_trial_spins_instead_of_scanning_the_group(case_d4_deg6):

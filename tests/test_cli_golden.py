@@ -57,6 +57,25 @@ def test_cli_output_matches_manifest(argv, key):
     assert hashlib.sha256(buf.getvalue().encode()).hexdigest() == expected["sha256"]
 
 
+# past the default group limit: 378 tabloids and dim S = 252; the pair is not
+# useful, so the checks fail with exit 3
+A8_REPORT = [
+    "specht", "--type", "A8", "--J", "10000000,00100000", "--Jp", "01000000,00010000",
+    "--check", "useful,good", "--char", "1 2", "--limit", "400000",
+]
+A8_REPORT_SHA256 = "6ca1ab40b799ab483218cea1c34d6a5b98ffe61e917d695aecab83f55d815367"
+
+
+@pytest.mark.slow
+def test_a8_report_output_is_unchanged():
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        rc = cli.main(A8_REPORT)
+    out = buf.getvalue()
+    assert (rc, out.count("\n")) == (3, 267)
+    assert hashlib.sha256(out.encode()).hexdigest() == A8_REPORT_SHA256
+
+
 # the digest is the same on Python 3.10 to 3.13
 SHOWCASE_SHA256 = "556b0cc0c474a6e4d33b76fe8583a3de5e6799b864a07dc52574b8e1281f0f72"
 

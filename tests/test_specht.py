@@ -7,6 +7,8 @@ import pytest
 
 from oracles import (
     bareiss_rank,
+    benchmark_pair_module,
+    character_norm_by_words,
     cyclic_span_by_field_ops,
     cyclic_span_by_orbit,
     distinguished_reps_by_scan,
@@ -15,6 +17,7 @@ from oracles import (
     quotient_dimension_by_complements,
 )
 from weylspecht import (
+    SpechtModuleData,
     act_tabloid,
     act_vector,
     apply_kappa,
@@ -33,7 +36,14 @@ from weylspecht import (
     polytabloid,
     quotient_dimension,
 )
-from weylspecht.exactlin import QQ, PrimeField, SparseVector, row_reduce
+from weylspecht.exactlin import (
+    QQ,
+    PrimeField,
+    SparseVector,
+    SubspaceBasis,
+    from_dense,
+    row_reduce,
+)
 from weylspecht.rootsys import parse_root
 from weylspecht.verify import DEFAULT_PROBE_SEED, probe_vector
 from weylspecht.weyl import (
@@ -656,6 +666,36 @@ def test_character_norm_values(case_d4_rank3, case_d4_deg6, case_g2):
     assert character_norm(case_d4_rank3.module) == 1
     assert character_norm(case_d4_deg6.module) == 1
     assert character_norm(case_g2.module) == 0
+
+
+@pytest.mark.parametrize(
+    "name",
+    [
+        pytest.param(n, marks=pytest.mark.slow) if int(CORPUS[n][0][1:]) > 4 else n
+        for n in ("A3", "G2", "D4-3", "D4-6", "F4", "A5", "A6")
+    ],
+)
+def test_character_norm_matches_the_word_fold(name):
+    module = benchmark_pair_module(name, QQ)
+    assert character_norm(module) == character_norm_by_words(module)
+
+
+def test_character_norm_matches_the_word_fold_on_any_basis(case_d4_rank3):
+    # the walk reads psi(w^-1) where the fold reads psi(w), so the sums agree
+    # for any rows, invariant or not: fractional rows, one row, no rows
+    module = case_d4_rank3.module
+    dim = len(module.space)
+    rows = [[2, 1, 0, 3] + [0] * (dim - 4), [0, 3, 1, 0] + [0] * (dim - 4)]
+    bases = [
+        row_reduce(QQ, [from_dense(QQ, r) for r in rows]),
+        row_reduce(QQ, [from_dense(QQ, rows[0])]),
+        SubspaceBasis(QQ, dim, (), ()),
+    ]
+    assert [b.rank for b in bases] == [2, 1, 0]
+    assert max(c.denominator for c in bases[0].rows[0].entries.values()) > 1
+    for basis in bases:
+        synthetic = SpechtModuleData(module.space, QQ, module.e_vec, basis)
+        assert character_norm(synthetic) == character_norm_by_words(synthetic)
 
 
 def test_character_norm_rejects_positive_characteristic(d4, w_d4):
