@@ -27,7 +27,7 @@ from weylspecht import (
 )
 from weylspecht.exactlin import QQ
 from weylspecht.specht import format_module_vector, format_tabloid
-from weylspecht.weyl import identity
+from weylspecht.weyl import identity, word_order
 
 CASES = [
     ("A3", ("100", "001"), ("110",), ()),
@@ -70,7 +70,7 @@ def run_case(label, j_texts, jp_texts, char_word):
 
     witness = vanishing_obstruction(system, psi, pp)
     if witness is not None:
-        print(f"vanishing witness: {word_text(group.word_of(witness))}")
+        print(f"vanishing witness: {word_text(word_order(system)(witness)[1])}")
 
     if module.dimension and char_word:
         w = word_to_element(system, char_word)

@@ -4,11 +4,12 @@ Pipeline: build a root system, cut out subsystems, enumerate tabloids as
 the orbit of psi, span the module with polytabloids, and decide the
 structural predicates, all over Q or a prime field. An element of W acts on
 tabloids by folding a word for it over the simple reflections' tables: a
-word the caller holds, or one read off the element's descents. The tabloids
-and the distinguished representatives come from one walk over cosets, in
-W's order. W itself is generated as root permutations only for what
-enumerates it: the character norm, N(psi), the full-span check and the
-oracles.
+word the caller holds, or one read off the element's descents. One walk,
+a breadth-first orbit of root indices under root permutations, lists W,
+the column group W(psi'), the tabloids and the distinguished
+representatives, each in the order of its shortest words. W itself is
+generated only for what enumerates it: the character norm, N(psi), the
+full-span check and the oracles.
 """
 
 from .exactlin import QQ, PrimeField, field_by_name

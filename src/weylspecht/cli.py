@@ -49,7 +49,7 @@ def _simples(system, text: str):
     return roots
 
 
-def _closure(system, roots):
+def _subsystem(system, roots):
     try:
         return closure_from_simples(system, roots)
     except ValueError as exc:
@@ -133,7 +133,7 @@ def cmd_roots(args) -> int:
 def cmd_tabloids(args) -> int:
     system = _system(args.type)
     order = _order(system, args.limit)
-    psi = _closure(system, _simples(system, args.J))
+    psi = _subsystem(system, _simples(system, args.J))
     space = specht.enumerate_tabloids(system, psi)
     if args.json:
         psi_doc = subsystem_to_json(system, psi)
@@ -191,8 +191,8 @@ def _independent_generators(module, limit: int):
 def cmd_specht(args) -> int:
     system = _system(args.type)
     order = _order(system, args.limit)
-    psi = _closure(system, _simples(system, args.J))
-    psi_prime = _closure(system, _simples(system, args.Jp))
+    psi = _subsystem(system, _simples(system, args.J))
+    psi_prime = _subsystem(system, _simples(system, args.Jp))
     if psi.roots & psi_prime.roots:
         raise CommandError("J' must generate a subsystem disjoint from psi")
     try:

@@ -28,7 +28,6 @@ from fractions import Fraction
 from functools import cached_property
 from itertools import repeat
 from math import lcm
-from operator import itemgetter
 
 from .exactlin import (
     QQ,
@@ -57,6 +56,7 @@ from .weyl import (
     apply_to_root,
     coset_walk,
     descent_word,
+    gather,
     generate_group,
     identity,
     reflection_in,
@@ -119,7 +119,7 @@ class TabloidSpace:
         # entry k of table i is the index of tau_i applied to tabloid k
         self._tables = tables
         # step i sends a permutation p to p o (table of tau_i)
-        self._steps = tuple(map(_step, tables))
+        self._steps = tuple(map(gather, tables))
 
     def __len__(self) -> int:
         return len(self.tabloids)
@@ -175,7 +175,7 @@ class TabloidSpace:
         # the tables of the J' reflections, each its descent word folded once
         psi_prime = self.psi_prime
         roots = sorted(set(psi_prime.simples)) if psi_prime is not None else ()
-        return tuple(_step(self.index_action(reflection_in(self.system, r))) for r in roots)
+        return tuple(gather(self.index_action(reflection_in(self.system, r))) for r in roots)
 
     def index_action(self, w: Element) -> tuple[int, ...]:
         """The permutation of tabloid indices induced by w, an element or a
@@ -185,16 +185,14 @@ class TabloidSpace:
             if w.system_label != self.system.label:
                 raise ValueError("element belongs to a different root system")
             w = self._spell(w.perm)
+        rank = self.system.rank
         perm = tuple(range(len(self)))
         # w = tau_a tau_b ... acts as table_a o table_b o ...
         for i in w:
+            if not 1 <= i <= rank:
+                raise IndexError(f"generator index {i} out of range 1..{rank}")
             perm = self._steps[i - 1](perm)
         return perm
-
-
-def _step(table: tuple[int, ...]):
-    """p -> p o table; a one-index getter would return a scalar."""
-    return itemgetter(*table) if len(table) > 1 else tuple
 
 
 def enumerate_tabloids(
@@ -215,7 +213,7 @@ def enumerate_tabloids(
     # the orbit of psi's root indices, each point with the shortest element
     # reaching it and its lex-least word, in W's order
     seed = frozenset(system.root_index(r) for r in psi.roots)
-    points, perms, words, tables = coset_walk(system, seed)
+    points, perms, words, tables = coset_walk(system, system.simple_reflection_perms, seed)
     tabloids = []
     roots = system.roots
     for point, perm, word in zip(points, perms, words):
@@ -322,7 +320,7 @@ class SpechtModuleData:
     e_vec: SparseVector
     basis: SubspaceBasis
 
-    @cached_property
+    @property
     def generators(self) -> tuple[GroupElement, ...]:
         """D_psi', the distinguished representatives d of the column system,
         in group order, identity first; the translates d e_{J,J'} span S."""
@@ -461,9 +459,7 @@ def character_norm(module: SpechtModuleData) -> Fraction:
     space = module.space
     den = lcm(*(c.denominator for r in basis.rows for c in r.entries.values()))
     rows = [{i: int(c * den) for i, c in r.entries.items()} for r in basis.rows]
-    pivots = basis.pivots
-    # a one-index getter would return a scalar
-    at_pivots = itemgetter(*pivots) if len(pivots) > 1 else lambda m: (m[pivots[0]],)
+    at_pivots = gather(basis.pivots)
     steps = space._steps
     words = space.group.words
     level, prev, cur = 0, {}, {(): tuple(range(len(space)))}

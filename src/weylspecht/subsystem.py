@@ -182,8 +182,9 @@ def distinguished_reps(
     rank, pc = system.rank, system.positive_count
     seed = tuple(system.index[a] for a in system.simple_roots())
     seed += tuple(system.root_index(r) for r in psi.simples)
+    gens = system.simple_reflection_perms
     _, perms, found, _ = coset_walk(
-        system, seed, keep=lambda x: max(x[rank:], default=-1) < pc, limit=limit
+        system, gens, seed, keep=lambda x: max(x[rank:], default=-1) < pc, limit=limit
     )
     elements = tuple(GroupElement(p, system.label) for p in perms)
     return (elements, tuple(found)) if words else elements

@@ -2,29 +2,31 @@
 
 An element stores the image index of every root. Composition is "right
 factor acts first", matching words read left to right: tau_1 tau_2 applied
-to a root applies tau_2 first. The BFS generator records one reduced word
-per element, so downstream enumerations are reproducible.
+to a root applies tau_2 first.
 
-Elements are composed by `operator.itemgetter` on index tuples: right
-multiplication by a fixed g is `itemgetter(*g.perm)`, which builds the perm
-of w g in C. The closures and the scans over W run on raw perms, tell
-elements apart by the images of the simple roots alone (see
-`product_keys`), and build a `GroupElement` only for an element they keep.
-`coset_walk` lists a family of cosets in the same order without W.
+Every enumeration is one `coset_walk`: a breadth-first orbit of a tuple or
+set of root indices under root permutations acting on the left. The orbit
+of the simple roots under the simple reflections is W, since an element is
+linear and so named by its images of the simple roots; under the
+reflections in a root list it is their subgroup; the orbit of psi's root
+set is the tabloids; and the walk that keeps J positive is D_psi. Each
+element is reached by a shortest word, so the recorded words are reduced
+and reproducible. Points and elements are moved by `operator.itemgetter`:
+s o p is `itemgetter(*p)(s)`, built in C.
 """
 
 from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from operator import itemgetter
 
 from .rootsys import Root, RootSystem, reflection
 
 
 class GroupLimitError(RuntimeError):
-    """A closure would exceed its element budget."""
+    """A walk would exceed its element budget."""
 
 
 DEFAULT_GROUP_LIMIT = 100_000
@@ -97,7 +99,6 @@ class GeneratedGroup:
     system_label: str
     elements: tuple[GroupElement, ...]
     words: tuple[tuple[int, ...], ...]
-    _pos: dict = field(compare=False, repr=False)
 
     def __len__(self) -> int:
         return len(self.elements)
@@ -112,102 +113,75 @@ class GeneratedGroup:
     def identity(self) -> GroupElement:
         return self.elements[0]
 
-    def word_of(self, w: GroupElement) -> tuple[int, ...]:
-        return self.words[self._pos[w.perm]]
+
+def gather(indices):
+    """The map s -> tuple(s[i] for i in indices): `itemgetter(*indices)`,
+    save that a one-index getter would return a scalar and an empty one
+    raises."""
+    if len(indices) > 1:
+        return itemgetter(*indices)
+    return lambda s: tuple(s[i] for i in indices)
 
 
-def product_keys(system: RootSystem, gs) -> list:
-    """For each g, the map w.perm -> key of w g, where the key of an element
-    is the tuple of images of the simple roots.
-
-    An element is a linear map, so its key determines it; the closures
-    compare these `rank` entries in place of whole permutations.
-    """
-    simple_idx = [system.index[a] for a in system.simple_roots()]
-    return [itemgetter(*(g.perm[j] for j in simple_idx)) for g in gs]
-
-
-def _closure(system: RootSystem, gens, limit: int, what: str):
-    """Breadth-first closure of e under right multiplication by `gens`:
-    the index tuples in discovery order, and for each the word of 1-based
-    generator positions that first reached it."""
-    e = identity(system)
-    key_of_e, *keys = product_keys(system, [e, *gens])
-    steps = [(itemgetter(*g.perm), key) for g, key in zip(gens, keys)]
-    perms = [e.perm]
-    words: list[tuple[int, ...]] = [()]
-    seen = {key_of_e(e.perm)}
-    head = 0
-    while head < len(perms):
-        p = perms[head]
-        word = words[head]
-        head += 1
-        for i, (step, key) in enumerate(steps, start=1):
-            k = key(p)
-            if k not in seen:
-                if len(perms) >= limit:
-                    raise GroupLimitError(f"{what} exceeds the limit of {limit} elements")
-                seen.add(k)
-                perms.append(step(p))
-                words.append(word + (i,))
-    return perms, words
+def _simple_indices(system: RootSystem) -> tuple[int, ...]:
+    # the images of the simple roots name an element, as it is linear
+    return tuple(system.index[a] for a in system.simple_roots())
 
 
 def generate_group(system: RootSystem, limit: int = DEFAULT_GROUP_LIMIT) -> GeneratedGroup:
-    """Breadth-first closure of the simple reflections.
+    """All of W: the walk of the simple roots under the simple reflections.
 
     BFS reaches every element by a shortest word, so the recorded word of w
     is reduced and its length equals length(w).
     """
-    gens = [simple_reflection(system, i) for i in range(1, system.rank + 1)]
-    perms, words = _closure(system, gens, limit, f"group of {system.label}")
+    if group_order(system) > limit:
+        raise GroupLimitError(f"group of {system.label} exceeds the limit of {limit} elements")
+    gens = system.simple_reflection_perms
+    _, perms, words, _ = coset_walk(system, gens, _simple_indices(system))
     label = system.label
-    return GeneratedGroup(
-        system_label=label,
-        elements=tuple(GroupElement(p, label) for p in perms),
-        words=tuple(words),
-        _pos={p: i for i, p in enumerate(perms)},
-    )
+    return GeneratedGroup(label, tuple(GroupElement(p, label) for p in perms), tuple(words))
 
 
 def subgroup_generated(
     system: RootSystem, gens, limit: int = DEFAULT_GROUP_LIMIT, words: bool = False
 ):
-    """Closure of the reflections in the given roots, in deterministic order.
+    """The subgroup generated by the reflections in the given roots: the
+    walk of the simple roots under them, in deterministic order.
 
     With `words`, also the word of each element in those reflections: the
     letter i is the reflection in the i-th of the sorted distinct roots.
     """
-    refl = [reflection_in(system, g) for g in sorted(set(gens))]
-    perms, found = _closure(system, refl, limit, "subgroup closure")
+    refl = [reflection_in(system, g).perm for g in sorted(set(gens))]
+    _, perms, found, _ = coset_walk(system, refl, _simple_indices(system), limit=limit)
     label = system.label
     elements = tuple(GroupElement(p, label) for p in perms)
     return (elements, tuple(found)) if words else elements
 
 
-def coset_walk(system: RootSystem, seed, keep=None, limit=math.inf):
-    """Walk `seed`, a tuple or frozenset of root indices, under the simple
-    reflections acting on the left, one length at a time; with `keep`, only
+def coset_walk(system: RootSystem, gens, seed, keep=None, limit=math.inf):
+    """Walk `seed`, a tuple or frozenset of root indices, under `gens`, root
+    permutations acting on the left, one length at a time; with `keep`, only
     the images it accepts.
 
     Within a level the points are ordered by (letter, parent's position).
     A point is first reached from its smallest left descent, so its word is
-    the lex-least reduced word of its element, and the points come in W's
-    order: by length, then by that word. Returns the points, the perms and
-    words of their elements, and for each simple reflection its table:
-    entry k is the index of the image of point k, None if not kept.
+    the lex-least reduced word of its element in `gens`, and the points come
+    in the order of the generated group: by length, then by that word.
+    Returns the points, the perms and words of their elements, and for each
+    generator its table: entry k is the index of the image of point k, None
+    if not kept.
     """
     make = type(seed)
     points, perms, words = [seed], [identity(system).perm], [()]
     position = {seed: 0}
-    tables = tuple([] for _ in range(system.rank))
+    tables = tuple([] for _ in gens)
     start = 0
     while start < len(points):
         end = len(points)
-        for i, s in enumerate(system.simple_reflection_perms, start=1):
-            image, table = s.__getitem__, tables[i - 1]
-            for k in range(start, end):
-                x = make(map(image, points[k]))
+        images = [gather(x) for x in points[start:end]]
+        for i, (s, table) in enumerate(zip(gens, tables), start=1):
+            for k, image in enumerate(images, start):
+                x = make(image(s))
                 if keep is not None and not keep(x):
                     table.append(None)
                     continue
@@ -217,7 +191,7 @@ def coset_walk(system: RootSystem, seed, keep=None, limit=math.inf):
                         raise GroupLimitError(f"coset walk exceeds the limit of {limit} points")
                     j = position[x] = len(points)
                     points.append(x)
-                    perms.append(tuple(map(image, perms[k])))
+                    perms.append(itemgetter(*perms[k])(s))
                     words.append((i,) + words[k])
                 table.append(j)
         start = end

@@ -60,7 +60,6 @@ from weylspecht.subsystem import (
     _connected_components,
     cartan_matrix,
 )
-from weylspecht.weyl import product_keys
 
 # --------------------------------------------------------------------------
 # epsilon-coordinate models
@@ -130,6 +129,12 @@ def bfs_by_compose(system, gens):
                 elements.append(nxt)
                 words.append(word + (i,))
     return tuple(elements), tuple(words)
+
+
+def words_by_perm(group):
+    """The recorded word of each element of a generated group, keyed by
+    its permutation."""
+    return {w.perm: word for w, word in zip(group.elements, group.words)}
 
 
 # --------------------------------------------------------------------------
@@ -307,17 +312,15 @@ def distinguished_reps_by_scan(system, psi, group):
 
 def normalizer_reps_by_products(system, group, n_psi):
     """E_psi: scanning W in BFS order, keep each element whose coset is not
-    yet marked, and mark its coset w N(psi) by the product key of w n for
+    yet marked, and mark its coset w N(psi) by the permutation of w n for
     every n in N(psi). The marks fill a set with one entry per element."""
-    key, *steps = product_keys(system, [group.identity, *n_psi])
     seen: set = set()
     reps = []
     for w in group:
-        p = w.perm
-        if key(p) in seen:
+        if w.perm in seen:
             continue
         reps.append(w)
-        seen.update(step(p) for step in steps)
+        seen.update(compose(w, n).perm for n in n_psi)
     return tuple(reps)
 
 

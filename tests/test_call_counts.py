@@ -171,7 +171,6 @@ def test_tabloid_orbit_never_scans_the_group(case_d4_rank3):
         calls = _call_counts(enumerate_tabloids, c.system, c.psi, group, c.psi_prime)
         assert calls(generate_group) == 0
         assert calls(GeneratedGroup.__iter__) == 0
-        assert calls(GeneratedGroup.word_of) == 0
 
 
 def test_standalone_usefulness_never_scans_the_group(case_d4_rank3):

@@ -243,6 +243,20 @@ def test_action_rejects_element_of_another_system():
             c3_space.index_action(w)
 
 
+@pytest.mark.parametrize("letter", [0, -1, 5])
+def test_action_rejects_letters_out_of_range(case_d4_deg6, letter):
+    # a letter outside 1..rank names no simple reflection of D4
+    module = case_d4_deg6.module
+    space = module.space
+    message = f"generator index {letter} out of range 1..4"
+    with pytest.raises(IndexError, match=message):
+        character_value(module, (letter,))
+    with pytest.raises(IndexError, match=message):
+        act_vector(space, QQ, (1, letter), module.e_vec)
+    with pytest.raises(IndexError, match=message):
+        polytabloid(space, QQ, (letter,))
+
+
 # --------------------------------------------------------------------------
 # kappa and polytabloids
 

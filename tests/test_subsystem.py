@@ -19,6 +19,7 @@ from oracles import (
     orthogonal_complement_by_search,
     restricted_reflections_by_fixed_space,
     semidirect_violations,
+    words_by_perm,
 )
 from weylspecht.rootsys import build_root_system, parse_root
 from weylspecht.subsystem import (
@@ -343,6 +344,11 @@ def test_distinguished_reps_trivial_cases(a3, w_a3):
     assert distinguished_reps(a3, empty, words=True) == (w_a3.elements, w_a3.words)
     psi = closure_from_simples(a3, roots_of(a3, "100"))
     assert identity(a3) in distinguished_reps(a3, psi)
+    # rank 1: each point of the walk is one simple root, and J is empty
+    a1 = build_root_system("A1")
+    w_a1 = generate_group(a1)
+    empty = closure_from_simples(a1, [])
+    assert distinguished_reps(a1, empty, words=True) == (w_a1.elements, w_a1.words)
 
 
 def test_distinguished_reps_limit(a3):
@@ -356,7 +362,8 @@ def _assert_walk_matches_scan(system, group, psi):
     elements, words = distinguished_reps(system, psi, words=True)
     expected = distinguished_reps_by_scan(system, psi, group)
     assert elements == expected
-    assert words == tuple(group.word_of(d) for d in expected)
+    word_of = words_by_perm(group)
+    assert words == tuple(word_of[d.perm] for d in expected)
 
 
 @pytest.mark.parametrize("label", ["A3", "G2", "B3", "C3", "D4"])
@@ -426,7 +433,8 @@ def _assert_orbit_matches_oracle(system, group, psi):
     n_psi = normalizer_by_definition(system, psi, group)[0]
     reps = normalizer_reps_by_products(system, group, n_psi)
     assert [t.rep for t in space] == list(reps)
-    assert [t.rep_word for t in space] == [group.word_of(d) for d in reps]
+    word_of = words_by_perm(group)
+    assert [t.rep_word for t in space] == [word_of[d.perm] for d in reps]
     assert [t.key for t in space] == [
         frozenset(apply_to_root(system, d, r) for r in psi.roots) for d in reps
     ]

@@ -211,7 +211,6 @@ def test_generation_matches_compose_bfs(label):
     elements, words = bfs_by_compose(system, gens)
     assert group.elements == elements
     assert group.words == words
-    assert group._pos == {w.perm: i for i, w in enumerate(elements)}
 
 
 @pytest.mark.parametrize("label", ["A3", "B3", "C3", "G2", "D4", "F4", "A5"])
@@ -221,8 +220,8 @@ def test_word_order_is_the_bfs_order(label):
     system = build_root_system(label)
     group = generate_group(system)
     key = word_order(system)
-    for w in group:
-        assert key(w) == (length(system, w), group.word_of(w))
+    for w, word in zip(group, group.words):
+        assert key(w) == (length(system, w), word)
     shuffled = list(group)
     random.Random(label).shuffle(shuffled)
     assert sorted(shuffled, key=key) == list(group)
@@ -239,6 +238,9 @@ def _corpus_root_sets():
             yield pytest.param(ambient, psi.simples, id=f"{name}-{tag}")
             perp = orthogonal_complement(system, psi).simples
             yield pytest.param(ambient, perp, id=f"{name}-{tag}-perp")
+    # one root: the walk's points have a single entry
+    for label in ("A1", "B1", "C1"):
+        yield pytest.param(label, build_root_system(label).simple_roots(), id=label)
 
 
 @pytest.mark.parametrize("ambient,roots", list(_corpus_root_sets()))
