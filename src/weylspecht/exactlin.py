@@ -270,33 +270,41 @@ def _integral(entries: dict) -> dict:
     return {i: c.numerator * (den // c.denominator) for i, c in entries.items()}
 
 
+def _remainder(p: int, by_pivot: dict, v: SparseVector) -> dict:
+    # v reduced against the working rows; over Q first cleared of denominators
+    return _reduce(p, dict(v.entries) if p else _integral(v.entries), by_pivot)
+
+
 def echelon_insert(field, by_pivot: dict, v: SparseVector) -> bool:
     """Reduce v against the echelon rows in `by_pivot` (pivot -> entries)
     and add the remainder as a new row; False if v lies in their span.
 
     The rows are the kernel's working form, not the canonical basis: monic
     over F_p, primitive integer vectors with a positive pivot over Q. Build
-    them only through this function and read the span through
-    `echelon_basis`.
+    them only through this function, test membership with `in_echelon_span`
+    and read the span through `echelon_basis`.
     """
     p = field.characteristic
-    if p:
-        e = _reduce(p, dict(v.entries), by_pivot)
-        if not e:
-            return False
-        m = min(e)
-        inv = pow(e[m], -1, p)
-        by_pivot[m] = {i: c * inv % p for i, c in e.items()}
-        return True
-    e = _reduce(0, _integral(v.entries), by_pivot)
+    e = _remainder(p, by_pivot, v)
     if not e:
         return False
     m = min(e)
+    if p:
+        inv = pow(e[m], -1, p)
+        by_pivot[m] = {i: c * inv % p for i, c in e.items()}
+        return True
     g = gcd(*e.values())
     if e[m] < 0:
         g = -g
     by_pivot[m] = e if g == 1 else {i: c // g for i, c in e.items()}
     return True
+
+
+def in_echelon_span(field, by_pivot: dict, v: SparseVector) -> bool:
+    """Whether v lies in the span of the echelon rows built by
+    `echelon_insert`, by the reduction that `echelon_insert` makes; the
+    rows are left as they are."""
+    return not _remainder(field.characteristic, by_pivot, v)
 
 
 @dataclass
@@ -368,9 +376,8 @@ def contains(basis: SubspaceBasis, v: SparseVector) -> bool:
     by_pivot = {q: r.entries for q, r in zip(basis.pivots, basis.rows)}
     if p:
         return not _reduce(p, dict(v.entries), by_pivot)
-    # Over Q the monic Fraction rows are used as they are: the probe asks
-    # few questions per basis, fewer than clearing the rows would repay.
-    # The rows are reduced, so clearing one pivot column leaves the others.
+    # Over Q the monic Fraction rows are used as they are. The rows are
+    # reduced, so clearing one pivot column leaves the others.
     e = dict(v.entries)
     get = e.get
     for m in [m for m in e if m in by_pivot]:

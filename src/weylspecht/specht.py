@@ -11,12 +11,12 @@ permutation tables of the action on tabloid indices. The module M^psi is
 the free module on the tabloids; an element acts by folding the tables
 along a word for it, one the caller holds or else its descent word read
 off its permutation, and a cyclic submodule is spun by applying them one
-at a time. The kappa operator is the signed sum over the reflection group
-of the column system, and the polytabloid e_{wJ,wJ'} is the translate
-w e_{J,J'} of kappa applied to the base tabloid. The module S is the
-submodule spun from e_{J,J'}; it is spanned by the translates d e_{J,J'}
-for d in D_psi', which the same walk lists. None of this generates W;
-`group` does, when first read.
+at a time (`spin`). The kappa operator is the signed sum over the
+reflection group of the column system, and the polytabloid e_{wJ,wJ'} is
+the translate w e_{J,J'} of kappa applied to the base tabloid. The module
+S is the submodule spun from e_{J,J'}; it is spanned by the translates
+d e_{J,J'} for d in D_psi', which the same walk lists. None of this
+generates W; `group` does, when first read.
 """
 
 from __future__ import annotations
@@ -259,27 +259,38 @@ def act_vector(space: TabloidSpace, field, w: Element, v: SparseVector) -> Spars
     return _permuted(space.index_action(w), v)
 
 
-def cyclic_submodule(space: TabloidSpace, field, v: SparseVector) -> SubspaceBasis:
-    """Canonical basis of the W-submodule generated by v, found by spinning.
+def spin(space: TabloidSpace, field, v: SparseVector, by_pivot: dict):
+    """Spin v under the simple reflections into the echelon rows `by_pivot`,
+    yielding each vector as it enters them.
 
     Each vector that enlarges the echelon span is pushed through every
     simple reflection, and the images that enlarge it further are queued in
     turn. A span closed under the simple reflections is closed under W,
-    since they generate W and are involutions; so this takes at most
-    rank * dim images, where the orbit takes |W|.
+    since they generate W and are involutions; so a full spin takes at most
+    rank * dim images, where the orbit takes |W|. The caller may stop early.
     """
     dim = len(space)
     if v.dim != dim:
         raise ValueError("vector does not belong to this tabloid space")
-    by_pivot: dict = {}
-    queue = deque([v] if echelon_insert(field, by_pivot, v) else ())
+    queue = deque()
+    if echelon_insert(field, by_pivot, v):
+        queue.append(v)
+        yield v
     while queue and len(by_pivot) < dim:
         u = queue.popleft()
         for table in space._tables:
             img = _permuted(table, u)
             if echelon_insert(field, by_pivot, img):
                 queue.append(img)
-    return echelon_basis(field, dim, by_pivot)
+                yield img
+
+
+def cyclic_submodule(space: TabloidSpace, field, v: SparseVector) -> SubspaceBasis:
+    """Canonical basis of the W-submodule generated by v: the full `spin`."""
+    by_pivot: dict = {}
+    for _ in spin(space, field, v, by_pivot):
+        pass
+    return echelon_basis(field, len(space), by_pivot)
 
 
 def apply_kappa(space: TabloidSpace, field, v: SparseVector) -> SparseVector:

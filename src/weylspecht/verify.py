@@ -4,7 +4,12 @@ Usefulness is read from the small group W(psi') and from the roots (see
 `subsystem.stabilizer` and `subsystem.complements_meet_trivially`), goodness
 from the support of the base polytabloid. The submodule probe spins seeded
 random vectors under the simple reflections and decides the containment
-dichotomy from e_{J,J'} alone: e lies in U, or U is orthogonal to e.
+dichotomy from e_{J,J'} alone: e lies in U, or U is orthogonal to e. The
+column operator kappa lies in F[W], so kappa U lies in the W-stable U; the
+spin stops as soon as the kappa images of the vectors spanning U put e in
+U, which proves S inside U. A spin that ends without that exit decides the
+dichotomy from U's echelon rows: e in their span, or every row orthogonal
+to e.
 """
 
 from __future__ import annotations
@@ -12,13 +17,14 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-from .exactlin import SparseVector, contains, vector
+from .exactlin import SparseVector, echelon_insert, in_echelon_span, vector
 from .rootsys import RootSystem
 from .specht import (
     SpechtModuleData,
     TabloidSpace,
-    cyclic_submodule,
+    apply_kappa,
     enumerate_tabloids,
+    spin,
 )
 from .subsystem import Subsystem, complements_meet_trivially, stabilizer
 from .weyl import GroupElement, sign, subgroup_generated, word_order
@@ -148,6 +154,22 @@ def probe_vector(field, dim: int, seed: int, trial: int) -> SparseVector:
     return vector(field, dim, ((i, field.from_int(rng.randint(-3, 3))) for i in range(dim)))
 
 
+def _breaks_dichotomy(module: SpechtModuleData, v: SparseVector) -> bool:
+    # whether U, spun from v, neither holds e_{J,J'} nor is orthogonal to it
+    space, field, e_vec = module.space, module.field, module.e_vec
+    rows: dict = {}
+    images: dict = {}
+    for u in spin(space, field, v, rows):
+        kappa_u = apply_kappa(space, field, u)
+        if echelon_insert(field, images, kappa_u) and in_echelon_span(field, images, e_vec):
+            return False
+    if in_echelon_span(field, rows, e_vec):
+        return False
+    p, e = field.characteristic, e_vec.entries
+    pairings = (sum(c * e[i] for i, c in r.items() if i in e) for r in rows.values())
+    return any(x % p if p else x for x in pairings)
+
+
 def submodule_theorem_probe(
     module: SpechtModuleData, trials: int = 50, seed: int = DEFAULT_PROBE_SEED
 ) -> ProbeReport:
@@ -163,26 +185,30 @@ def submodule_theorem_probe(
     some on the F4 and A5 reference pairs.
 
     U is spun from its seeded vector under the simple reflections by
-    `cyclic_submodule`, which needs at most rank * dim images of it rather
-    than one per group element. U is W-stable and the delta form is
-    W-invariant, so S lies in U exactly when e_{J,J'} does, and U lies in
-    the complement of S exactly when every row of U pairs to zero with e."""
+    `specht.spin`, which needs at most rank * dim images of it rather than
+    one per group element. U is W-stable and the delta form is W-invariant,
+    so S lies in U exactly when e_{J,J'} does, and U lies in the complement
+    of S exactly when every vector spanning U pairs to zero with e.
+
+    The spin stops as soon as e is known to lie in U. Kappa is an element
+    of F[W], so kappa U lies in U: each vector entering U's echelon also
+    sends its kappa image into a second echelon, and once e lies in the span
+    of those images, S lies in U and the trial passes. The images lie in
+    kappa M, which is small (dimension 1 on a certified pair), so this
+    exit comes after a few images. A spin that ends without it decides as
+    above from U's working echelon rows; the canonical basis of U is never
+    built. On a zero module, where e = 0, every trial passes unspun."""
     if trials < 1:
         raise ValueError(f"probe needs at least one trial, got {trials}")
-    space, field = module.space, module.field
-    p = field.characteristic
-    e = module.e_vec.entries
-    violations = []
-    for t in range(trials):
-        cyclic = cyclic_submodule(space, field, probe_vector(field, len(space), seed, t))
-        if contains(cyclic, module.e_vec):
-            continue
-        pairings = (sum(c * e[i] for i, c in r.entries.items() if i in e) for r in cyclic.rows)
-        if any(x % p if p else x for x in pairings):
-            violations.append(t)
+    field = module.field
+    dim = len(module.space)
+    # S = 0 lies in every U, so a zero module spins nothing
+    violations = () if module.e_vec.is_zero() else tuple(
+        t for t in range(trials) if _breaks_dichotomy(module, probe_vector(field, dim, seed, t))
+    )
     return ProbeReport(
         trials=trials,
         seed=seed,
-        characteristic=p,
-        violations=tuple(violations),
+        characteristic=field.characteristic,
+        violations=violations,
     )

@@ -29,7 +29,6 @@ from weylspecht import (
     closure_from_simples,
     compose,
     enumerate_tabloids,
-    generate_group,
     identity,
     is_good_subsystem,
     is_useful_subsystem,
@@ -575,7 +574,8 @@ def load_workloads():
 
 
 def benchmark_pair_module(name, field):
-    """The module of the named benchmark pair over `field`, W generated."""
+    """The module of the named benchmark pair over `field`; its space
+    generates W when `group` is first read."""
     ambient, j_text, jp_text = load_workloads().PAIRS[name]
     system = build_root_system(ambient)
     psi, pp = (
@@ -584,7 +584,7 @@ def benchmark_pair_module(name, field):
     )
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        return build_specht_module(system, psi, pp, field, group=generate_group(system))
+        return build_specht_module(system, psi, pp, field)
 
 
 def candidate_subsystems(system, max_size=2):

@@ -30,9 +30,13 @@ from weylspecht.exactlin import (
     QQ,
     PrimeField,
     RationalField,
+    SparseVector,
     contains,
+    echelon_basis,
     echelon_insert,
     form_complement,
+    in_echelon_span,
+    row_reduce,
 )
 from weylspecht.specht import (
     TabloidSpace,
@@ -193,10 +197,38 @@ def test_standalone_obstruction_never_scans_the_group(case_g2, case_d4_rank3):
 
 
 def test_probe_trial_asks_one_membership_and_no_complement(case_d4_deg6):
-    # S lies in U exactly when e_{J,J'} does, and S-perp is never built
+    # S lies in U exactly when e_{J,J'} does, and S-perp is never built; the
+    # membership is asked of the kappa images' working rows, and U's
+    # canonical basis is never built
     calls = _call_counts(submodule_theorem_probe, case_d4_deg6.module, 1)
-    assert calls(contains) == 1
+    assert calls(in_echelon_span) == 1
+    assert calls(contains) == 0
     assert calls(form_complement) == 0
+    assert calls(echelon_basis) == 0
+
+
+def test_probe_trial_stops_once_kappa_images_hold_e():
+    # A5 over F_(2^31-1), seed 1729, trial 0: kappa M has dimension 8 of 60;
+    # each of the first 8 vectors entering U adds a kappa row, the 8th puts
+    # e_{J,J'} in their span, and the spin stops after 8 of U's 60 rows
+    module = benchmark_pair_module("A5", PrimeField(2**31 - 1))
+    space, field = module.space, module.field
+    units = (SparseVector(len(space), {i: field.one}) for i in range(len(space)))
+    kappa_m = row_reduce(field, (apply_kappa(space, field, u) for u in units), dim=len(space))
+    assert (kappa_m.rank, len(space)) == (8, 60)
+    calls = _call_counts(submodule_theorem_probe, module, 1)
+    assert calls(apply_kappa) == kappa_m.rank
+    assert calls(in_echelon_span) == kappa_m.rank
+    assert calls(_permuted) == 8
+    # 9 into U (the probe vector and 8 images, 7 of them new), 8 kappa rows
+    assert calls(echelon_insert) == 9 + 8
+    assert calls(echelon_basis) == 0
+
+
+def test_probe_trial_on_a_certified_pair_applies_kappa_at_most_twice(case_d4_deg6):
+    # kappa M is spanned by e_{J,J'}, so the first nonzero kappa image holds it
+    calls = _call_counts(submodule_theorem_probe, case_d4_deg6.module, 1)
+    assert 0 < calls(apply_kappa) <= 2
 
 
 def test_specht_report_lists_translates_up_to_the_dimension(case_d4_rank3):

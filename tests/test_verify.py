@@ -33,8 +33,8 @@ from weylspecht import (
 )
 from weylspecht.exactlin import QQ, PrimeField, SparseVector, contains, row_reduce
 from weylspecht.rootsys import parse_root
-from weylspecht.specht import act_vector, quotient_dimension
-from weylspecht.verify import obstruction_from_space
+from weylspecht.specht import act_vector, cyclic_submodule, quotient_dimension, spin
+from weylspecht.verify import DEFAULT_PROBE_SEED, obstruction_from_space, probe_vector
 from weylspecht.weyl import compose, identity, sign, subgroup_generated, word_to_element
 
 
@@ -272,27 +272,50 @@ def test_zero_vector_lands_in_complement(case_d4_rank3):
 @pytest.mark.slow
 def test_probe_verdicts_match_the_whole_subspace_oracle(monkeypatch):
     # sparse vectors spin small submodules, which break the dichotomy on the
-    # useful pairs that are not good; the trials are compared one by one
-    trials = 60
-    violations = 0
-    for name in ("A3", "G2", "D4-3", "D4-6", "F4", "A5"):
-        for field in (QQ, PrimeField(2), PrimeField(3)):
+    # useful pairs that are not good; dense ones take the kappa exit, except
+    # over F2, where some spin a proper U without e and end in the fallback.
+    # The trials are compared one by one, and every early exit is checked
+    # against the whole U.
+    sparse, dense = 60, 2
+    violations = exits = fallbacks = 0
+    fields = (QQ, PrimeField(2), PrimeField(3), PrimeField(5), PrimeField(2**31 - 1))
+    for name in ("A3", "G2", "D4-3", "D4-6", "F4", "A5", "A6", "D6", "B6"):
+        for field in fields:
             module = benchmark_pair_module(name, field)
-            dim = len(module.space)
+            space = module.space
+            dim = len(space)
             vectors = [
                 sparse_probe_vector(field, dim, random.Random(f"{name}/{field!r}/{t}"))
-                for t in range(trials)
-            ]
+                for t in range(sparse)
+            ] + [probe_vector(field, dim, DEFAULT_PROBE_SEED, t) for t in range(dense)]
             expected = tuple(
                 t for t, v in enumerate(vectors) if probe_violation_by_complement(module, v)
             )
+            finished = []
+
+            def recording_spin(*args):
+                finished.append(False)
+                yield from spin(*args)
+                finished[-1] = True
+
             monkeypatch.setattr(verify, "probe_vector", lambda f, d, s, t: vectors[t])
-            report = submodule_theorem_probe(module, trials=trials)
+            monkeypatch.setattr(verify, "spin", recording_spin)
+            report = submodule_theorem_probe(module, trials=len(vectors))
             assert report.violations == expected, (name, field)
+            # a zero module spins nothing: S = 0 lies in every U
+            assert len(finished) == (0 if module.e_vec.is_zero() else len(vectors))
+            for v, done in zip(vectors, finished):
+                if done:
+                    fallbacks += 1
+                else:
+                    exits += 1
+                    assert contains(cyclic_submodule(space, field, v), module.e_vec)
             if name in ("A3", "D4-3", "D4-6"):  # good pairs: the theorem holds
                 assert expected == ()
+            if name in ("G2", "D6", "B6"):  # zero modules
+                assert module.dimension == 0 and expected == ()
             violations += len(expected)
-    assert violations > 0
+    assert violations > 0 and exits > 0 and fallbacks > 0
 
 
 # --------------------------------------------------------------------------
