@@ -8,8 +8,9 @@ word the caller holds, or one read off the element's descents. One walk,
 a breadth-first orbit of root indices under root permutations, lists W,
 the column group W(psi'), the tabloids and the distinguished
 representatives, each in the order of its shortest words. W itself is
-generated only for what enumerates it: the character norm, N(psi), the
-full-span check and the oracles.
+generated only for what enumerates it: the character norm, N(psi) and
+the oracles. The walk keeps words, not elements; whatever is valued per
+element is one step from its parent word's value (`weyl.fold_walk`).
 """
 
 from .exactlin import QQ, PrimeField, field_by_name

@@ -8,6 +8,7 @@ diagnostics to stderr; identical invocations print identical bytes.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -17,7 +18,7 @@ from . import specht, verify
 from .exactlin import echelon_insert, field_by_name, field_name
 from .rootsys import build_root_system, format_root, parse_root, root_system_to_json
 from .subsystem import closure_from_simples, distinguished_reps, subsystem_to_json
-from .weyl import DEFAULT_GROUP_LIMIT, group_order, word_order
+from .weyl import DEFAULT_GROUP_LIMIT, fold_walk, group_order, word_order
 
 SCHEMA = "weyl-specht/1"
 EXIT_OK = 0
@@ -167,20 +168,14 @@ def _independent_generators(module, limit: int):
     # the first translates d e_{J,J'}, d in D_psi', that are independent,
     # each with the word of d; the listing stops at the dim-th, so later
     # translates are never computed. The walk's word of d is a letter i
-    # before the word of its parent, one letter shorter, so d e_{J,J'} is
-    # the parent's translate moved by the table of tau_i
+    # before the word of its parent, so d e_{J,J'} is the parent's
+    # translate moved by the table of tau_i
     space, field = module.space, module.field
-    _, words = distinguished_reps(space.system, space.psi_prime, limit, words=True)
-    tables = space._tables
+    words = distinguished_reps(space.system, space.psi_prime, limit)
+    steps = [functools.partial(specht._permuted, table) for table in space._tables]
     by_pivot: dict = {}
     picked = []
-    level, prev, cur = 0, {}, {(): module.e_vec}
-    for word in words:
-        if len(word) > level:
-            level, prev, cur = len(word), cur, {}
-        if word:
-            cur[word] = specht._permuted(tables[word[0] - 1], prev[word[1:]])
-        vec = cur[word]
+    for word, vec in fold_walk(words, steps, module.e_vec):
         if echelon_insert(field, by_pivot, vec):
             picked.append((word, vec))
             if len(picked) == module.dimension:

@@ -56,9 +56,10 @@ from .weyl import (
     apply_to_root,
     coset_walk,
     descent_word,
+    elements_of,
+    fold_walk,
     gather,
     generate_group,
-    identity,
     reflection_in,
     subgroup_generated,
     word_order,
@@ -101,8 +102,7 @@ class TabloidSpace:
         group: GeneratedGroup | None,
         tabloids: tuple[Tabloid, ...],
         tables: tuple[tuple[int, ...], ...],
-        col_group: tuple[GroupElement, ...],
-        col_words: tuple[tuple[int, ...], ...],
+        col_group: GeneratedGroup,
     ):
         self.system = system
         self.psi = psi
@@ -112,10 +112,9 @@ class TabloidSpace:
         self.tabloids = tabloids
         self.index = {t.key: i for i, t in enumerate(tabloids)}
         # W(psi'), each element with its word in the sorted J' reflections
-        self.col_group = col_group
-        self.col_words = col_words
+        self.col_group, self.col_words = col_group.elements, col_group.words
         # a reflection has determinant -1
-        self.col_signs = tuple(-1 if len(w) % 2 else 1 for w in col_words)
+        self.col_signs = tuple(-1 if len(w) % 2 else 1 for w in self.col_words)
         # entry k of table i is the index of tau_i applied to tabloid k
         self._tables = tables
         # step i sends a permutation p to p o (table of tau_i)
@@ -213,11 +212,11 @@ def enumerate_tabloids(
     # the orbit of psi's root indices, each point with the shortest element
     # reaching it and its lex-least word, in W's order
     seed = frozenset(system.root_index(r) for r in psi.roots)
-    points, perms, words, tables = coset_walk(system, system.simple_reflection_perms, seed)
+    gens = system.simple_reflection_perms
+    points, words, tables = coset_walk(gens, seed)
     tabloids = []
     roots = system.roots
-    for point, perm, word in zip(points, perms, words):
-        d = GroupElement(perm, system.label)
+    for point, d, word in zip(points, elements_of(system, gens, words), words):
         rows = tuple(apply_to_root(system, d, j) for j in psi.simples)
         cols = (
             tuple(apply_to_root(system, d, j) for j in psi_prime.simples)
@@ -226,10 +225,7 @@ def enumerate_tabloids(
         )
         key = frozenset(roots[i] for i in point)
         tabloids.append(Tabloid(key=key, rep=d, rep_word=word, rows=rows, cols=cols))
-    if psi_prime is not None:
-        col_group, col_words = subgroup_generated(system, psi_prime.simples, words=True)
-    else:
-        col_group, col_words = (identity(system),), ((),)
+    col_simples = psi_prime.simples if psi_prime is not None else ()
     return TabloidSpace(
         system=system,
         psi=psi,
@@ -237,8 +233,7 @@ def enumerate_tabloids(
         group=group,
         tabloids=tuple(tabloids),
         tables=tuple(map(tuple, tables)),
-        col_group=col_group,
-        col_words=col_words,
+        col_group=subgroup_generated(system, col_simples),
     )
 
 
@@ -296,19 +291,16 @@ def cyclic_submodule(space: TabloidSpace, field, v: SparseVector) -> SubspaceBas
 def apply_kappa(space: TabloidSpace, field, v: SparseVector) -> SparseVector:
     """The signed sum over the column reflection group, applied to v.
 
-    Each sigma acts by its word in the J' reflections. The closure lists
-    every word after its prefix, so each fold is one step past the fold of
-    the prefix."""
+    Each sigma's tabloid permutation is one right-composition step from its
+    parent's (`fold_walk` over the J' reflection words), which makes it
+    m(sigma^-1) rather than m(sigma). The group is closed under inversion
+    and sign(sigma^-1) = sign(sigma), so the sum is the same."""
     if v.dim != len(space):
         raise ValueError("vector does not belong to this tabloid space")
     acc: dict = {}
     get = acc.get
-    steps = space._col_steps
-    acts = {(): tuple(range(len(space)))}
-    for word, sgn in zip(space.col_words, space.col_signs):
-        if word:
-            acts[word] = steps[word[-1] - 1](acts[word[:-1]])
-        m = acts[word]
+    acts = fold_walk(space.col_words, space._col_steps, tuple(range(len(space))))
+    for (_, m), sgn in zip(acts, space.col_signs):
         for i, c in v.entries.items():
             j = m[i]
             acc[j] = get(j, 0) + (c if sgn > 0 else -c)
@@ -335,7 +327,9 @@ class SpechtModuleData:
     def generators(self) -> tuple[GroupElement, ...]:
         """D_psi', the distinguished representatives d of the column system,
         in group order, identity first; the translates d e_{J,J'} span S."""
-        return distinguished_reps(self.space.system, self.space.psi_prime)
+        system = self.space.system
+        words = distinguished_reps(system, self.space.psi_prime)
+        return elements_of(system, system.simple_reflection_perms, words)
 
     @property
     def dimension(self) -> int:
@@ -352,17 +346,14 @@ def build_specht_module(
     psi_prime: Subsystem,
     field,
     group: GeneratedGroup | None = None,
-    check_full_span: bool = False,
 ) -> SpechtModuleData:
     """The cyclic module generated by e_{J,J'}.
 
     The basis is the spin of e_{J,J'} under the simple reflections (see
-    `cyclic_submodule`); W is generated only when `check_full_span` reads
-    it, unless given.
+    `cyclic_submodule`); a given `group` is kept as the space's `group`.
 
     Warns when the pair is not a useful sub-system; the computation still
-    runs and may produce the zero module. `check_full_span` re-derives the
-    basis from the full group orbit and raises on disagreement.
+    runs and may produce the zero module.
     """
     space = enumerate_tabloids(system, psi, group, psi_prime)
     if not space.useful:
@@ -373,14 +364,6 @@ def build_specht_module(
         )
     e_vec = polytabloid(space, field, ())
     basis = cyclic_submodule(space, field, e_vec)
-    if check_full_span:
-        full = row_reduce(
-            field,
-            [act_vector(space, field, word, e_vec) for word in space.group.words],
-            dim=len(space),
-        )
-        if full != basis:
-            raise RuntimeError("generator span differs from the full orbit span")
     return SpechtModuleData(space=space, field=field, e_vec=e_vec, basis=basis)
 
 
@@ -456,11 +439,11 @@ def character_norm(module: SpechtModuleData) -> Fraction:
     A rational character is real, so the sum is one of squares, and since
     inversion permutes W it is taken over psi(w^-1) = sum_r b_r[m(p_r)]:
     the canonical rows b_r of S read at their pivots p_r moved by the
-    tabloid permutation m of w. The closure lists each word of W after its
-    parent, one letter shorter, so m is one table step from the parent's
-    permutation, and only the previous length level is kept. The rows are
-    cleared once by the lcm D of their denominators, so the sum is over
-    integers and is divided by |W| D^2 at the end.
+    tabloid permutation m of w. Each m is one right-composition table step
+    from its parent word's (`fold_walk`), which makes it the permutation of
+    w^-1, not of w; as w^-1 runs over W when w does, the sum is the same.
+    The rows are cleared once by the lcm D of their denominators, so the
+    sum is over integers and is divided by |W| D^2 at the end.
     """
     if module.field.characteristic != 0:
         raise ValueError("character norm requires characteristic zero")
@@ -471,16 +454,9 @@ def character_norm(module: SpechtModuleData) -> Fraction:
     den = lcm(*(c.denominator for r in basis.rows for c in r.entries.values()))
     rows = [{i: int(c * den) for i, c in r.entries.items()} for r in basis.rows]
     at_pivots = gather(basis.pivots)
-    steps = space._steps
     words = space.group.words
-    level, prev, cur = 0, {}, {(): tuple(range(len(space)))}
     total = 0
-    for word in words:
-        if len(word) > level:
-            level, prev, cur = len(word), cur, {}
-        if word:
-            cur[word] = steps[word[-1] - 1](prev[word[:-1]])
-        m = cur[word]
+    for _, m in fold_walk(words, space._steps, tuple(range(len(space)))):
         trace = sum(map(dict.get, rows, at_pivots(m), repeat(0)))
         total += trace * trace
     return Fraction(total, len(words) * den * den)

@@ -167,10 +167,11 @@ def complements_meet_trivially(
 
 
 def distinguished_reps(
-    system: RootSystem, psi: Subsystem, limit: int = DEFAULT_GROUP_LIMIT, words: bool = False
-):
-    """D_psi: elements keeping every simple root of psi positive, in W's
-    order, identity first; with `words`, also their lex-least reduced words.
+    system: RootSystem, psi: Subsystem, limit: int = DEFAULT_GROUP_LIMIT
+) -> tuple[tuple[int, ...], ...]:
+    """D_psi: the elements keeping every simple root of psi positive, as
+    their lex-least reduced words, in W's order, identity first; the
+    elements themselves are `weyl.elements_of` these words.
 
     One per coset of the reflection subgroup of psi, each of minimal length
     (Dyer 1990). If the reflection in a simple root a is a left descent of
@@ -183,11 +184,10 @@ def distinguished_reps(
     seed = tuple(system.index[a] for a in system.simple_roots())
     seed += tuple(system.root_index(r) for r in psi.simples)
     gens = system.simple_reflection_perms
-    _, perms, found, _ = coset_walk(
-        system, gens, seed, keep=lambda x: max(x[rank:], default=-1) < pc, limit=limit
+    _, words, _ = coset_walk(
+        gens, seed, keep=lambda x: max(x[rank:], default=-1) < pc, limit=limit
     )
-    elements = tuple(GroupElement(p, system.label) for p in perms)
-    return (elements, tuple(found)) if words else elements
+    return tuple(words)
 
 
 def cartan_matrix(system: RootSystem, simples) -> tuple[tuple[int, ...], ...]:

@@ -42,8 +42,9 @@ def _require_pair(system: RootSystem, psi: Subsystem, psi_prime: Subsystem):
 def is_useful_system(system: RootSystem, psi: Subsystem, psi_prime: Subsystem) -> bool:
     """W(J) meets W(J') trivially, and likewise for the two complements."""
     _require_pair(system, psi, psi_prime)
-    w_j = {w.perm for w in subgroup_generated(system, psi.simples)}
-    meet = w_j.intersection(w.perm for w in subgroup_generated(system, psi_prime.simples))
+    w_j = {w.perm for w in subgroup_generated(system, psi.simples).elements}
+    w_jp = subgroup_generated(system, psi_prime.simples).elements
+    meet = w_j.intersection(w.perm for w in w_jp)
     return len(meet) == 1 and complements_meet_trivially(system, psi, psi_prime)
 
 
@@ -51,7 +52,7 @@ def is_useful_subsystem(system: RootSystem, psi: Subsystem, psi_prime: Subsystem
     """N(psi) meets W(psi') trivially, and likewise for the two complements.
     The meet is the stabilizer of psi in W(psi'), so only W(psi') is closed."""
     _require_pair(system, psi, psi_prime)
-    col_group = subgroup_generated(system, psi_prime.simples)
+    col_group = subgroup_generated(system, psi_prime.simples).elements
     return len(stabilizer(system, psi, col_group)) == 1 and complements_meet_trivially(
         system, psi, psi_prime
     )
@@ -86,7 +87,7 @@ def vanishing_obstruction(
     signs, forcing it to vanish.
     """
     _require_pair(system, psi, psi_prime)
-    meet = stabilizer(system, psi, subgroup_generated(system, psi_prime.simples))
+    meet = stabilizer(system, psi, subgroup_generated(system, psi_prime.simples).elements)
     return _first_obstruction(system, meet)
 
 

@@ -11,8 +11,10 @@ linear and so named by its images of the simple roots; under the
 reflections in a root list it is their subgroup; the orbit of psi's root
 set is the tabloids; and the walk that keeps J positive is D_psi. Each
 element is reached by a shortest word, so the recorded words are reduced
-and reproducible. Points and elements are moved by `operator.itemgetter`:
-s o p is `itemgetter(*p)(s)`, built in C.
+and reproducible. The walk keeps no element; anything valued per element
+(its perm, its tabloid permutation, its translate of e_{J,J'}) is one step
+from the value of its parent word by `fold_walk`. Points and elements are
+moved by `operator.itemgetter`: s o p is `itemgetter(*p)(s)`, built in C.
 """
 
 from __future__ import annotations
@@ -94,7 +96,8 @@ def word_to_element(system: RootSystem, word) -> GroupElement:
 
 @dataclass(frozen=True)
 class GeneratedGroup:
-    """All of W in BFS order (identity first) with one reduced word each."""
+    """A group generated by reflections, in BFS order (identity first), with
+    one word each in its generators: for W, the simple reflections."""
 
     system_label: str
     elements: tuple[GroupElement, ...]
@@ -123,9 +126,38 @@ def gather(indices):
     return lambda s: tuple(s[i] for i in indices)
 
 
-def _simple_indices(system: RootSystem) -> tuple[int, ...]:
-    # the images of the simple roots name an element, as it is linear
-    return tuple(system.index[a] for a in system.simple_roots())
+def fold_walk(words, steps, start):
+    """Yield each word of a walk, in order, with its value: `start` for the
+    empty word, and steps[i - 1] of its parent's value for a word i u, whose
+    parent u is the word less its first letter.
+
+    A walk lists every word after its parent, one letter shorter, so only
+    the previous length level of values is held, and each value costs one
+    step instead of a fold of its whole word.
+    """
+    level, prev, cur = 0, {}, {}
+    for word in words:
+        if len(word) > level:
+            level, prev, cur = len(word), cur, {}
+        value = cur[word] = steps[word[0] - 1](prev[word[1:]]) if word else start
+        yield word, value
+
+
+def elements_of(system: RootSystem, gens, words) -> tuple[GroupElement, ...]:
+    """The elements named by a walk's words in `gens`, root permutations:
+    the element of i u is s_i o (the element of u)."""
+    steps = [lambda p, s=s: itemgetter(*p)(s) for s in gens]
+    label = system.label
+    start = identity(system).perm
+    return tuple(GroupElement(p, label) for _, p in fold_walk(words, steps, start))
+
+
+def _generated(system: RootSystem, gens, limit=math.inf) -> GeneratedGroup:
+    # the walk of the simple roots under gens: an element is linear, so its
+    # images of the simple roots name it
+    seed = tuple(system.index[a] for a in system.simple_roots())
+    _, words, _ = coset_walk(gens, seed, limit=limit)
+    return GeneratedGroup(system.label, elements_of(system, gens, words), tuple(words))
 
 
 def generate_group(system: RootSystem, limit: int = DEFAULT_GROUP_LIMIT) -> GeneratedGroup:
@@ -136,29 +168,20 @@ def generate_group(system: RootSystem, limit: int = DEFAULT_GROUP_LIMIT) -> Gene
     """
     if group_order(system) > limit:
         raise GroupLimitError(f"group of {system.label} exceeds the limit of {limit} elements")
-    gens = system.simple_reflection_perms
-    _, perms, words, _ = coset_walk(system, gens, _simple_indices(system))
-    label = system.label
-    return GeneratedGroup(label, tuple(GroupElement(p, label) for p in perms), tuple(words))
+    return _generated(system, system.simple_reflection_perms)
 
 
 def subgroup_generated(
-    system: RootSystem, gens, limit: int = DEFAULT_GROUP_LIMIT, words: bool = False
-):
-    """The subgroup generated by the reflections in the given roots: the
-    walk of the simple roots under them, in deterministic order.
-
-    With `words`, also the word of each element in those reflections: the
-    letter i is the reflection in the i-th of the sorted distinct roots.
-    """
+    system: RootSystem, gens, limit: int = DEFAULT_GROUP_LIMIT
+) -> GeneratedGroup:
+    """The subgroup generated by the reflections in the given roots, walked
+    in deterministic order; the letter i of its words is the reflection in
+    the i-th of the sorted distinct roots."""
     refl = [reflection_in(system, g).perm for g in sorted(set(gens))]
-    _, perms, found, _ = coset_walk(system, refl, _simple_indices(system), limit=limit)
-    label = system.label
-    elements = tuple(GroupElement(p, label) for p in perms)
-    return (elements, tuple(found)) if words else elements
+    return _generated(system, refl, limit)
 
 
-def coset_walk(system: RootSystem, gens, seed, keep=None, limit=math.inf):
+def coset_walk(gens, seed, keep=None, limit=math.inf):
     """Walk `seed`, a tuple or frozenset of root indices, under `gens`, root
     permutations acting on the left, one length at a time; with `keep`, only
     the images it accepts.
@@ -167,12 +190,11 @@ def coset_walk(system: RootSystem, gens, seed, keep=None, limit=math.inf):
     A point is first reached from its smallest left descent, so its word is
     the lex-least reduced word of its element in `gens`, and the points come
     in the order of the generated group: by length, then by that word.
-    Returns the points, the perms and words of their elements, and for each
-    generator its table: entry k is the index of the image of point k, None
-    if not kept.
+    Returns the points, their words, and for each generator its table:
+    entry k is the index of the image of point k, None if not kept.
     """
     make = type(seed)
-    points, perms, words = [seed], [identity(system).perm], [()]
+    points, words = [seed], [()]
     position = {seed: 0}
     tables = tuple([] for _ in gens)
     start = 0
@@ -191,11 +213,10 @@ def coset_walk(system: RootSystem, gens, seed, keep=None, limit=math.inf):
                         raise GroupLimitError(f"coset walk exceeds the limit of {limit} points")
                     j = position[x] = len(points)
                     points.append(x)
-                    perms.append(itemgetter(*perms[k])(s))
                     words.append((i,) + words[k])
                 table.append(j)
         start = end
-    return points, perms, words, tables
+    return points, words, tables
 
 
 def group_order(system: RootSystem) -> int:

@@ -50,6 +50,7 @@ from weylspecht.subsystem import distinguished_reps, normalizer
 from weylspecht.weyl import (
     DEFAULT_GROUP_LIMIT,
     GeneratedGroup,
+    GroupElement,
     compose,
     generate_group,
     subgroup_generated,
@@ -137,6 +138,18 @@ def test_a6_text_report_never_generates_the_group():
     assert "independent generators:" in out.getvalue()
     assert calls(generate_group) == 0
     assert calls(GeneratedGroup.__iter__) == 0
+
+
+def test_a6_text_report_builds_no_element_per_listed_translate():
+    # the generator listing reads D_psi' as words and steps translates from
+    # their parents, so the text report builds the elements the JSON report
+    # builds and none more
+    built = []
+    for argv in (A6_SPECHT, A6_SPECHT + ["--json"]):
+        with contextlib.redirect_stdout(io.StringIO()):
+            calls = _call_counts(cli.main, argv)
+        built.append(calls(GroupElement.__init__))
+    assert built[0] == built[1]
 
 
 @pytest.mark.parametrize("field", ["Q", "F3"])

@@ -76,6 +76,26 @@ def test_a8_report_output_is_unchanged():
     assert hashlib.sha256(out.encode()).hexdigest() == A8_REPORT_SHA256
 
 
+# the row-reading (5,3) pair padded into D8: 3584 tabloids, dim S = 1792, and
+# D_psi' has 645120 points, of which the listing reads words up to length 17
+D8_REPORT = [
+    "specht", "--type", "D8",
+    "--J", "10000000,01000000,00100000,00010000,00000100,00000010",
+    "--Jp", "11111000,01111100,00111110", "--limit", "1000000000",
+]
+D8_REPORT_SHA256 = "1c71beb069642551e03b06dce42a5809c3fd1e99c48104e7d5d2977832c96793"
+
+
+@pytest.mark.slow
+def test_d8_report_output_is_unchanged():
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        rc = cli.main(D8_REPORT)
+    out = buf.getvalue()
+    assert (rc, out.count("\n")) == (0, 1802)
+    assert hashlib.sha256(out.encode()).hexdigest() == D8_REPORT_SHA256
+
+
 # the digest is the same on Python 3.10 to 3.13
 SHOWCASE_SHA256 = "556b0cc0c474a6e4d33b76fe8583a3de5e6799b864a07dc52574b8e1281f0f72"
 

@@ -45,10 +45,13 @@ from weylspecht.exactlin import (
     row_reduce,
 )
 from weylspecht.rootsys import parse_root
+from weylspecht.specht import _permuted
+from weylspecht.subsystem import distinguished_reps
 from weylspecht.verify import DEFAULT_PROBE_SEED, probe_vector
 from weylspecht.weyl import (
     apply_to_root,
     compose,
+    fold_walk,
     identity,
     inverse,
     sign,
@@ -180,13 +183,19 @@ def test_folded_action_matches_key_definition(case_a3, case_g2, case_d4_rank3, c
             assert space.index_action(word) == expected
 
 
-def _kappa_by_keys(space, i):
-    # the signed sum over W(psi') of the images of tabloid i, by key
-    acc = {}
-    for sigma in space.col_group:
-        j = index_action_by_keys(space, sigma)[i]
-        acc[j] = acc.get(j, 0) + sign(space.system, sigma)
-    return {j: Fraction(c) for j, c in acc.items() if c}
+def _kappa_by_keys(space):
+    # per tabloid i, the signed sum over W(psi') of the images of i, by key
+    actions = [
+        (index_action_by_keys(space, sigma), sign(space.system, sigma))
+        for sigma in space.col_group
+    ]
+    kappas = []
+    for i in range(len(space)):
+        acc = {}
+        for m, sgn in actions:
+            acc[m[i]] = acc.get(m[i], 0) + sgn
+        kappas.append({j: Fraction(c) for j, c in acc.items() if c})
+    return kappas
 
 
 @pytest.mark.parametrize(
@@ -194,8 +203,16 @@ def _kappa_by_keys(space, i):
     [
         ("A3", ("100", "001"), ("110",)),
         ("G2", ("10",), ("01", "31")),
+        ("D4", ("1000", "0100", "0001"), ("1110",)),
         ("D4", ("1000", "0100"), ("0001", "0110")),
         ("F4", ("1000", "0100", "0010"), ("0001",)),
+        ("A5", ("10000", "01000", "00010"), ("11100", "01110")),
+        pytest.param(
+            "A6",
+            ("100000", "010000", "000100", "000010"),
+            ("111000", "011100"),
+            marks=pytest.mark.slow,
+        ),
         pytest.param(
             "A7",
             ("1000000",),
@@ -203,20 +220,36 @@ def _kappa_by_keys(space, i):
             marks=pytest.mark.slow,
         ),
     ],
-    ids=["A3", "G2", "D4-6", "F4", "A7"],
+    ids=["A3", "G2", "D4-3", "D4-6", "F4", "A5", "A6", "A7"],
 )
 def test_kappa_folds_the_column_words(label, j_texts, jp_texts):
-    # each sigma acts by its word in the J' reflections; W is never generated
+    # each sigma's permutation is one step from its parent's, and the sum
+    # over W(psi') equals the sum by keys; W is never generated
     system = build_root_system(label)
     psi, pp = (
         closure_from_simples(system, [parse_root(system, t) for t in texts])
         for texts in (j_texts, jp_texts)
     )
     space = enumerate_tabloids(system, psi, psi_prime=pp)
-    for i in range(len(space)):
-        assert apply_kappa(space, QQ, unit(len(space), i)).entries == _kappa_by_keys(space, i)
+    for i, expected in enumerate(_kappa_by_keys(space)):
+        assert apply_kappa(space, QQ, unit(len(space), i)).entries == expected
     assert space.col_signs == tuple(sign(system, w) for w in space.col_group)
     assert "group" not in vars(space)
+
+
+def test_fold_walk_on_tabloids_matches_whole_word_folds(case_d4_deg6):
+    # on the walks of W and of D_psi': a right-composition table step from
+    # the parent gives the permutation of w^-1 (read by `character_norm` and
+    # `apply_kappa`), and a translate step gives w e_{J,J'} (read by the
+    # generator listing)
+    space = case_d4_deg6.space
+    e = polytabloid(space, QQ, ())
+    translate_steps = [functools.partial(_permuted, table) for table in space._tables]
+    for words in (space.group.words, distinguished_reps(space.system, space.psi_prime)):
+        for word, m in fold_walk(words, space._steps, tuple(range(len(space)))):
+            assert m == space.index_action(word[::-1])
+        for word, v in fold_walk(words, translate_steps, e):
+            assert v == act_vector(space, QQ, word, e)
 
 
 def test_space_without_group_matches_space_with_group(case_d4_rank3, case_g2):
@@ -420,9 +453,8 @@ def test_spun_basis_is_the_generator_span(corpus, field):
     for system, group, psi, psi_prime, space in corpus:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
-            module = build_specht_module(
-                system, psi, psi_prime, field, group=group, check_full_span=True
-            )
+            module = build_specht_module(system, psi, psi_prime, field, group=group)
+        assert module.basis == cyclic_span_by_orbit(space, field, module.e_vec)
         gens = [act_vector(space, field, d, module.e_vec) for d in module.generators]
         assert module.basis == row_reduce(field, gens, dim=len(space))
 
@@ -444,8 +476,9 @@ def test_build_warns_on_degenerate_pair(g2, w_g2):
 def test_full_span_cross_check(a3, w_a3):
     psi = closure_from_simples(a3, [parse_root(a3, "100"), parse_root(a3, "001")])
     pp = closure_from_simples(a3, [parse_root(a3, "110")])
-    module = build_specht_module(a3, psi, pp, QQ, group=w_a3, check_full_span=True)
+    module = build_specht_module(a3, psi, pp, QQ, group=w_a3)
     assert module.dimension == 2
+    assert module.basis == cyclic_span_by_orbit(module.space, QQ, module.e_vec)
 
 
 def test_generators_are_the_distinguished_translates_of_e(case_d4_deg6):
@@ -683,15 +716,19 @@ def test_character_norm_values(case_d4_rank3, case_d4_deg6, case_g2):
 
 
 @pytest.mark.parametrize(
-    "name",
+    "name,norm",
     [
-        pytest.param(n, marks=pytest.mark.slow) if int(CORPUS[n][0][1:]) > 4 else n
-        for n in ("A3", "G2", "D4-3", "D4-6", "F4", "A5", "A6")
+        pytest.param(
+            n, norm, id=n, marks=[pytest.mark.slow] if int(CORPUS[n][0][1:]) > 4 else []
+        )
+        for n, norm in (
+            ("A3", 1), ("G2", 0), ("D4-3", 1), ("D4-6", 1), ("F4", 2), ("A5", 3), ("A6", 3)
+        )
     ],
 )
-def test_character_norm_matches_the_word_fold(name):
+def test_character_norm_matches_the_word_fold(name, norm):
     module = benchmark_pair_module(name, QQ)
-    assert character_norm(module) == character_norm_by_words(module)
+    assert character_norm(module) == character_norm_by_words(module) == norm
 
 
 def test_character_norm_matches_the_word_fold_on_any_basis(case_d4_rank3):

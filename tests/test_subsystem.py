@@ -37,7 +37,6 @@ from weylspecht.weyl import (
     apply_to_root,
     compose,
     generate_group,
-    identity,
     length,
     subgroup_generated,
     word_to_element,
@@ -325,7 +324,7 @@ def test_semidirect_decomposition(a3, w_a3, g2, w_g2, d4, w_d4):
 
 def test_distinguished_reps_a3(a3, w_a3):
     psi = closure_from_simples(a3, roots_of(a3, "100", "001"))
-    reps = distinguished_reps(a3, psi)
+    reps = [word_to_element(a3, w) for w in distinguished_reps(a3, psi)]
     w_psi = subgroup_generated(a3, psi.simples)
     assert len(reps) == len(w_a3) // len(w_psi) == 6
     # exactly one representative per coset, of minimal length
@@ -341,14 +340,14 @@ def test_distinguished_reps_a3(a3, w_a3):
 
 def test_distinguished_reps_trivial_cases(a3, w_a3):
     empty = closure_from_simples(a3, [])
-    assert distinguished_reps(a3, empty, words=True) == (w_a3.elements, w_a3.words)
+    assert distinguished_reps(a3, empty) == w_a3.words
     psi = closure_from_simples(a3, roots_of(a3, "100"))
-    assert identity(a3) in distinguished_reps(a3, psi)
+    assert distinguished_reps(a3, psi)[0] == ()
     # rank 1: each point of the walk is one simple root, and J is empty
     a1 = build_root_system("A1")
     w_a1 = generate_group(a1)
     empty = closure_from_simples(a1, [])
-    assert distinguished_reps(a1, empty, words=True) == (w_a1.elements, w_a1.words)
+    assert distinguished_reps(a1, empty) == w_a1.words
 
 
 def test_distinguished_reps_limit(a3):
@@ -359,11 +358,10 @@ def test_distinguished_reps_limit(a3):
 
 
 def _assert_walk_matches_scan(system, group, psi):
-    elements, words = distinguished_reps(system, psi, words=True)
+    # a word names one element, so equal words are equal elements
     expected = distinguished_reps_by_scan(system, psi, group)
-    assert elements == expected
     word_of = words_by_perm(group)
-    assert words == tuple(word_of[d.perm] for d in expected)
+    assert distinguished_reps(system, psi) == tuple(word_of[d.perm] for d in expected)
 
 
 @pytest.mark.parametrize("label", ["A3", "G2", "B3", "C3", "D4"])
@@ -418,7 +416,7 @@ def test_coset_reps_lie_among_distinguished(a3, w_a3, g2, w_g2, d4, w_d4):
         for psi in candidate_subsystems(system, max_size=3):
             dist = set(distinguished_reps(system, psi))
             for t in enumerate_tabloids(system, psi, group):
-                assert t.rep in dist
+                assert t.rep_word in dist
 
 
 # --------------------------------------------------------------------------

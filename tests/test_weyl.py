@@ -1,16 +1,23 @@
 import math
 import random
+from operator import itemgetter
 
 import pytest
 
 from oracles import bfs_by_compose, load_workloads
 from weylspecht.rootsys import build_root_system, negate, parse_root
-from weylspecht.subsystem import closure_from_simples, orthogonal_complement
+from weylspecht.subsystem import (
+    closure_from_simples,
+    distinguished_reps,
+    orthogonal_complement,
+)
 from weylspecht.weyl import (
     GroupLimitError,
     apply_to_root,
     compose,
     descent_word,
+    elements_of,
+    fold_walk,
     generate_group,
     group_order,
     identity,
@@ -248,8 +255,38 @@ def test_subgroup_matches_compose_bfs(ambient, roots):
     system = build_root_system(ambient)
     refl = [reflection_in(system, r) for r in sorted(set(roots))]
     elements, words = bfs_by_compose(system, refl)
-    assert subgroup_generated(system, roots) == elements
-    assert subgroup_generated(system, roots, words=True) == (elements, words)
+    group = subgroup_generated(system, roots)
+    assert (group.elements, group.words) == (elements, words)
+
+
+def _walk_words():
+    # the walks of W(A3), W(B3), W(G2), and D_psi' of the D4-6 pair
+    for label in ("A3", "B3", "G2"):
+        system = build_root_system(label)
+        yield pytest.param(system, generate_group(system).words, id=label)
+    d4 = build_root_system("D4")
+    pp = closure_from_simples(d4, [parse_root(d4, t) for t in ("0001", "0110")])
+    yield pytest.param(d4, distinguished_reps(d4, pp), id="D4-6-Dpsi")
+
+
+@pytest.mark.parametrize("system,words", list(_walk_words()))
+def test_fold_walk_steps_each_word_from_its_parent(system, words):
+    # one step per nonempty word, and each value is the fold of its whole word
+    taken = []
+
+    def left_step(s):
+        def step(p):
+            taken.append(s)
+            return itemgetter(*p)(s)
+
+        return step
+
+    gens = system.simple_reflection_perms
+    folded = list(fold_walk(words, [left_step(s) for s in gens], identity(system).perm))
+    assert [word for word, _ in folded] == list(words)
+    assert [p for _, p in folded] == [word_to_element(system, w).perm for w in words]
+    assert len(taken) == len(words) - 1
+    assert elements_of(system, gens, words) == tuple(word_to_element(system, w) for w in words)
 
 
 def test_length_and_sign_basics(a3, w_a3):
@@ -288,7 +325,8 @@ def test_subgroup_long_roots_g2(g2, w_g2):
 
 
 def test_subgroup_empty_generators(a3):
-    assert subgroup_generated(a3, []) == (identity(a3),)
+    group = subgroup_generated(a3, [])
+    assert (group.elements, group.words) == ((identity(a3),), ((),))
 
 
 def test_subgroup_limit(d4):
