@@ -11,70 +11,61 @@ representatives, each in the order of its shortest words. W itself is
 generated only for what enumerates it: the character norm, N(psi) and
 the oracles. The walk keeps words, not elements; whatever is valued per
 element is one step from its parent word's value (`weyl.fold_walk`).
+
+The names below resolve on first use (PEP 562): `import weylspecht` loads
+no submodule, and `weylspecht.build_root_system` loads only `rootsys`.
 """
 
-from .exactlin import QQ, PrimeField, field_by_name
-from .rootsys import (
-    Root,
-    RootSystem,
-    build_root_system,
-    format_root,
-    inner_product,
-    parse_root,
-    reflect_root,
-)
-from .specht import (
-    SpechtModuleData,
-    Tabloid,
-    TabloidSpace,
-    act_tabloid,
-    act_vector,
-    apply_kappa,
-    bilinear_form,
-    build_specht_module,
-    character_norm,
-    character_value,
-    cyclic_submodule,
-    enumerate_tabloids,
-    format_module_vector,
-    format_tabloid,
-    matrix_of,
-    polytabloid,
-    quotient_dimension,
-)
-from .subsystem import (
-    Subsystem,
-    closure_from_simples,
-    distinguished_reps,
-    normalizer,
-    orthogonal_complement,
-    simple_system_of,
-)
-from .verify import (
-    GoodSubsystemResult,
-    ProbeReport,
-    is_good_subsystem,
-    is_useful_subsystem,
-    is_useful_system,
-    submodule_theorem_probe,
-    vanishing_obstruction,
-)
-from .weyl import (
-    GeneratedGroup,
-    GroupElement,
-    GroupLimitError,
-    apply_to_root,
-    compose,
-    descent_word,
-    generate_group,
-    group_order,
-    identity,
-    inverse,
-    length,
-    sign,
-    simple_reflection,
-    subgroup_generated,
-    word_to_element,
-)
+from importlib import import_module as _import_module
 
 __version__ = "0.1.0"
+
+# public name -> the submodule that defines it
+_HOME = {
+    **dict.fromkeys(("QQ", "PrimeField", "field_by_name"), "exactlin"),
+    **dict.fromkeys(
+        ("Root", "RootSystem", "build_root_system", "format_root", "inner_product",
+         "parse_root", "reflect_root"),
+        "rootsys",
+    ),
+    **dict.fromkeys(
+        ("SpechtModuleData", "Tabloid", "TabloidSpace", "act_tabloid", "act_vector",
+         "apply_kappa", "bilinear_form", "build_specht_module", "character_norm",
+         "character_value", "cyclic_submodule", "enumerate_tabloids", "format_module_vector",
+         "format_tabloid", "matrix_of", "polytabloid", "quotient_dimension"),
+        "specht",
+    ),
+    **dict.fromkeys(
+        ("Subsystem", "closure_from_simples", "distinguished_reps", "normalizer",
+         "orthogonal_complement", "simple_system_of"),
+        "subsystem",
+    ),
+    **dict.fromkeys(
+        ("GoodSubsystemResult", "ProbeReport", "is_good_subsystem", "is_useful_subsystem",
+         "is_useful_system", "submodule_theorem_probe", "vanishing_obstruction"),
+        "verify",
+    ),
+    **dict.fromkeys(
+        ("GeneratedGroup", "GroupElement", "GroupLimitError", "apply_to_root", "compose",
+         "descent_word", "generate_group", "group_order", "identity", "inverse", "length",
+         "sign", "simple_reflection", "subgroup_generated", "word_to_element"),
+        "weyl",
+    ),
+}
+
+__all__ = sorted({*_HOME, *_HOME.values()})
+
+
+def __getattr__(name: str):
+    if name in _HOME.values():
+        # importing a submodule also binds it here
+        return _import_module("." + name, __name__)
+    home = _HOME.get(name)
+    if home is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = globals()[name] = getattr(_import_module("." + home, __name__), name)
+    return value
+
+
+def __dir__():
+    return __all__

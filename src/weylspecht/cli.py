@@ -3,22 +3,23 @@
 Exit codes: 0 success, 1 stdout closed early, 2 unparsable input, 3 a
 requested check failed, 4 group-size limit exceeded. Reports go to stdout,
 diagnostics to stderr; identical invocations print identical bytes.
+
+Every command builds a root system, so only `rootsys` is loaded with this
+module; each command imports the rest of what it runs in its own body, so
+`roots` loads no other module of the package and `tabloids` never loads
+`verify`. So that the parser loads nothing, `--limit` and `--probe-seed`
+default to None, which leaves the library's defaults to apply.
 """
 
 from __future__ import annotations
 
 import argparse
 import functools
-import json
 import os
 import sys
 import warnings
 
-from . import specht, verify
-from .exactlin import echelon_insert, field_by_name, field_name
 from .rootsys import build_root_system, format_root, parse_root, root_system_to_json
-from .subsystem import closure_from_simples, distinguished_reps, subsystem_to_json
-from .weyl import DEFAULT_GROUP_LIMIT, fold_walk, group_order, word_order
 
 SCHEMA = "weyl-specht/1"
 EXIT_OK = 0
@@ -51,14 +52,21 @@ def _simples(system, text: str):
 
 
 def _subsystem(system, roots):
+    from .subsystem import closure_from_simples
+
     try:
         return closure_from_simples(system, roots)
     except ValueError as exc:
         raise CommandError(str(exc)) from None
 
 
-def _order(system, limit: int) -> int:
-    """|W| from the degrees, refused above the limit before any work."""
+def _order(system, limit: int | None) -> int:
+    """|W| from the degrees, refused above the limit (by default the
+    library's) before any work."""
+    from .weyl import DEFAULT_GROUP_LIMIT, group_order
+
+    if limit is None:
+        limit = DEFAULT_GROUP_LIMIT
     if limit < 1:
         raise CommandError(f"--limit must be at least 1, got {limit}")
     order = group_order(system)
@@ -108,6 +116,8 @@ def _collect_words(system, char_args):
 
 
 def _emit(doc) -> None:
+    import json
+
     print(json.dumps(doc, indent=2))
 
 
@@ -132,6 +142,9 @@ def cmd_roots(args) -> int:
 
 
 def cmd_tabloids(args) -> int:
+    from . import specht
+    from .subsystem import subsystem_to_json
+
     system = _system(args.type)
     order = _order(system, args.limit)
     psi = _subsystem(system, _simples(system, args.J))
@@ -164,14 +177,20 @@ def cmd_tabloids(args) -> int:
     return EXIT_OK
 
 
-def _independent_generators(module, limit: int):
+def _independent_generators(module, order: int):
     # the first translates d e_{J,J'}, d in D_psi', that are independent,
     # each with the word of d; the listing stops at the dim-th, so later
     # translates are never computed. The walk's word of d is a letter i
     # before the word of its parent, so d e_{J,J'} is the parent's
-    # translate moved by the table of tau_i
+    # translate moved by the table of tau_i. D_psi' has at most |W| = order
+    # elements, and order has passed the --limit check
+    from . import specht
+    from .exactlin import echelon_insert
+    from .subsystem import distinguished_reps
+    from .weyl import fold_walk
+
     space, field = module.space, module.field
-    words = distinguished_reps(space.system, space.psi_prime, limit)
+    words = distinguished_reps(space.system, space.psi_prime, order)
     steps = [functools.partial(specht._permuted, table) for table in space._tables]
     by_pivot: dict = {}
     picked = []
@@ -184,6 +203,10 @@ def _independent_generators(module, limit: int):
 
 
 def cmd_specht(args) -> int:
+    from . import specht, verify
+    from .exactlin import field_by_name, field_name
+    from .weyl import word_order
+
     system = _system(args.type)
     order = _order(system, args.limit)
     psi = _subsystem(system, _simples(system, args.J))
@@ -217,9 +240,8 @@ def cmd_specht(args) -> int:
     witness_word = word_order(system)(witness)[1] if witness is not None else None
     probe = None
     if "probe" in checks:
-        probe = verify.submodule_theorem_probe(
-            module, trials=args.probe_trials, seed=args.probe_seed
-        )
+        seed = {} if args.probe_seed is None else {"seed": args.probe_seed}
+        probe = verify.submodule_theorem_probe(module, trials=args.probe_trials, **seed)
 
     failed = False
     if "useful" in checks and not useful:
@@ -274,7 +296,7 @@ def cmd_specht(args) -> int:
     print(f"e_{{J,J'}} = {specht.format_module_vector(space, field, e_vec)}")
     if module.dimension:
         print("independent generators:")
-        for word, vec in _independent_generators(module, args.limit):
+        for word, vec in _independent_generators(module, order):
             print(f"  {_word_text(word)} | {specht.format_module_vector(space, field, vec)}")
     if witness_word is not None:
         print(f"vanishing witness: {_word_text(witness_word)}")
@@ -319,7 +341,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_tab.add_argument("--type", required=True)
     p_tab.add_argument("--J", required=True, help="comma-separated simple roots")
     p_tab.add_argument("--json", action="store_true")
-    p_tab.add_argument("--limit", type=int, default=DEFAULT_GROUP_LIMIT)
+    p_tab.add_argument("--limit", type=int)
     p_tab.set_defaults(func=cmd_tabloids)
 
     p_sp = sub.add_parser("specht", help="build the module and run checks")
@@ -334,9 +356,9 @@ def _build_parser() -> argparse.ArgumentParser:
         help="word like '1 3 2', or a file with one word per line; repeatable",
     )
     p_sp.add_argument("--json", action="store_true")
-    p_sp.add_argument("--limit", type=int, default=DEFAULT_GROUP_LIMIT)
+    p_sp.add_argument("--limit", type=int)
     p_sp.add_argument("--probe-trials", type=int, default=50)
-    p_sp.add_argument("--probe-seed", type=int, default=verify.DEFAULT_PROBE_SEED)
+    p_sp.add_argument("--probe-seed", type=int)
     p_sp.set_defaults(func=cmd_specht)
     return parser
 

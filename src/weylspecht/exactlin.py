@@ -18,7 +18,6 @@ Fraction entries.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
 from math import gcd, lcm
@@ -137,12 +136,19 @@ def field_name(field) -> str:
     return "Q" if field.characteristic == 0 else f"F{field.characteristic}"
 
 
-@dataclass
 class SparseVector:
     """Map from index to nonzero scalar; zero entries are never stored."""
 
-    dim: int
-    entries: dict
+    __slots__ = ("dim", "entries")
+
+    def __init__(self, dim: int, entries: dict):
+        self.dim = dim
+        self.entries = entries
+
+    def __eq__(self, other):
+        if type(other) is not SparseVector:
+            return NotImplemented
+        return self.dim == other.dim and self.entries == other.entries
 
     def is_zero(self) -> bool:
         return not self.entries
@@ -307,14 +313,25 @@ def in_echelon_span(field, by_pivot: dict, v: SparseVector) -> bool:
     return not _remainder(field.characteristic, by_pivot, v)
 
 
-@dataclass
 class SubspaceBasis:
-    """Reduced row-echelon basis: the canonical representation of a subspace."""
+    """Reduced row-echelon basis: the canonical representation of a subspace.
 
-    field: object
-    dim: int
-    rows: tuple
-    pivots: tuple
+    Equal subspaces have equal bases, so == compares subspaces."""
+
+    __slots__ = ("field", "dim", "rows", "pivots")
+
+    def __init__(self, field, dim: int, rows: tuple, pivots: tuple):
+        self.field = field
+        self.dim = dim
+        self.rows = rows
+        self.pivots = pivots
+
+    def __eq__(self, other):
+        if type(other) is not SubspaceBasis:
+            return NotImplemented
+        return (self.field, self.dim, self.pivots, self.rows) == (
+            other.field, other.dim, other.pivots, other.rows
+        )
 
     @property
     def rank(self) -> int:

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import re
 import warnings
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from operator import mul
@@ -31,22 +30,44 @@ _ROOT_COUNTS = {
 }
 
 
-@dataclass(frozen=True)
 class RootSystem:
     """An immutable root system; safe to share freely once built.
 
     roots[:positive_count] are the positive roots in lexicographic order and
-    roots[positive_count + i] == -roots[i].
+    roots[positive_count + i] == -roots[i]. Equality and hash read the
+    defining data only; `index` and `doubled_gram` are derived from it.
     """
 
-    label: str
-    rank: int
-    roots: tuple[Root, ...]
-    gram: tuple[tuple[Fraction, ...], ...]
-    positive_count: int
-    index: dict = field(compare=False, repr=False)
-    # 2 * gram, integral for every supported type
-    doubled_gram: tuple[tuple[int, ...], ...] = field(compare=False, repr=False)
+    def __init__(
+        self,
+        label: str,
+        rank: int,
+        roots: tuple[Root, ...],
+        gram: tuple[tuple[Fraction, ...], ...],
+        positive_count: int,
+        index: dict,
+        doubled_gram: tuple[tuple[int, ...], ...],
+    ):
+        self.label = label
+        self.rank = rank
+        self.roots = roots
+        self.gram = gram
+        self.positive_count = positive_count
+        # root -> its position in roots
+        self.index = index
+        # 2 * gram, integral for every supported type
+        self.doubled_gram = doubled_gram
+
+    def _key(self):
+        return self.label, self.rank, self.roots, self.gram, self.positive_count
+
+    def __eq__(self, other):
+        if type(other) is not RootSystem:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
 
     def simple_roots(self) -> tuple[Root, ...]:
         n = self.rank

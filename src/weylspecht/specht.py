@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import warnings
 from collections import deque
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import repeat
@@ -69,15 +68,31 @@ from .weyl import (
 Element = GroupElement | tuple[int, ...]
 
 
-@dataclass(frozen=True)
 class Tabloid:
     """One coset d N(psi), keyed by the root set d(psi)."""
 
-    key: frozenset
-    rep: GroupElement
-    rep_word: tuple[int, ...]
-    rows: tuple[Root, ...]
-    cols: tuple[Root, ...]
+    __slots__ = ("key", "rep", "rep_word", "rows", "cols")
+
+    def __init__(
+        self,
+        key: frozenset,
+        rep: GroupElement,
+        rep_word: tuple[int, ...],
+        rows: tuple[Root, ...],
+        cols: tuple[Root, ...],
+    ):
+        self.key = key
+        self.rep = rep
+        self.rep_word = rep_word
+        self.rows = rows
+        self.cols = cols
+
+    def __eq__(self, other):
+        if type(other) is not Tabloid:
+            return NotImplemented
+        return (self.key, self.rep_word, self.rep, self.rows, self.cols) == (
+            other.key, other.rep_word, other.rep, other.rows, other.cols
+        )
 
 
 class TabloidSpace:
@@ -314,14 +329,16 @@ def polytabloid(space: TabloidSpace, field, w: Element) -> SparseVector:
     return act_vector(space, field, w, e)
 
 
-@dataclass
 class SpechtModuleData:
     """The submodule spanned by all translated polytabloids, in echelon form."""
 
-    space: TabloidSpace
-    field: object
-    e_vec: SparseVector
-    basis: SubspaceBasis
+    __slots__ = ("space", "field", "e_vec", "basis")
+
+    def __init__(self, space: TabloidSpace, field, e_vec: SparseVector, basis: SubspaceBasis):
+        self.space = space
+        self.field = field
+        self.e_vec = e_vec
+        self.basis = basis
 
     @property
     def generators(self) -> tuple[GroupElement, ...]:

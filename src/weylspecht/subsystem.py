@@ -12,8 +12,6 @@ from __future__ import annotations
 
 import itertools
 from collections import Counter
-from dataclasses import dataclass
-
 from operator import itemgetter
 
 from . import rootsys
@@ -28,15 +26,35 @@ from .weyl import (
 )
 
 
-@dataclass(frozen=True)
 class Subsystem:
     """A reflection-closed root subset with its simple system."""
 
-    ambient_label: str
-    roots: frozenset
-    simples: tuple[Root, ...]
-    components: tuple[tuple[Root, ...], ...]
-    component_labels: tuple[str, ...]
+    __slots__ = ("ambient_label", "roots", "simples", "components", "component_labels")
+
+    def __init__(
+        self,
+        ambient_label: str,
+        roots: frozenset,
+        simples: tuple[Root, ...],
+        components: tuple[tuple[Root, ...], ...],
+        component_labels: tuple[str, ...],
+    ):
+        self.ambient_label = ambient_label
+        self.roots = roots
+        self.simples = simples
+        self.components = components
+        self.component_labels = component_labels
+
+    def _key(self):
+        return self.ambient_label, self.roots, self.simples, self.components, self.component_labels
+
+    def __eq__(self, other):
+        if type(other) is not Subsystem:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
 
     @property
     def size(self) -> int:

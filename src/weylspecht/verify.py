@@ -15,7 +15,6 @@ to e.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 
 from .exactlin import SparseVector, echelon_insert, in_echelon_span, vector
 from .rootsys import RootSystem
@@ -91,13 +90,15 @@ def vanishing_obstruction(
     return _first_obstruction(system, meet)
 
 
-@dataclass(frozen=True)
 class GoodSubsystemResult:
     """Outcome of the goodness scan, with the failing cosets as witnesses."""
 
-    is_good: bool
-    witnesses: tuple[GroupElement, ...]
-    reason: str | None
+    __slots__ = ("is_good", "witnesses", "reason")
+
+    def __init__(self, is_good: bool, witnesses: tuple[GroupElement, ...], reason: str | None):
+        self.is_good = is_good
+        self.witnesses = witnesses
+        self.reason = reason
 
     def __bool__(self) -> bool:
         return self.is_good
@@ -135,14 +136,23 @@ def is_good_subsystem(
     return good_from_space(space)
 
 
-@dataclass(frozen=True)
 class ProbeReport:
     """Seeded random-submodule probe outcome; `violations` lists bad trials."""
 
-    trials: int
-    seed: int
-    characteristic: int
-    violations: tuple[int, ...]
+    __slots__ = ("trials", "seed", "characteristic", "violations")
+
+    def __init__(self, trials: int, seed: int, characteristic: int, violations: tuple[int, ...]):
+        self.trials = trials
+        self.seed = seed
+        self.characteristic = characteristic
+        self.violations = violations
+
+    def __eq__(self, other):
+        if type(other) is not ProbeReport:
+            return NotImplemented
+        return (self.trials, self.seed, self.characteristic, self.violations) == (
+            other.trials, other.seed, other.characteristic, other.violations
+        )
 
     @property
     def ok(self) -> bool:

@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass
 from operator import itemgetter
 
 from .rootsys import Root, RootSystem, reflection
@@ -34,10 +33,23 @@ class GroupLimitError(RuntimeError):
 DEFAULT_GROUP_LIMIT = 100_000
 
 
-@dataclass(frozen=True, slots=True)
 class GroupElement:
-    perm: tuple[int, ...]
-    system_label: str
+    """An element of W as the image index of every root, with the label of
+    its root system; equal elements compare and hash equal."""
+
+    __slots__ = ("perm", "system_label")
+
+    def __init__(self, perm: tuple[int, ...], system_label: str):
+        self.perm = perm
+        self.system_label = system_label
+
+    def __eq__(self, other):
+        if type(other) is not GroupElement:
+            return NotImplemented
+        return self.perm == other.perm and self.system_label == other.system_label
+
+    def __hash__(self):
+        return hash(self.perm)
 
 
 def _check_same(a: GroupElement, b: GroupElement) -> None:
@@ -94,14 +106,28 @@ def word_to_element(system: RootSystem, word) -> GroupElement:
     return GroupElement(perm, system.label)
 
 
-@dataclass(frozen=True)
 class GeneratedGroup:
     """A group generated by reflections, in BFS order (identity first), with
     one word each in its generators: for W, the simple reflections."""
 
-    system_label: str
-    elements: tuple[GroupElement, ...]
-    words: tuple[tuple[int, ...], ...]
+    __slots__ = ("system_label", "elements", "words")
+
+    def __init__(
+        self,
+        system_label: str,
+        elements: tuple[GroupElement, ...],
+        words: tuple[tuple[int, ...], ...],
+    ):
+        self.system_label = system_label
+        self.elements = elements
+        self.words = words
+
+    def __eq__(self, other):
+        if type(other) is not GeneratedGroup:
+            return NotImplemented
+        return (self.system_label, self.words, self.elements) == (
+            other.system_label, other.words, other.elements
+        )
 
     def __len__(self) -> int:
         return len(self.elements)

@@ -5,6 +5,8 @@ import sys
 from fractions import Fraction
 from pathlib import Path
 
+import pytest
+
 from weylspecht.cli import main
 
 
@@ -408,3 +410,91 @@ def test_closed_stdout_exits_1_without_traceback():
     proc.stderr.close()
     assert proc.wait() == 1
     assert err == b""
+
+
+# --------------------------------------------------------------------------
+# start-up: what each process loads
+
+SRC = str(Path(__file__).resolve().parent.parent / "src")
+
+# what `from weylspecht import *` bound before the names resolved lazily
+EXPORTED = [
+    "GeneratedGroup", "GoodSubsystemResult", "GroupElement", "GroupLimitError",
+    "PrimeField", "ProbeReport", "QQ", "Root", "RootSystem", "SpechtModuleData",
+    "Subsystem", "Tabloid", "TabloidSpace", "act_tabloid", "act_vector",
+    "apply_kappa", "apply_to_root", "bilinear_form", "build_root_system",
+    "build_specht_module", "character_norm", "character_value",
+    "closure_from_simples", "compose", "cyclic_submodule", "descent_word",
+    "distinguished_reps", "enumerate_tabloids", "exactlin", "field_by_name",
+    "format_module_vector", "format_root", "format_tabloid", "generate_group",
+    "group_order", "identity", "inner_product", "inverse", "is_good_subsystem",
+    "is_useful_subsystem", "is_useful_system", "length", "matrix_of",
+    "normalizer", "orthogonal_complement", "parse_root", "polytabloid",
+    "quotient_dimension", "reflect_root", "rootsys", "sign", "simple_reflection",
+    "simple_system_of", "specht", "subgroup_generated", "submodule_theorem_probe",
+    "subsystem", "vanishing_obstruction", "verify", "weyl", "word_to_element",
+]
+
+# run in a fresh interpreter: the modules that `code` adds to sys.modules
+_LOADED = """
+import json, sys
+before = set(sys.modules)
+exec(sys.argv[1])
+sys.stderr.write(json.dumps(sorted(set(sys.modules) - before)))
+"""
+
+
+def _loaded_by(code):
+    env = dict(os.environ, PYTHONPATH=SRC + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    proc = subprocess.run(
+        [sys.executable, "-c", _LOADED, code], capture_output=True, text=True, env=env
+    )
+    assert proc.returncode == 0, proc.stderr
+    return set(json.loads(proc.stderr))
+
+
+def _package_modules(loaded):
+    return {m for m in loaded if m == "weylspecht" or m.startswith("weylspecht.")}
+
+
+def test_package_import_loads_no_submodule():
+    assert _package_modules(_loaded_by("import weylspecht")) == {"weylspecht"}
+
+
+def test_cli_import_loads_only_rootsys():
+    loaded = _loaded_by("import weylspecht.cli")
+    assert _package_modules(loaded) == {"weylspecht", "weylspecht.cli", "weylspecht.rootsys"}
+    assert "dataclasses" not in loaded
+
+
+@pytest.mark.parametrize("argv", [["roots", "--type", "F4"], ["roots", "--type", "F4", "--json"]])
+def test_roots_loads_no_other_module(argv):
+    loaded = _loaded_by(f"from weylspecht.cli import main; assert main({argv!r}) == 0")
+    assert _package_modules(loaded) == {"weylspecht", "weylspecht.cli", "weylspecht.rootsys"}
+
+
+@pytest.mark.parametrize("fmt", [[], ["--json"]])
+def test_tabloids_never_loads_verify(fmt):
+    argv = ["tabloids", "--type", "A5", "--J", "10000,00010", *fmt]
+    loaded = _loaded_by(f"from weylspecht.cli import main; assert main({argv!r}) == 0")
+    assert "weylspecht.specht" in loaded
+    assert "weylspecht.verify" not in loaded
+
+
+def test_lazy_exports_are_the_module_objects():
+    import importlib
+
+    import weylspecht
+
+    assert weylspecht.__all__ == sorted(EXPORTED)
+    assert dir(weylspecht) == sorted(EXPORTED)
+    namespace = {}
+    exec("from weylspecht import *", namespace)
+    assert sorted(set(namespace) - {"__builtins__"}) == sorted(EXPORTED)
+    for name in EXPORTED:
+        value = getattr(weylspecht, name)
+        home = weylspecht._HOME.get(name, name)
+        module = importlib.import_module(f"weylspecht.{home}")
+        assert value is (module if home == name else getattr(module, name)), name
+    with pytest.raises(AttributeError, match="no_such_name"):
+        getattr(weylspecht, "no_such_name")

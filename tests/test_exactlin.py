@@ -82,6 +82,10 @@ def test_empty_input_has_rank_zero():
 def test_scalar_multiple_collapses():
     v = q(2, -3, 1)
     assert row_reduce(QQ, [v, vscale(QQ, Fraction(2), v)]).rank == 1
+    # one subspace, spanned two ways, has one basis; its field is part of it
+    assert row_reduce(QQ, [vscale(QQ, Fraction(-1, 3), v)]) == row_reduce(QQ, [v])
+    f5 = PrimeField(5)
+    assert row_reduce(f5, [from_dense(f5, [2, -3, 1])]) != row_reduce(QQ, [v])
 
 
 def test_dimension_mismatch_rejected():

@@ -40,6 +40,10 @@ def test_classical_root_counts(label):
         expected = COUNTS[label[0]](int(label[1]))
     assert len(system.roots) == expected
     assert system.positive_count * 2 == expected
+    # built twice, a system compares and hashes equal
+    again = build_root_system(label)
+    assert again is not system and again == system and hash(again) == hash(system)
+    assert system != build_root_system("A1" if label != "A1" else "A2")
 
 
 @pytest.mark.parametrize("label", ["A5", "B5", "C5", "D5", "A8", "B8", "C8", "D8"])

@@ -58,6 +58,9 @@ def test_two_a1_closure(a3):
     assert psi.roots == frozenset(
         [(1, 0, 0), (-1, 0, 0), (0, 0, 1), (0, 0, -1)]
     )
+    again = closure_from_simples(build_root_system("A3"), roots_of(a3, "100", "001"))
+    assert again is not psi and again == psi and hash(again) == hash(psi)
+    assert psi != closure_from_simples(a3, roots_of(a3, "001", "100"))
 
 
 def test_a2_closure_in_d4(d4):

@@ -192,6 +192,13 @@ def test_generation_is_deterministic(a3, w_a3):
     again = generate_group(a3)
     assert again.elements == w_a3.elements
     assert again.words == w_a3.words
+    assert again == w_a3
+    # equal elements built apart compare and hash equal, and carry no dict
+    for w, v in zip(again, w_a3):
+        assert w is not v and w == v and hash(w) == hash(v)
+    assert len(set(again) | set(w_a3)) == len(w_a3)
+    assert not hasattr(w_a3[1], "__dict__")
+    assert w_a3[1] != w_a3[2]
 
 
 def test_group_limit(a3):
