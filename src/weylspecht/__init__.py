@@ -3,14 +3,14 @@
 Pipeline: build a root system, cut out subsystems, enumerate tabloids as
 the orbit of psi, span the module with polytabloids, and decide the
 structural predicates, all over Q or a prime field. An element of W acts on
-tabloids by folding a word for it over the simple reflections' tables: a
-word the caller holds, or one read off the element's descents. One walk,
-a breadth-first orbit of root indices under root permutations, lists W,
-the column group W(psi'), the tabloids and the distinguished
-representatives, each in the order of its shortest words. W itself is
-generated only for what enumerates it: the character norm, N(psi) and
-the oracles. The walk keeps words, not elements; whatever is valued per
-element is one step from its parent word's value (`weyl.fold_walk`).
+tabloids by sending their keys through its root permutation, and a word
+by folding the simple reflections' tables so read. One walk, a
+breadth-first orbit of root indices under root permutations, lists W, the
+column group W(psi'), the tabloids and the distinguished representatives,
+each in the order of its shortest words. W itself is generated only for
+what enumerates it: the character norm, N(psi) and the oracles. The walk
+yields words as it reaches them and keeps no element; whatever is valued
+per element is one step from its parent word's value (`weyl.fold_walk`).
 
 The names below resolve on first use (PEP 562): `import weylspecht` loads
 no submodule, and `weylspecht.build_root_system` loads only `rootsys`.

@@ -179,11 +179,11 @@ def cmd_tabloids(args) -> int:
 
 def _independent_generators(module, order: int):
     # the first translates d e_{J,J'}, d in D_psi', that are independent,
-    # each with the word of d; the listing stops at the dim-th, so later
-    # translates are never computed. The walk's word of d is a letter i
-    # before the word of its parent, so d e_{J,J'} is the parent's
-    # translate moved by the table of tau_i. D_psi' has at most |W| = order
-    # elements, and order has passed the --limit check
+    # each with the word of d; the listing stops at the dim-th, and with it
+    # the walk of D_psi', which yields its words as it reaches them. The
+    # word of d is a letter i before the word of its parent, so d e_{J,J'}
+    # is the parent's translate moved by the table of tau_i. D_psi' has at
+    # most |W| = order elements, and order has passed the --limit check
     from . import specht
     from .exactlin import echelon_insert
     from .subsystem import distinguished_reps
@@ -205,7 +205,7 @@ def _independent_generators(module, order: int):
 def cmd_specht(args) -> int:
     from . import specht, verify
     from .exactlin import field_by_name, field_name
-    from .weyl import word_order
+    from .weyl import GroupLimitError, word_order
 
     system = _system(args.type)
     order = _order(system, args.limit)
@@ -227,9 +227,13 @@ def cmd_specht(args) -> int:
         raise CommandError(f"--probe-trials must be at least 1, got {args.probe_trials}")
     words = _collect_words(system, args.char)
 
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        module = specht.build_specht_module(system, psi, psi_prime, field)
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            module = specht.build_specht_module(system, psi, psi_prime, field)
+    except GroupLimitError as exc:
+        # a walk inside the build, W(psi') at most, met the library's bound
+        raise CommandError(str(exc), code=EXIT_GROUP_LIMIT) from None
     space = module.space
     useful = space.useful
     e_vec = module.e_vec

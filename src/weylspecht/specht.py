@@ -5,16 +5,14 @@ A tabloid is a left coset of the setwise stabilizer N(psi), keyed by the
 image root set d(psi) itself; the stabilizer is exactly the subgroup fixing
 that set, so the key is canonical. By orbit-stabilizer the keys are the
 orbit of psi's root set, |W:N(psi)| sets in all, which `weyl.coset_walk`
-lists in W's order of their shortest representatives. The walk records the
-image of every key under every simple reflection, and these lists are the
-permutation tables of the action on tabloid indices. The module M^psi is
-the free module on the tabloids; an element acts by folding the tables
-along a word for it, one the caller holds or else its descent word read
-off its permutation, and a cyclic submodule is spun by applying them one
-at a time (`spin`). The kappa operator is the signed sum over the
-reflection group of the column system, and the polytabloid e_{wJ,wJ'} is
-the translate w e_{J,J'} of kappa applied to the base tabloid. The module
-S is the submodule spun from e_{J,J'}; it is spanned by the translates
+lists in W's order of their shortest representatives. The module M^psi is
+the free module on the tabloids; an element permutes them by sending each
+key through its root permutation, a word folds the simple reflections'
+tables so read, and a cyclic submodule is spun by applying these one at a
+time (`spin`). The kappa operator is the signed sum over the reflection
+group of the column system, and the polytabloid e_{wJ,wJ'} is the
+translate w e_{J,J'} of kappa applied to the base tabloid. The module S is
+the submodule spun from e_{J,J'}; it is spanned by the translates
 d e_{J,J'} for d in D_psi', which the same walk lists. None of this
 generates W; `group` does, when first read.
 """
@@ -54,14 +52,12 @@ from .weyl import (
     GroupElement,
     apply_to_root,
     coset_walk,
-    descent_word,
     elements_of,
     fold_walk,
     gather,
     generate_group,
     reflection_in,
     subgroup_generated,
-    word_order,
 )
 
 # an element of W, or a word in the 1-based simple reflections naming one
@@ -103,10 +99,9 @@ class TabloidSpace:
     stage; W itself, and N(psi) swept from it, only when read. Tabloids come
     in the (length, word) order of their representatives, which is the BFS
     order of the group, so the family prints identically from run to run.
-    The action of W is the tabloid-index permutation of each simple
-    reflection, recorded by the orbit walk and folded along a word for an
-    element, or applied one reflection at a time by `cyclic_submodule`;
-    nothing is stored per element.
+    An element's tabloid-index permutation is read off the keys (`_table`),
+    and a word folds those of the simple reflections; nothing is stored per
+    element.
     """
 
     def __init__(
@@ -116,7 +111,6 @@ class TabloidSpace:
         psi_prime: Subsystem | None,
         group: GeneratedGroup | None,
         tabloids: tuple[Tabloid, ...],
-        tables: tuple[tuple[int, ...], ...],
         col_group: GeneratedGroup,
     ):
         self.system = system
@@ -130,10 +124,6 @@ class TabloidSpace:
         self.col_group, self.col_words = col_group.elements, col_group.words
         # a reflection has determinant -1
         self.col_signs = tuple(-1 if len(w) % 2 else 1 for w in self.col_words)
-        # entry k of table i is the index of tau_i applied to tabloid k
-        self._tables = tables
-        # step i sends a permutation p to p o (table of tau_i)
-        self._steps = tuple(map(gather, tables))
 
     def __len__(self) -> int:
         return len(self.tabloids)
@@ -161,14 +151,15 @@ class TabloidSpace:
         `polytabloid` reads it into any field and goodness reads its support."""
         if self.psi_prime is None:
             raise ValueError("tabloid space was built without a column system")
-        return apply_kappa(self, QQ, SparseVector(len(self), {0: QQ.one}))
+        # seeded with the int 1, kappa sums ints; `vector` reads them into Q
+        return apply_kappa(self, QQ, SparseVector(len(self), {0: 1}))
 
     @cached_property
     def col_stabilizer(self) -> tuple[GroupElement, ...]:
-        """N(psi) meet W(psi'), in group order: the stabilizer of psi's root
-        set inside the column group, so N(psi) itself is never walked."""
-        found = stabilizer(self.system, self.psi, self.col_group)
-        return tuple(sorted(found, key=word_order(self.system)))
+        """N(psi) meet W(psi'), in the walk order of W(psi'): the stabilizer
+        of psi's root set inside the column group, so N(psi) itself is never
+        walked."""
+        return stabilizer(self.system, self.psi, self.col_group)
 
     @cached_property
     def useful(self) -> bool:
@@ -181,24 +172,37 @@ class TabloidSpace:
         )
 
     @cached_property
-    def _spell(self):
-        return descent_word(self.system)
+    def _tables(self) -> tuple[tuple[int, ...], ...]:
+        # entry k of table i is the index of tau_i applied to tabloid k
+        return tuple(map(self._table, self.system.simple_reflection_perms))
+
+    @cached_property
+    def _steps(self) -> tuple:
+        # step i sends a permutation p to p o (table of tau_i)
+        return tuple(map(gather, self._tables))
+
+    def _table(self, perm) -> tuple[int, ...]:
+        # entry k is the index of the key that the root permutation perm
+        # sends the key of tabloid k to; `index` holds the keys in order
+        roots, index = self.system.roots, self.index
+        image = dict(zip(roots, map(roots.__getitem__, perm)))
+        return tuple(index[frozenset(map(image.__getitem__, key))] for key in index)
 
     @cached_property
     def _col_steps(self) -> tuple:
-        # the tables of the J' reflections, each its descent word folded once
+        # the tables of the J' reflections
         psi_prime = self.psi_prime
         roots = sorted(set(psi_prime.simples)) if psi_prime is not None else ()
-        return tuple(gather(self.index_action(reflection_in(self.system, r))) for r in roots)
+        return tuple(gather(self._table(reflection_in(self.system, r).perm)) for r in roots)
 
     def index_action(self, w: Element) -> tuple[int, ...]:
         """The permutation of tabloid indices induced by w, an element or a
         word in the simple reflections: entry i is the index of w applied to
-        tabloid i. An element acts by its descent word."""
+        tabloid i. An element acts by its root permutation on the keys."""
         if isinstance(w, GroupElement):
             if w.system_label != self.system.label:
                 raise ValueError("element belongs to a different root system")
-            w = self._spell(w.perm)
+            return self._table(w.perm)
         rank = self.system.rank
         perm = tuple(range(len(self)))
         # w = tau_a tau_b ... acts as table_a o table_b o ...
@@ -228,7 +232,7 @@ def enumerate_tabloids(
     # reaching it and its lex-least word, in W's order
     seed = frozenset(system.root_index(r) for r in psi.roots)
     gens = system.simple_reflection_perms
-    points, words, tables = coset_walk(gens, seed)
+    points, words = zip(*coset_walk(gens, seed))
     tabloids = []
     roots = system.roots
     for point, d, word in zip(points, elements_of(system, gens, words), words):
@@ -247,7 +251,6 @@ def enumerate_tabloids(
         psi_prime=psi_prime,
         group=group,
         tabloids=tuple(tabloids),
-        tables=tuple(map(tuple, tables)),
         col_group=subgroup_generated(system, col_simples),
     )
 
@@ -391,12 +394,18 @@ bilinear_form = dot
 def quotient_dimension(module: SpechtModuleData) -> tuple[int, int, int]:
     """(dim S, dim of S meet its form complement, dim of the quotient).
 
-    The delta form is nondegenerate, so the radical S meet S-perp has the
-    dimension of the complement of S + S-perp: dim minus the rank of the sum.
+    Over Q the delta form is positive definite, <v, v> = sum v_i^2 > 0 for
+    v != 0, so the radical S meet S-perp is 0 and D = S: "dim radical" is a
+    modular invariant only. Over F_p the form is nondegenerate, so the
+    radical has the dimension of the complement of S + S-perp: dim minus
+    the rank of the sum.
     """
     basis = module.basis
+    dim_s = basis.rank
+    if module.field.characteristic == 0:
+        return (dim_s, 0, dim_s)
     span = row_reduce(module.field, basis.rows + form_complement(basis).rows, dim=basis.dim)
-    dim_s, radical = basis.rank, basis.dim - span.rank
+    radical = basis.dim - span.rank
     return (dim_s, radical, dim_s - radical)
 
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import itertools
 from collections import Counter
+from collections.abc import Iterator
 from operator import itemgetter
 
 from . import rootsys
@@ -186,7 +187,7 @@ def complements_meet_trivially(
 
 def distinguished_reps(
     system: RootSystem, psi: Subsystem, limit: int = DEFAULT_GROUP_LIMIT
-) -> tuple[tuple[int, ...], ...]:
+) -> Iterator[tuple[int, ...]]:
     """D_psi: the elements keeping every simple root of psi positive, as
     their lex-least reduced words, in W's order, identity first; the
     elements themselves are `weyl.elements_of` these words.
@@ -196,16 +197,15 @@ def distinguished_reps(
     such d, it sends d(J) negative only where d sends a root of J to a; but
     d^-1(a) is negative. So the walk from e that keeps J positive reaches
     all of D_psi. Its points lead with the images of the simple roots, which
-    name the element.
+    name the element. The words are yielded as the walk reaches them, so a
+    reader that stops early walks no further.
     """
     rank, pc = system.rank, system.positive_count
     seed = tuple(system.index[a] for a in system.simple_roots())
     seed += tuple(system.root_index(r) for r in psi.simples)
     gens = system.simple_reflection_perms
-    _, words, _ = coset_walk(
-        gens, seed, keep=lambda x: max(x[rank:], default=-1) < pc, limit=limit
-    )
-    return tuple(words)
+    walk = coset_walk(gens, seed, keep=lambda x: max(x[rank:], default=-1) < pc, limit=limit)
+    return (word for _, word in walk)
 
 
 def cartan_matrix(system: RootSystem, simples) -> tuple[tuple[int, ...], ...]:

@@ -10,11 +10,12 @@ of the simple roots under the simple reflections is W, since an element is
 linear and so named by its images of the simple roots; under the
 reflections in a root list it is their subgroup; the orbit of psi's root
 set is the tabloids; and the walk that keeps J positive is D_psi. Each
-element is reached by a shortest word, so the recorded words are reduced
-and reproducible. The walk keeps no element; anything valued per element
-(its perm, its tabloid permutation, its translate of e_{J,J'}) is one step
-from the value of its parent word by `fold_walk`. Points and elements are
-moved by `operator.itemgetter`: s o p is `itemgetter(*p)(s)`, built in C.
+element is reached by a shortest word, so the words are reduced and
+reproducible. The walk yields its points as it reaches them and keeps no
+element or table; anything valued per element (its perm, its tabloid
+permutation, its translate of e_{J,J'}) is one step from the value of its
+parent word by `fold_walk`. Points and elements are moved by
+`operator.itemgetter`: s o p is `itemgetter(*p)(s)`, built in C.
 """
 
 from __future__ import annotations
@@ -182,8 +183,8 @@ def _generated(system: RootSystem, gens, limit=math.inf) -> GeneratedGroup:
     # the walk of the simple roots under gens: an element is linear, so its
     # images of the simple roots name it
     seed = tuple(system.index[a] for a in system.simple_roots())
-    _, words, _ = coset_walk(gens, seed, limit=limit)
-    return GeneratedGroup(system.label, elements_of(system, gens, words), tuple(words))
+    words = tuple(word for _, word in coset_walk(gens, seed, limit=limit))
+    return GeneratedGroup(system.label, elements_of(system, gens, words), words)
 
 
 def generate_group(system: RootSystem, limit: int = DEFAULT_GROUP_LIMIT) -> GeneratedGroup:
@@ -216,33 +217,28 @@ def coset_walk(gens, seed, keep=None, limit=math.inf):
     A point is first reached from its smallest left descent, so its word is
     the lex-least reduced word of its element in `gens`, and the points come
     in the order of the generated group: by length, then by that word.
-    Returns the points, their words, and for each generator its table:
-    entry k is the index of the image of point k, None if not kept.
+    Yields each point with its word as it reaches it, seed first, and keeps
+    only the points seen and two levels of words.
     """
     make = type(seed)
+    seen = {seed}
     points, words = [seed], [()]
-    position = {seed: 0}
-    tables = tuple([] for _ in gens)
-    start = 0
-    while start < len(points):
-        end = len(points)
-        images = [gather(x) for x in points[start:end]]
-        for i, (s, table) in enumerate(zip(gens, tables), start=1):
-            for k, image in enumerate(images, start):
+    yield seed, ()
+    while points:
+        images, parent_words = list(map(gather, points)), words
+        points, words = [], []
+        for i, s in enumerate(gens, start=1):
+            for image, word in zip(images, parent_words):
                 x = make(image(s))
-                if keep is not None and not keep(x):
-                    table.append(None)
+                if x in seen or (keep is not None and not keep(x)):
                     continue
-                j = position.get(x)
-                if j is None:
-                    if len(points) >= limit:
-                        raise GroupLimitError(f"coset walk exceeds the limit of {limit} points")
-                    j = position[x] = len(points)
-                    points.append(x)
-                    words.append((i,) + words[k])
-                table.append(j)
-        start = end
-    return points, words, tables
+                if len(seen) >= limit:
+                    raise GroupLimitError(f"coset walk exceeds the limit of {limit} points")
+                seen.add(x)
+                word = (i,) + word
+                points.append(x)
+                words.append(word)
+                yield x, word
 
 
 def group_order(system: RootSystem) -> int:

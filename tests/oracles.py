@@ -424,6 +424,16 @@ def quotient_dimension_by_complements(module):
     return (basis.rank, radical, basis.rank - radical)
 
 
+def quotient_dimension_by_sum(module):
+    """(dim S, dim radical, dim S - dim radical) in any characteristic: the
+    form is nondegenerate, so the radical S meet S-perp has the dimension
+    of the complement of S + S-perp."""
+    basis = module.basis
+    span = row_reduce(module.field, basis.rows + form_complement(basis).rows, dim=basis.dim)
+    radical = basis.dim - span.rank
+    return (basis.rank, radical, basis.rank - radical)
+
+
 def sparse_probe_vector(field, dim, rng):
     """One to three tabloids, each with coefficient +-1."""
     picks = rng.sample(range(dim), min(dim, rng.randint(1, 3)))
@@ -573,15 +583,21 @@ def load_workloads():
     return module
 
 
-def benchmark_pair_module(name, field):
-    """The module of the named benchmark pair over `field`; its space
-    generates W when `group` is first read."""
+def benchmark_pair(name):
+    """(system, psi, psi') of the named benchmark pair."""
     ambient, j_text, jp_text = load_workloads().PAIRS[name]
     system = build_root_system(ambient)
     psi, pp = (
         closure_from_simples(system, [parse_root(system, r) for r in text.split(",")])
         for text in (j_text, jp_text)
     )
+    return system, psi, pp
+
+
+def benchmark_pair_module(name, field):
+    """The module of the named benchmark pair over `field`; its space
+    generates W when `group` is first read."""
+    system, psi, pp = benchmark_pair(name)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         return build_specht_module(system, psi, pp, field)

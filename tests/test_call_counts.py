@@ -11,10 +11,11 @@ import cProfile
 import io
 import random
 import warnings
+from fractions import Fraction
 
 import pytest
 
-from oracles import benchmark_pair_module, sparse_probe_vector
+from oracles import benchmark_pair, benchmark_pair_module, sparse_probe_vector
 from weylspecht import (
     build_specht_module,
     character_norm,
@@ -23,6 +24,7 @@ from weylspecht import (
     is_good_subsystem,
     is_useful_subsystem,
     submodule_theorem_probe,
+    subsystem,
     vanishing_obstruction,
     verify,
 )
@@ -45,6 +47,7 @@ from weylspecht.specht import (
     apply_kappa,
     cyclic_submodule,
     enumerate_tabloids,
+    quotient_dimension,
 )
 from weylspecht.subsystem import distinguished_reps, normalizer
 from weylspecht.weyl import (
@@ -129,6 +132,26 @@ def test_zero_module_skips_the_generator_scan():
     with contextlib.redirect_stdout(io.StringIO()):
         calls = _call_counts(cli.main, D4_SPECHT)
     assert calls(distinguished_reps) == 1
+
+
+def test_a6_listing_stops_the_distinguished_walk(monkeypatch):
+    # D_psi' has 1260 points, and the listing's last independent translate
+    # is the 557th: the walk yields no point past it
+    walk = subsystem.coset_walk
+    yielded = []
+
+    def counted(*args, **kwargs):
+        for step in walk(*args, **kwargs):
+            yielded.append(step)
+            yield step
+
+    monkeypatch.setattr(subsystem, "coset_walk", counted)
+    with contextlib.redirect_stdout(io.StringIO()) as out:
+        cli.main(A6_SPECHT)
+    assert out.getvalue().count(" | ") == 63  # dim S translates listed
+    assert len(yielded) == 557
+    system, _, pp = benchmark_pair("A6")
+    assert len(tuple(distinguished_reps(system, pp))) == 1260
 
 
 def test_a6_text_report_never_generates_the_group():
@@ -251,11 +274,30 @@ def test_specht_report_lists_translates_up_to_the_dimension(case_d4_rank3):
     c = case_d4_rank3
     calls = _call_counts(cli._independent_generators, c.module, DEFAULT_GROUP_LIMIT)
     listed = calls(echelon_insert)
-    dreps = distinguished_reps(c.system, c.psi_prime)
+    dreps = tuple(distinguished_reps(c.system, c.psi_prime))
     assert c.module.dimension <= listed < len(dreps)
     assert calls(_permuted) == listed - 1
     assert calls(TabloidSpace.index_action) == 0
     assert calls(act_vector) == 0
+
+
+def test_base_polytabloid_sums_ints():
+    # kappa is seeded with the int 1, so the 5040 signed terms of W(psi') on
+    # the A7 pair are int additions and Q is reached once per entry; the
+    # forward operators of Fraction share the code of __add__
+    system, psi, pp = benchmark_pair("A7")
+    space = enumerate_tabloids(system, psi, psi_prime=pp)
+    calls = _call_counts(lambda: space.base_polytabloid)
+    ops = calls(Fraction.__add__) + calls(Fraction.__radd__) + calls(Fraction.__neg__)
+    assert ops <= len(space)
+
+
+def test_radical_over_q_is_not_computed():
+    # the delta form is positive definite over Q, so S meets S-perp in 0
+    module = benchmark_pair_module("A6", QQ)
+    calls = _call_counts(quotient_dimension, module)
+    assert calls(form_complement) == 0
+    assert calls(row_reduce) == 0
 
 
 def test_character_norm_folds_no_word(case_d4_rank3, case_d4_deg6):

@@ -12,6 +12,7 @@ from oracles import (
     distinct_part_partitions,
     hook_dimension,
     is_p_core,
+    quotient_dimension_by_sum,
     row_reading_pair,
 )
 from weylspecht import (
@@ -62,6 +63,10 @@ def test_row_reading_pair_affords_the_classical_specht_module(shape):
         # a p-core is alone in a block of defect zero: S^lambda is simple
         if p and is_p_core(shape, p):
             assert radical == 0, p
+        if p == 0:
+            # over Q the radical is 0 without being computed; the sum agrees
+            assert (radical, dim_d) == (0, dim_s)
+            assert quotient_dimension_by_sum(module) == (dim_s, 0, dim_s)
         if p == 0 and sum(shape) <= 7:
             assert character_norm(module) == 1
 

@@ -355,6 +355,19 @@ def test_group_limit_is_the_order(capsys):
         assert err == "error: group of D4 exceeds the limit of 191 elements\n"
 
 
+def test_column_group_past_the_walk_bound_exits_4(capsys):
+    # |W(B8)| = 10321920 passes --limit, but the walk of W(psi') = W(B7),
+    # 645120 elements, meets the library's bound of 100000 points
+    argv = (
+        "specht", "--type", "B8", "--J", "10000000",
+        "--Jp", "01000000,00100000,00010000,00001000,00000100,00000010,00000001",
+        "--json", "--limit", "100000000",
+    )
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (4, "")
+    assert err == "error: coset walk exceeds the limit of 100000 points\n"
+
+
 def test_limit_below_one_is_usage_error(capsys):
     commands = (
         ("tabloids", "--type", "A3", "--J", "100"),

@@ -15,6 +15,7 @@ from oracles import (
     index_action_by_keys,
     load_workloads,
     quotient_dimension_by_complements,
+    quotient_dimension_by_sum,
 )
 from weylspecht import (
     SpechtModuleData,
@@ -565,9 +566,12 @@ def test_radical_rank_matches_the_complement_oracle(corpus, field):
             module = build_specht_module(system, psi, psi_prime, field, group=group)
         dims = quotient_dimension(module)
         assert dims == quotient_dimension_by_complements(module)
+        assert dims == quotient_dimension_by_sum(module)
         radicals.append(dims[1])
     if field.characteristic:
         assert any(radicals)  # so the comparison reaches a nonzero radical
+    else:
+        assert not any(radicals)  # the form is positive definite over Q
 
 
 def test_radical_against_gram_rank_oracle(case_d4_rank3, case_d4_deg6):

@@ -35,7 +35,14 @@ from weylspecht.exactlin import QQ, PrimeField, SparseVector, contains, row_redu
 from weylspecht.rootsys import parse_root
 from weylspecht.specht import act_vector, cyclic_submodule, quotient_dimension, spin
 from weylspecht.verify import DEFAULT_PROBE_SEED, obstruction_from_space, probe_vector
-from weylspecht.weyl import compose, identity, sign, subgroup_generated, word_to_element
+from weylspecht.weyl import (
+    compose,
+    identity,
+    sign,
+    subgroup_generated,
+    word_order,
+    word_to_element,
+)
 
 
 def roots_of(system, *texts):
@@ -119,7 +126,8 @@ def _closure_verdicts(system, group, psi, pp, n_psi):
     assert space.useful == useful, tag
     assert is_useful_system(system, psi, pp) == useful_system_by_closures(system, psi, pp), tag
     meet = col_stabilizer_by_filter(system, n_psi, pp)
-    assert space.col_stabilizer == meet, tag
+    # the space keeps the meet in the walk order of W(psi'), the oracle in W's
+    assert tuple(sorted(space.col_stabilizer, key=word_order(system))) == meet, tag
     # both entry points find the scan's witness
     witness = obstruction_by_scan(system, n_psi, pp)
     assert obstruction_from_space(space) == witness, tag

@@ -273,7 +273,7 @@ def _walk_words():
         yield pytest.param(system, generate_group(system).words, id=label)
     d4 = build_root_system("D4")
     pp = closure_from_simples(d4, [parse_root(d4, t) for t in ("0001", "0110")])
-    yield pytest.param(d4, distinguished_reps(d4, pp), id="D4-6-Dpsi")
+    yield pytest.param(d4, tuple(distinguished_reps(d4, pp)), id="D4-6-Dpsi")
 
 
 @pytest.mark.parametrize("system,words", list(_walk_words()))
