@@ -408,41 +408,6 @@ def contains(basis: SubspaceBasis, v: SparseVector) -> bool:
     return not e
 
 
-def form_complement(basis: SubspaceBasis) -> SubspaceBasis:
-    """All vectors pairing to zero with every basis row under the delta form.
-
-    Since the delta form has identity Gram matrix on the standard basis, this
-    is the nullspace of the matrix whose rows are the basis vectors; its
-    dimension is always dim - rank.
-    """
-    field = basis.field
-    pivset = set(basis.pivots)
-    free = [j for j in range(basis.dim) if j not in pivset]
-    vecs = []
-    for f in free:
-        entries = {f: field.one}
-        for row, p in zip(basis.rows, basis.pivots):
-            c = row.entries.get(f)
-            if c is not None:
-                entries[p] = field.neg(c)
-        vecs.append(SparseVector(basis.dim, entries))
-    return row_reduce(field, vecs, dim=basis.dim)
-
-
-def intersect(a: SubspaceBasis, b: SubspaceBasis) -> SubspaceBasis:
-    """Canonical basis of the intersection of two subspaces.
-
-    The delta form is nondegenerate over every field, so the intersection is
-    the complement of the sum of the two complements.
-    """
-    if a.field != b.field:
-        raise ValueError("field mismatch")
-    if a.dim != b.dim:
-        raise ValueError("dimension mismatch")
-    perps = form_complement(a).rows + form_complement(b).rows
-    return form_complement(row_reduce(a.field, perps, dim=a.dim))
-
-
 def solve_coordinates(field, basis_vectors, v: SparseVector):
     """Coordinates of v in the given independent vectors, or None if outside.
 

@@ -6,13 +6,14 @@ image root set d(psi) itself; the stabilizer is exactly the subgroup fixing
 that set, so the key is canonical. By orbit-stabilizer the keys are the
 orbit of psi's root set, |W:N(psi)| sets in all, which `weyl.coset_walk`
 lists in W's order of their shortest representatives. The module M^psi is
-the free module on the tabloids; an element permutes them by sending each
-key through its root permutation, a word folds the simple reflections'
-tables so read, and a cyclic submodule is spun by applying these one at a
-time (`spin`). The kappa operator is the signed sum over the reflection
-group of the column system, and the polytabloid e_{wJ,wJ'} is the
-translate w e_{J,J'} of kappa applied to the base tabloid. The module S is
-the submodule spun from e_{J,J'}; it is spanned by the translates
+the free module on the tabloids; a simple reflection permutes them by
+sending each key through its root permutation, a word folds these tables,
+an element folds its descent word, and a cyclic submodule is spun by
+applying the tables one at a time (`spin`). The kappa operator is the
+signed sum over the reflection group of the column system, and the
+polytabloid e_{wJ,wJ'} is the translate w e_{J,J'} of kappa applied to the
+base tabloid. The module S is the submodule spun from e_{J,J'}; it is
+spanned by the translates
 d e_{J,J'} for d in D_psi', which the same walk lists. None of this
 generates W; `group` does, when first read.
 """
@@ -34,7 +35,6 @@ from .exactlin import (
     echelon_basis,
     echelon_insert,
     field_name,
-    form_complement,
     row_reduce,
     solve_coordinates,
     vector,
@@ -52,6 +52,7 @@ from .weyl import (
     GroupElement,
     apply_to_root,
     coset_walk,
+    descent_word,
     elements_of,
     fold_walk,
     gather,
@@ -99,9 +100,9 @@ class TabloidSpace:
     stage; W itself, and N(psi) swept from it, only when read. Tabloids come
     in the (length, word) order of their representatives, which is the BFS
     order of the group, so the family prints identically from run to run.
-    An element's tabloid-index permutation is read off the keys (`_table`),
-    and a word folds those of the simple reflections; nothing is stored per
-    element.
+    The simple reflections' tabloid-index permutations are read off the keys
+    (`_table`); a word folds them, and an element folds its descent word, so
+    nothing is stored per element.
     """
 
     def __init__(
@@ -181,6 +182,10 @@ class TabloidSpace:
         # step i sends a permutation p to p o (table of tau_i)
         return tuple(map(gather, self._tables))
 
+    @cached_property
+    def _spell(self):
+        return descent_word(self.system)
+
     def _table(self, perm) -> tuple[int, ...]:
         # entry k is the index of the key that the root permutation perm
         # sends the key of tabloid k to; `index` holds the keys in order
@@ -198,11 +203,11 @@ class TabloidSpace:
     def index_action(self, w: Element) -> tuple[int, ...]:
         """The permutation of tabloid indices induced by w, an element or a
         word in the simple reflections: entry i is the index of w applied to
-        tabloid i. An element acts by its root permutation on the keys."""
+        tabloid i. An element acts by its descent word."""
         if isinstance(w, GroupElement):
             if w.system_label != self.system.label:
                 raise ValueError("element belongs to a different root system")
-            return self._table(w.perm)
+            w = self._spell(w.perm)
         rank = self.system.rank
         perm = tuple(range(len(self)))
         # w = tau_a tau_b ... acts as table_a o table_b o ...
@@ -396,17 +401,42 @@ def quotient_dimension(module: SpechtModuleData) -> tuple[int, int, int]:
 
     Over Q the delta form is positive definite, <v, v> = sum v_i^2 > 0 for
     v != 0, so the radical S meet S-perp is 0 and D = S: "dim radical" is a
-    modular invariant only. Over F_p the form is nondegenerate, so the
-    radical has the dimension of the complement of S + S-perp: dim minus
-    the rank of the sum.
+    modular invariant only. Over F_p the radical is the kernel of the Gram
+    matrix of S's basis (James-Murphy 1979). The canonical rows are [I | C]
+    up to column order, with k rows and m = n - k free columns, so that
+    matrix is I_k + C C^T, and x -> C^T x maps its kernel onto that of
+    I_m + C^T C: the radical has dimension k - rank(I_k + C C^T) =
+    m - rank(I_m + C^T C). The smaller side is reduced, since the k side
+    has 2744 rows at B8 (5,3) and the m side 5039 for a line in 5040
+    tabloids. Each row of the Gram matrix is summed as one integer of
+    width-bit slots, wide enough that no slot overflows before it is read
+    back and reduced mod p.
     """
-    basis = module.basis
-    dim_s = basis.rank
-    if module.field.characteristic == 0:
-        return (dim_s, 0, dim_s)
-    span = row_reduce(module.field, basis.rows + form_complement(basis).rows, dim=basis.dim)
-    radical = basis.dim - span.rank
-    return (dim_s, radical, dim_s - radical)
+    basis, field = module.basis, module.field
+    k, n, p = basis.rank, basis.dim, field.characteristic
+    if p == 0:
+        return (k, 0, k)
+    # C's rows, each entry at its column's position among the free columns
+    free = {j: s for s, j in enumerate(sorted(set(range(n)) - set(basis.pivots)))}
+    c_rows = [[(free[j], c) for j, c in r.entries.items() if j in free] for r in basis.rows]
+    if 2 * k <= n:  # I_k + C C^T: v v^T summed over C's columns v
+        size, vecs = k, [[] for _ in free]
+        for a, row in enumerate(c_rows):
+            for s, c in row:
+                vecs[s].append((a, c))
+    else:  # I_m + C^T C: v v^T summed over C's rows v
+        size, vecs = n - k, c_rows
+    # entry b of a row sits at bit width * b; a slot holds len(vecs) p^2 + 1
+    width = 2 * p.bit_length() + len(vecs).bit_length()
+    packed = [sum(c << width * b for b, c in v) for v in vecs]
+    gram = [1 << width * a for a in range(size)]
+    for v, x in zip(vecs, packed):
+        for a, c in v:
+            gram[a] += c * x
+    mask, slots = (1 << width) - 1, range(0, width * size, width)
+    rows = [vector(field, size, enumerate(x >> i & mask for i in slots)) for x in gram]
+    radical = size - row_reduce(field, rows, dim=size).rank
+    return (k, radical, k - radical)
 
 
 def matrix_of(module: SpechtModuleData, w: Element, basis_vectors=None):

@@ -46,9 +46,7 @@ from weylspecht.exactlin import (
     SparseVector,
     SubspaceBasis,
     contains,
-    form_complement,
     from_dense,
-    intersect,
     row_reduce,
     vscale,
     vsub,
@@ -401,6 +399,41 @@ def restricted_reflections_by_fixed_space(system, psi, elements):
 
 # --------------------------------------------------------------------------
 # the submodule dichotomy and the radical, from whole subspaces
+
+def form_complement(basis: SubspaceBasis) -> SubspaceBasis:
+    """All vectors pairing to zero with every basis row under the delta form.
+
+    Since the delta form has identity Gram matrix on the standard basis, this
+    is the nullspace of the matrix whose rows are the basis vectors; its
+    dimension is always dim - rank.
+    """
+    field = basis.field
+    pivset = set(basis.pivots)
+    free = [j for j in range(basis.dim) if j not in pivset]
+    vecs = []
+    for f in free:
+        entries = {f: field.one}
+        for row, p in zip(basis.rows, basis.pivots):
+            c = row.entries.get(f)
+            if c is not None:
+                entries[p] = field.neg(c)
+        vecs.append(SparseVector(basis.dim, entries))
+    return row_reduce(field, vecs, dim=basis.dim)
+
+
+def intersect(a: SubspaceBasis, b: SubspaceBasis) -> SubspaceBasis:
+    """Canonical basis of the intersection of two subspaces.
+
+    The delta form is nondegenerate over every field, so the intersection is
+    the complement of the sum of the two complements.
+    """
+    if a.field != b.field:
+        raise ValueError("field mismatch")
+    if a.dim != b.dim:
+        raise ValueError("dimension mismatch")
+    perps = form_complement(a).rows + form_complement(b).rows
+    return form_complement(row_reduce(a.field, perps, dim=a.dim))
+
 
 def probe_violation_by_complement(module, v):
     """Whether the cyclic submodule U spun from v breaks the dichotomy, asked
@@ -829,3 +862,72 @@ def row_reading_pair(shape):
         ]
 
     return differences(rows), differences(cols)
+
+
+def standard_tableaux(shape):
+    """The standard tableaux of `shape` filled with 1..n, each a tuple of
+    rows: entries increase along each row and down each column."""
+    n = sum(shape)
+    rows = [[] for _ in shape]
+
+    def fill(k):
+        if k > n:
+            yield tuple(map(tuple, rows))
+            return
+        for i, length in enumerate(shape):
+            # k goes at the end of row i once the cell above it is filled
+            if len(rows[i]) < length and (i == 0 or len(rows[i - 1]) > len(rows[i])):
+                rows[i].append(k)
+                yield from fill(k + 1)
+                rows[i].pop()
+
+    return list(fill(1))
+
+
+def _permutation_sign(perm):
+    inversions = sum(1 for a, b in itertools.combinations(perm, 2) if a > b)
+    return -1 if inversions % 2 else 1
+
+
+def standard_polytabloid(t):
+    """James's e_t, the signed sum of the tabloids {s t} over the column
+    group of t (LNM 682, §8), as a dict from tabloids, tuples of row sets,
+    to integer coefficients."""
+    cols = [[row[c] for row in t if c < len(row)] for c in range(len(t[0]))]
+    e = {}
+    for images in itertools.product(*(itertools.permutations(col) for col in cols)):
+        rows = [[] for _ in t]
+        for image in images:
+            for i, entry in enumerate(image):
+                rows[i].append(entry)
+        tabloid = tuple(map(frozenset, rows))
+        sign = math.prod(_permutation_sign(image) for image in images)
+        e[tabloid] = e.get(tabloid, 0) + sign
+    return e
+
+
+def rank_mod_p(matrix, p):
+    """Rank of an integer matrix mod p, by dense Gaussian elimination."""
+    rows = [[x % p for x in row] for row in matrix]
+    rank = 0
+    for col in range(len(rows[0]) if rows else 0):
+        pivot = next((r for r in range(rank, len(rows)) if rows[r][col]), None)
+        if pivot is None:
+            continue
+        rows[rank], rows[pivot] = rows[pivot], rows[rank]
+        inv = pow(rows[rank][col], -1, p)
+        for r in range(rank + 1, len(rows)):
+            f = rows[r][col] * inv % p
+            if f:
+                rows[r] = [(x - f * y) % p for x, y in zip(rows[r], rows[rank])]
+        rank += 1
+    return rank
+
+
+def james_dimension(shape, p):
+    """dim D^lambda over F_p: the standard polytabloids are a basis of
+    S^lambda, and D^lambda = S^lambda / (S^lambda meet its complement) has
+    the dimension of the rank of their Gram matrix under the tabloid form."""
+    es = [standard_polytabloid(t) for t in standard_tableaux(shape)]
+    gram = [[sum(c * f.get(k, 0) for k, c in e.items()) for f in es] for e in es]
+    return rank_mod_p(gram, p)

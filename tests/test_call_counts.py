@@ -36,7 +36,6 @@ from weylspecht.exactlin import (
     contains,
     echelon_basis,
     echelon_insert,
-    form_complement,
     in_echelon_span,
     row_reduce,
 )
@@ -47,6 +46,7 @@ from weylspecht.specht import (
     apply_kappa,
     cyclic_submodule,
     enumerate_tabloids,
+    matrix_of,
     quotient_dimension,
 )
 from weylspecht.subsystem import distinguished_reps, normalizer
@@ -56,6 +56,7 @@ from weylspecht.weyl import (
     GroupElement,
     compose,
     generate_group,
+    simple_reflection,
     subgroup_generated,
 )
 
@@ -239,7 +240,6 @@ def test_probe_trial_asks_one_membership_and_no_complement(case_d4_deg6):
     calls = _call_counts(submodule_theorem_probe, case_d4_deg6.module, 1)
     assert calls(in_echelon_span) == 1
     assert calls(contains) == 0
-    assert calls(form_complement) == 0
     assert calls(echelon_basis) == 0
 
 
@@ -296,8 +296,31 @@ def test_radical_over_q_is_not_computed():
     # the delta form is positive definite over Q, so S meets S-perp in 0
     module = benchmark_pair_module("A6", QQ)
     calls = _call_counts(quotient_dimension, module)
-    assert calls(form_complement) == 0
     assert calls(row_reduce) == 0
+
+
+@pytest.mark.parametrize("name", ["D4-6", "F4"])
+def test_radical_over_fp_is_one_rank(name):
+    # one Gram matrix is reduced once, on the smaller side: of C's 6 rows
+    # against 10 columns on D4-6, of its 1 column against 11 rows on F4;
+    # S-perp is never built
+    module = benchmark_pair_module(name, PrimeField(3))
+    calls = _call_counts(quotient_dimension, module)
+    assert calls(row_reduce) == 1
+    k, n = module.basis.rank, module.basis.dim
+    assert calls(echelon_insert) == min(k, n - k)
+
+
+def test_an_element_folds_its_descent_word(case_d4_deg6):
+    # once the simple reflections' tables are read off the keys, an element
+    # acts through its word and reads no key
+    module = case_d4_deg6.module
+    system = module.space.system
+    assert len(module.space._tables) == system.rank
+    for i in range(1, system.rank + 1):
+        calls = _call_counts(matrix_of, module, simple_reflection(system, i))
+        assert calls(TabloidSpace._table) == 0
+        assert calls(TabloidSpace.index_action) == 1
 
 
 def test_character_norm_folds_no_word(case_d4_rank3, case_d4_deg6):
@@ -342,12 +365,13 @@ def _f4_module_and_orthogonality_trial(field):
 
 @pytest.mark.parametrize("field", [QQ, PrimeField(3)], ids=repr)
 def test_elimination_calls_no_field_method_per_entry(case_d4_deg6, field, monkeypatch):
-    # the build and the probe eliminate with inlined integer arithmetic, and
-    # the probe pairs U with e_{J,J'} inline
+    # the build, the probe and the radical eliminate with inlined integer
+    # arithmetic, and the probe pairs U with e_{J,J'} inline
     counted = [_call_counts(_build_and_probe, case_d4_deg6, field)]
     module, v = _f4_module_and_orthogonality_trial(field)
     monkeypatch.setattr(verify, "probe_vector", lambda *_: v)
     counted.append(_call_counts(submodule_theorem_probe, module, 1))
+    counted.append(_call_counts(quotient_dimension, module))
     for calls in counted:
         for method in (RationalField.add, RationalField.mul, PrimeField.add, PrimeField.mul):
             assert calls(method) == 0, method.__qualname__

@@ -2,8 +2,10 @@
 
 For a partition lambda of n the pair (J, J') of the row-reading tableau
 affords James's Specht module S^lambda of the symmetric group W(A_{n-1}).
-Its expected invariants come from the hook lengths of lambda alone, so this
-oracle shares no code with the construction.
+Its expected invariants come from the hook lengths of lambda alone, and
+its modular quotient D^lambda from the Gram matrix of James's standard
+polytabloids, built from tableaux of 1..n, so these oracles share no code
+with the construction.
 """
 
 import pytest
@@ -12,6 +14,7 @@ from oracles import (
     distinct_part_partitions,
     hook_dimension,
     is_p_core,
+    james_dimension,
     quotient_dimension_by_sum,
     row_reading_pair,
 )
@@ -28,6 +31,7 @@ from weylspecht.exactlin import QQ, PrimeField
 
 # distinct parts, so N(psi) is the row group; one part gives the trivial module
 SHAPES = [s for n in range(3, 9) for s in distinct_part_partitions(n) if len(s) > 1]
+SLOW_AT_8 = [pytest.param(s, marks=pytest.mark.slow) if sum(s) == 8 else s for s in SHAPES]
 
 
 def _pair(shape):
@@ -44,11 +48,11 @@ def test_shapes_are_the_sixteen_with_distinct_parts():
     ]
 
 
-@pytest.mark.parametrize(
-    "shape",
-    [pytest.param(s, marks=pytest.mark.slow) if sum(s) == 8 else s for s in SHAPES],
-    ids=lambda s: "-".join(map(str, s)),
-)
+def _shape_id(shape):
+    return "-".join(map(str, shape))
+
+
+@pytest.mark.parametrize("shape", SLOW_AT_8, ids=_shape_id)
 def test_row_reading_pair_affords_the_classical_specht_module(shape):
     system, psi, pp = _pair(shape)
     assert is_useful_subsystem(system, psi, pp)
@@ -69,6 +73,20 @@ def test_row_reading_pair_affords_the_classical_specht_module(shape):
             assert quotient_dimension_by_sum(module) == (dim_s, 0, dim_s)
         if p == 0 and sum(shape) <= 7:
             assert character_norm(module) == 1
+
+
+@pytest.mark.parametrize("shape", SLOW_AT_8, ids=_shape_id)
+def test_dim_d_is_the_rank_of_the_standard_polytabloid_gram_matrix(shape):
+    system, psi, pp = _pair(shape)
+    for p in (2, 3, 5, 7):
+        module = build_specht_module(system, psi, pp, PrimeField(p))
+        assert quotient_dimension(module)[2] == james_dimension(shape, p), p
+
+
+def test_known_modular_dimensions():
+    # D^(3,2,1) of S_6 over F3 and D^(4,2,1) of S_7 over F2
+    assert james_dimension((3, 2, 1), 3) == 4
+    assert james_dimension((4, 2, 1), 2) == 20
 
 
 def test_a_repeated_part_is_not_useful():

@@ -66,14 +66,18 @@ A8_REPORT = [
 A8_REPORT_SHA256 = "6ca1ab40b799ab483218cea1c34d6a5b98ffe61e917d695aecab83f55d815367"
 
 
-@pytest.mark.slow
-def test_a8_report_output_is_unchanged():
+def _run(argv):
+    # (exit code, stdout lines, stdout digest)
     buf = io.StringIO()
     with contextlib.redirect_stdout(buf):
-        rc = cli.main(A8_REPORT)
+        rc = cli.main(argv)
     out = buf.getvalue()
-    assert (rc, out.count("\n")) == (3, 267)
-    assert hashlib.sha256(out.encode()).hexdigest() == A8_REPORT_SHA256
+    return rc, out.count("\n"), hashlib.sha256(out.encode()).hexdigest()
+
+
+@pytest.mark.slow
+def test_a8_report_output_is_unchanged():
+    assert _run(A8_REPORT) == (3, 267, A8_REPORT_SHA256)
 
 
 # the row-reading (5,3) pair padded into D8: 3584 tabloids, dim S = 1792, and
@@ -88,12 +92,21 @@ D8_REPORT_SHA256 = "1c71beb069642551e03b06dce42a5809c3fd1e99c48104e7d5d2977832c9
 
 @pytest.mark.slow
 def test_d8_report_output_is_unchanged():
-    buf = io.StringIO()
-    with contextlib.redirect_stdout(buf):
-        rc = cli.main(D8_REPORT)
-    out = buf.getvalue()
-    assert (rc, out.count("\n")) == (0, 1802)
-    assert hashlib.sha256(out.encode()).hexdigest() == D8_REPORT_SHA256
+    assert _run(D8_REPORT) == (0, 1802, D8_REPORT_SHA256)
+
+
+# the row-reading (4,3) pair padded into B7, over F2: 1120 tabloids, dim S =
+# 741, a radical of 229 and dim D = 512
+B7_F2_JSON = [
+    "specht", "--type", "B7", "--J", "1000000,0100000,0010000,0000100,0000010",
+    "--Jp", "1111000,0111100,0011110", "--json", "--field", "F2", "--limit", "1000000",
+]
+B7_F2_JSON_SHA256 = "03c96dbecf44e13712348d85d4c6a83bdb5b64fb56b1ab3d886cfdf31ff6833e"
+
+
+@pytest.mark.slow
+def test_b7_f2_radical_output_is_unchanged():
+    assert _run(B7_F2_JSON) == (0, 33, B7_F2_JSON_SHA256)
 
 
 # the digest is the same on Python 3.10 to 3.13

@@ -4,7 +4,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import bareiss_rank, dense_rows, row_reduce_by_field_ops
+from oracles import (
+    bareiss_rank,
+    dense_rows,
+    form_complement,
+    intersect,
+    row_reduce_by_field_ops,
+)
 from weylspecht.exactlin import (
     QQ,
     PrimeField,
@@ -12,9 +18,7 @@ from weylspecht.exactlin import (
     contains,
     dot,
     field_by_name,
-    form_complement,
     from_dense,
-    intersect,
     row_reduce,
     solve_coordinates,
     to_dense,

@@ -4,6 +4,8 @@ import warnings
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from oracles import (
     bareiss_rank,
@@ -557,7 +559,18 @@ def test_quotient_dimensions(case_g2, case_d4_rank3, case_d4_deg6):
     assert quotient_dimension(case_g2.module) == (0, 0, 0)
 
 
-@pytest.mark.parametrize("field", FIELDS, ids=repr)
+# the radicals of the corpus pairs (A3, G2, D4 x2, F4) by characteristic; the
+# form is positive definite over Q
+CORPUS_RADICALS = {
+    0: (0, 0, 0, 0, 0),
+    2: (0, 0, 1, 6, 1),
+    3: (1, 0, 0, 0, 1),
+    5: (0, 0, 0, 0, 0),
+    2**31 - 1: (0, 0, 0, 0, 0),
+}
+
+
+@pytest.mark.parametrize("field", FIELDS + [PrimeField(5), PrimeField(2**31 - 1)], ids=repr)
 def test_radical_rank_matches_the_complement_oracle(corpus, field):
     radicals = []
     for system, group, psi, psi_prime, _ in corpus:
@@ -568,10 +581,35 @@ def test_radical_rank_matches_the_complement_oracle(corpus, field):
         assert dims == quotient_dimension_by_complements(module)
         assert dims == quotient_dimension_by_sum(module)
         radicals.append(dims[1])
-    if field.characteristic:
-        assert any(radicals)  # so the comparison reaches a nonzero radical
-    else:
-        assert not any(radicals)  # the form is positive definite over Q
+    assert tuple(radicals) == CORPUS_RADICALS[field.characteristic]
+
+
+@st.composite
+def prime_field_subspaces(draw):
+    """A random subspace of F_p^n, p in {2, 3, 5} and n <= 12, spanned by up
+    to n + 2 random vectors."""
+    field = PrimeField(draw(st.sampled_from([2, 3, 5])))
+    n = draw(st.integers(1, 12))
+    entries = st.lists(st.integers(0, field.p - 1), min_size=n, max_size=n)
+    rows = draw(st.lists(entries, max_size=n + 2))
+    return row_reduce(field, [from_dense(field, r) for r in rows], dim=n)
+
+
+def _span(p, n, *rows):
+    field = PrimeField(p)
+    return row_reduce(field, [from_dense(field, r) for r in rows], dim=n)
+
+
+@settings(deadline=None)
+@given(prime_field_subspaces())
+@example(_span(2, 5))  # k = 0
+@example(_span(3, 3, [1, 0, 0], [0, 1, 0], [0, 0, 1]))  # k = n
+@example(_span(2, 4, [1, 1, 0, 0]))  # the rows side, radical 1
+@example(_span(5, 3, [1, 2, 0], [0, 0, 1]))  # the columns side, radical 1
+def test_gram_radical_matches_the_sum_oracle(basis):
+    # the radical reads only the basis and its field
+    module = SpechtModuleData(space=None, field=basis.field, e_vec=None, basis=basis)
+    assert quotient_dimension(module) == quotient_dimension_by_sum(module)
 
 
 def test_radical_against_gram_rank_oracle(case_d4_rank3, case_d4_deg6):

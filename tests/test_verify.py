@@ -8,6 +8,8 @@ from oracles import (
     coefficient_law_violations,
     col_stabilizer_by_filter,
     disjoint_pairs,
+    form_complement,
+    intersect,
     load_workloads,
     normalizer_by_definition,
     obstruction_by_scan,
@@ -270,8 +272,6 @@ def test_self_generated_submodule_contains_module(case_d4_rank3):
 
 
 def test_zero_vector_lands_in_complement(case_d4_rank3):
-    from weylspecht.exactlin import form_complement
-
     module = case_d4_rank3.module
     perp = form_complement(module.basis)
     assert contains(perp, SparseVector(len(module.space), {}))
@@ -358,8 +358,6 @@ def test_quotient_is_irreducible_or_zero(case_d4_rank3, d4, w_d4):
         dims = quotient_dimension(module)
         if dims[2] == 0:
             continue
-        from weylspecht.exactlin import form_complement, intersect
-
         radical = intersect(module.basis, form_complement(module.basis))
         space = module.space
         for row in module.basis.rows:
