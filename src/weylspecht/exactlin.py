@@ -407,36 +407,3 @@ def contains(basis: SubspaceBasis, v: SparseVector) -> bool:
                 del e[i]
     return not e
 
-
-def solve_coordinates(field, basis_vectors, v: SparseVector):
-    """Coordinates of v in the given independent vectors, or None if outside.
-
-    Raises ValueError when the given vectors are linearly dependent.
-    """
-    bl = list(basis_vectors)
-    k = len(bl)
-    support = set(v.entries)
-    for b in bl:
-        if b.dim != v.dim:
-            raise ValueError("dimension mismatch")
-        support.update(b.entries)
-    rows = []
-    for t in sorted(support):
-        entries = {}
-        for i, b in enumerate(bl):
-            c = b.entries.get(t)
-            if c is not None:
-                entries[i] = c
-        c = v.entries.get(t)
-        if c is not None:
-            entries[k] = c
-        rows.append(SparseVector(k + 1, entries))
-    rr = row_reduce(field, rows, dim=k + 1)
-    if k in rr.pivots:
-        return None
-    if rr.rank < k:
-        raise ValueError("basis vectors are linearly dependent")
-    coords = [field.zero] * k
-    for row, p in zip(rr.rows, rr.pivots):
-        coords[p] = row.entries.get(k, field.zero)
-    return coords

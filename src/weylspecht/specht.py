@@ -36,7 +36,6 @@ from .exactlin import (
     echelon_insert,
     field_name,
     row_reduce,
-    solve_coordinates,
     vector,
 )
 from .rootsys import Root, RootSystem, format_root
@@ -434,43 +433,43 @@ def quotient_dimension(module: SpechtModuleData) -> tuple[int, int, int]:
         for a, c in v:
             gram[a] += c * x
     mask, slots = (1 << width) - 1, range(0, width * size, width)
-    rows = [vector(field, size, enumerate(x >> i & mask for i in slots)) for x in gram]
-    radical = size - row_reduce(field, rows, dim=size).rank
+    rows = (vector(field, size, enumerate(x >> i & mask for i in slots)) for x in gram)
+    by_pivot: dict = {}
+    radical = size - sum(echelon_insert(field, by_pivot, r) for r in rows)
     return (k, radical, k - radical)
 
 
 def matrix_of(module: SpechtModuleData, w: Element, basis_vectors=None):
     """Matrix of w acting on the module; column j holds coordinates of w b_j.
 
-    With no explicit basis the canonical echelon basis is used, where the
-    coordinates of a member are simply its values at the pivot indices. An
-    explicit basis must span exactly the module.
+    A member v of S is sum_r v[p_r] row_r over the canonical rows and their
+    pivots p_r, so its canonical coordinates are its values at the pivots.
+    With no explicit basis those are the matrix's columns. An explicit basis
+    must span exactly the module; with P its values at the pivots (column j
+    for b_j) and Q those of its images, the matrix is P^-1 Q, the right half
+    of the canonical form of the k x 2k rows [P | Q].
     """
     if module.dimension == 0:
         raise ValueError("the zero module affords no matrix representation")
-    field = module.field
-    space = module.space
-    k = module.dimension
+    field, space, k = module.field, module.space, module.dimension
+    pivots = module.basis.pivots
     m = space.index_action(w)
-    cols = []
     if basis_vectors is None:
-        pivots = module.basis.pivots
-        for r in module.basis.rows:
-            img = _permuted(m, r)
-            cols.append([img.entries.get(p, field.zero) for p in pivots])
-    else:
-        bl = list(basis_vectors)
-        if len(bl) != k:
-            raise ValueError("basis size must equal the module dimension")
-        if row_reduce(field, bl, dim=len(space)) != module.basis:
-            raise ValueError("the given vectors do not form a basis of the module")
-        for b in bl:
-            img = _permuted(m, b)
-            coords = solve_coordinates(field, bl, img)
-            if coords is None:
-                raise ValueError("action leaves the span of the given basis")
-            cols.append(coords)
-    return tuple(tuple(cols[j][i] for j in range(k)) for i in range(k))
+        cols = [_permuted(m, r).entries for r in module.basis.rows]
+        return tuple(tuple(col.get(q, field.zero) for col in cols) for q in pivots)
+    bl = list(basis_vectors)
+    if len(bl) != k:
+        raise ValueError("basis size must equal the module dimension")
+    if row_reduce(field, bl, dim=len(space)) != module.basis:
+        raise ValueError("the given vectors do not form a basis of the module")
+    at = {q: i for i, q in enumerate(pivots)}
+    rows = [{} for _ in pivots]
+    for j, v in enumerate(bl + [_permuted(m, b) for b in bl]):
+        for q, c in v.entries.items():
+            if q in at:
+                rows[at[q]][j] = c
+    pq = row_reduce(field, (SparseVector(2 * k, r) for r in rows), dim=2 * k)
+    return tuple(tuple(r.entries.get(j, field.zero) for j in range(k, 2 * k)) for r in pq.rows)
 
 
 def character_value(module: SpechtModuleData, w: Element):

@@ -467,6 +467,58 @@ def quotient_dimension_by_sum(module):
     return (basis.rank, radical, basis.rank - radical)
 
 
+# --------------------------------------------------------------------------
+# matrices in a given basis, one linear system per column
+
+
+def _coordinates_by_solving(field, basis_vectors, v):
+    """Coordinates of v in the given independent vectors, or None if
+    outside, from the canonical form of the transposed system [B | v].
+
+    Raises ValueError when the given vectors are linearly dependent.
+    """
+    bl = list(basis_vectors)
+    k = len(bl)
+    support = set(v.entries)
+    for b in bl:
+        if b.dim != v.dim:
+            raise ValueError("dimension mismatch")
+        support.update(b.entries)
+    rows = []
+    for t in sorted(support):
+        entries = {}
+        for i, b in enumerate(bl):
+            c = b.entries.get(t)
+            if c is not None:
+                entries[i] = c
+        c = v.entries.get(t)
+        if c is not None:
+            entries[k] = c
+        rows.append(SparseVector(k + 1, entries))
+    rr = row_reduce(field, rows, dim=k + 1)
+    if k in rr.pivots:
+        return None
+    if rr.rank < k:
+        raise ValueError("basis vectors are linearly dependent")
+    coords = [field.zero] * k
+    for row, p in zip(rr.rows, rr.pivots):
+        coords[p] = row.entries.get(k, field.zero)
+    return coords
+
+
+def matrix_in_basis_by_solving(module, w, basis_vectors):
+    """Matrix of w on the module in the given basis: column j holds the
+    coordinates of w b_j, each solved for on its own."""
+    field, bl = module.field, list(basis_vectors)
+    cols = []
+    for b in bl:
+        coords = _coordinates_by_solving(field, bl, act_vector(module.space, field, w, b))
+        if coords is None:
+            raise ValueError("action leaves the span of the given basis")
+        cols.append(coords)
+    return tuple(tuple(col[i] for col in cols) for i in range(len(bl)))
+
+
 def sparse_probe_vector(field, dim, rng):
     """One to three tabloids, each with coefficient +-1."""
     picks = rng.sample(range(dim), min(dim, rng.randint(1, 3)))

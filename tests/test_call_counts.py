@@ -301,14 +301,26 @@ def test_radical_over_q_is_not_computed():
 
 @pytest.mark.parametrize("name", ["D4-6", "F4"])
 def test_radical_over_fp_is_one_rank(name):
-    # one Gram matrix is reduced once, on the smaller side: of C's 6 rows
-    # against 10 columns on D4-6, of its 1 column against 11 rows on F4;
-    # S-perp is never built
+    # one Gram matrix is ranked, on the smaller side, by counting the rows
+    # that enter an echelon: C's 6 rows against 10 columns on D4-6, its 1
+    # column against 11 rows on F4; S-perp and the canonical basis of the
+    # Gram rows are never built
     module = benchmark_pair_module(name, PrimeField(3))
     calls = _call_counts(quotient_dimension, module)
-    assert calls(row_reduce) == 1
+    assert calls(row_reduce) == 0
+    assert calls(echelon_basis) == 0
     k, n = module.basis.rank, module.basis.dim
     assert calls(echelon_insert) == min(k, n - k)
+
+
+def test_matrix_in_a_given_basis_is_one_reduction(case_d4_deg6):
+    # the span check and one reduction of [P | Q], whatever k is (6 here)
+    module = case_d4_deg6.module
+    bl = list(reversed(module.basis.rows))
+    w = simple_reflection(module.space.system, 1)
+    calls = _call_counts(lambda: matrix_of(module, w, basis_vectors=bl))
+    assert module.dimension == 6
+    assert calls(row_reduce) == 2
 
 
 def test_an_element_folds_its_descent_word(case_d4_deg6):

@@ -20,9 +20,7 @@ from weylspecht.exactlin import (
     field_by_name,
     from_dense,
     row_reduce,
-    solve_coordinates,
     to_dense,
-    vadd,
     vscale,
 )
 
@@ -283,25 +281,6 @@ def test_complement_dimension_and_orthogonality(rows):
     for u in basis.rows:
         for v in comp.rows:
             assert dot(QQ, u, v) == 0
-
-
-# --------------------------------------------------------------------------
-# coordinate solving
-
-
-def test_solve_coordinates_roundtrip():
-    basis = [q(1, 1, 0), q(0, 1, 1)]
-    v = vadd(QQ, vscale(QQ, Fraction(2), basis[0]), vscale(QQ, Fraction(-3), basis[1]))
-    assert solve_coordinates(QQ, basis, v) == [Fraction(2), Fraction(-3)]
-
-
-def test_solve_coordinates_outside_span():
-    assert solve_coordinates(QQ, [q(1, 0, 0)], q(0, 1, 0)) is None
-
-
-def test_solve_coordinates_dependent_basis():
-    with pytest.raises(ValueError):
-        solve_coordinates(QQ, [q(1, 0), q(2, 0)], q(1, 0))
 
 
 def test_dense_roundtrip():

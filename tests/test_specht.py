@@ -16,6 +16,7 @@ from oracles import (
     distinguished_reps_by_scan,
     index_action_by_keys,
     load_workloads,
+    matrix_in_basis_by_solving,
     quotient_dimension_by_complements,
     quotient_dimension_by_sum,
 )
@@ -46,6 +47,7 @@ from weylspecht.exactlin import (
     SubspaceBasis,
     from_dense,
     row_reduce,
+    vector,
 )
 from weylspecht.rootsys import parse_root
 from weylspecht.specht import _permuted
@@ -58,6 +60,7 @@ from weylspecht.weyl import (
     identity,
     inverse,
     sign,
+    simple_reflection,
     word_to_element,
 )
 
@@ -703,6 +706,43 @@ def test_trace_is_basis_independent(case_d4_rank3):
         assert sum(m[i][i] for i in range(3)) == character_value(module, w)
 
 
+@functools.cache
+def _pair_module(name, field):
+    return benchmark_pair_module(name, field)
+
+
+def _random_basis(module, rng):
+    """S's canonical rows under a random invertible change of basis with
+    entries in -1..1: b_j = sum_i t_ji r_i, drawn until t is invertible."""
+    field, rows, k, n = module.field, module.basis.rows, module.dimension, module.basis.dim
+    while True:
+        t = [[field.from_int(rng.randint(-1, 1)) for _ in rows] for _ in rows]
+        bl = [
+            vector(field, n, ((i, c * x) for c, r in zip(tj, rows) for i, x in r.entries.items()))
+            for tj in t
+        ]
+        if row_reduce(field, bl, dim=n).rank == k:
+            return bl
+
+
+# an A5 example solves 180 systems of 60 equations in the oracle
+@settings(deadline=None, max_examples=20)
+@given(
+    st.sampled_from(["D4-3", "D4-6", "F4", "A5"]),
+    st.sampled_from(FIELDS + [PrimeField(5)]),
+    st.integers(0, 2**32 - 1),
+)
+def test_matrix_in_a_random_basis_matches_the_solving_oracle(name, field, seed):
+    # each column solved on its own, against one reduction of [P | Q]
+    module, rng = _pair_module(name, field), random.Random(seed)
+    bl = _random_basis(module, rng)
+    system = module.space.system
+    longer = tuple(rng.randint(1, system.rank) for _ in range(2 * system.rank))
+    words = [simple_reflection(system, i) for i in range(1, system.rank + 1)]
+    for w in words + [word_to_element(system, longer)]:
+        assert matrix_of(module, w, basis_vectors=bl) == matrix_in_basis_by_solving(module, w, bl)
+
+
 @pytest.mark.parametrize("field", [QQ, PrimeField(3)], ids=repr)
 def test_character_value_is_trace_of_matrix(corpus, field):
     # every element of W on A3, both D4 pairs and F4; G2 affords zero
@@ -732,6 +772,10 @@ def test_matrix_rejects_bad_bases(case_d4_rank3):
             identity(case_d4_rank3.system),
             basis_vectors=[unit(4, 0), unit(4, 1), unit(4, 2)],
         )
+    # the right size, but dependent
+    b0, b1 = module.basis.rows[:2]
+    with pytest.raises(ValueError):
+        matrix_of(module, identity(case_d4_rank3.system), basis_vectors=[b0, b0, b1])
 
 
 def test_zero_module_has_no_matrix(case_g2):
