@@ -744,6 +744,19 @@ def test_matrix_in_a_random_basis_matches_the_solving_oracle(name, field, seed):
 
 
 @pytest.mark.parametrize("field", [QQ, PrimeField(3)], ids=repr)
+def test_matrix_in_a_given_basis_rebuilds_each_image(field):
+    # column j read back as sum_i m[i][j] b_i is w b_j, for every w in W(D4)
+    module = _pair_module("D4-6", field)
+    space, n = module.space, module.basis.dim
+    bl = _random_basis(module, random.Random(29))
+    for w in space.group.elements:
+        m = matrix_of(module, w, basis_vectors=bl)
+        for j, b in enumerate(bl):
+            items = ((t, m[i][j] * x) for i, bi in enumerate(bl) for t, x in bi.entries.items())
+            assert vector(field, n, items) == act_vector(space, field, w, b)
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(3)], ids=repr)
 def test_character_value_is_trace_of_matrix(corpus, field):
     # every element of W on A3, both D4 pairs and F4; G2 affords zero
     checked = 0
