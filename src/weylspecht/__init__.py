@@ -2,9 +2,9 @@
 
 Pipeline: build a root system, cut out subsystems, enumerate tabloids as
 the orbit of psi, span the module with polytabloids, and decide the
-structural predicates, all over Q or a prime field. An element of W acts on
-tabloids by sending their keys through its root permutation, and a word
-by folding the simple reflections' tables so read. One walk, a
+structural predicates, all over Q or a prime field. A word acts on
+tabloids by folding the simple reflections' tables, read once off the keys,
+and an element of W by folding its descent word over them. One walk, a
 breadth-first orbit of root indices under root permutations, lists W, the
 column group W(psi'), the tabloids and the distinguished representatives,
 each in the order of its shortest words. W itself is generated only for

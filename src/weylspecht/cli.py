@@ -19,7 +19,7 @@ import os
 import sys
 import warnings
 
-from .rootsys import build_root_system, format_root, parse_root, root_system_to_json
+from .rootsys import build_root_system, format_root, parse_root
 
 SCHEMA = "weyl-specht/1"
 EXIT_OK = 0
@@ -118,17 +118,19 @@ def _collect_words(system, char_args):
 def _emit(doc) -> None:
     import json
 
-    print(json.dumps(doc, indent=2))
+    print(json.dumps({"schema": SCHEMA, **doc}, indent=2))
 
 
 def cmd_roots(args) -> int:
     system = _system(args.type)
-    if args.json:
-        doc = {"schema": SCHEMA}
-        doc.update(root_system_to_json(system))
-        _emit(doc)
-        return EXIT_OK
+    gram = [[str(x) for x in row] for row in system.gram]
     pc = system.positive_count
+    if args.json:
+        # gram entries as exact "p/q" strings, roots as arrays
+        roots = [list(r) for r in system.roots]
+        _emit({"label": system.label, "rank": system.rank, "gram": gram, "roots": roots,
+               "positive_count": pc})
+        return EXIT_OK
     print(
         f"root system {system.label}: rank {system.rank}, "
         f"{len(system.roots)} roots ({pc} positive)"
@@ -136,44 +138,43 @@ def cmd_roots(args) -> int:
     print("simple roots: " + " ".join(format_root(system, r) for r in system.simple_roots()))
     print("positive roots: " + " ".join(format_root(system, r) for r in system.roots[:pc]))
     print("gram matrix:")
-    for row in system.gram:
-        print("  " + " ".join(str(x) for x in row))
+    for row in gram:
+        print("  " + " ".join(row))
     return EXIT_OK
+
+
+def _simples_text(system, psi) -> list:
+    return [format_root(system, r) for r in psi.simples]
 
 
 def cmd_tabloids(args) -> int:
     from . import specht
-    from .subsystem import subsystem_to_json
 
     system = _system(args.type)
     order = _order(system, args.limit)
     psi = _subsystem(system, _simples(system, args.J))
     space = specht.enumerate_tabloids(system, psi)
+    J = _simples_text(system, psi)
+    rows = [(t.rep_word, specht.format_tabloid(space, t)) for t in space]
+    index = len(space)
     if args.json:
-        psi_doc = subsystem_to_json(system, psi)
-        psi_doc["normalizer_order"] = order // len(space)
-        psi_doc["index"] = len(space)
-        doc = {
-            "schema": SCHEMA,
+        _emit({
             "ambient": system.label,
-            "psi": psi_doc,
-            "count": len(space),
-            "tabloids": [
-                {"word": list(t.rep_word), "display": specht.format_tabloid(space, t)}
-                for t in space
-            ],
-        }
-        _emit(doc)
+            "psi": {"label": psi.label, "simples": J, "size": psi.size,
+                    "normalizer_order": order // index, "index": index},
+            "count": index,
+            "tabloids": [{"word": list(word), "display": display} for word, display in rows],
+        })
         return EXIT_OK
     print(f"ambient {system.label}: |W| = {order}")
     print(
-        f"psi {psi.label}: J = {','.join(format_root(system, r) for r in psi.simples)}, "
-        f"size {psi.size}, |N(psi)| = {order // len(space)}, index {len(space)}"
+        f"psi {psi.label}: J = {','.join(J)}, "
+        f"size {psi.size}, |N(psi)| = {order // index}, index {index}"
     )
-    print(f"tabloids ({len(space)}):")
-    width = max((len(_word_text(t.rep_word)) for t in space), default=1)
-    for t in space:
-        print(f"  {_word_text(t.rep_word):<{width}}  {specht.format_tabloid(space, t)}")
+    print(f"tabloids ({index}):")
+    width = max((len(_word_text(word)) for word, _ in rows), default=1)
+    for word, display in rows:
+        print(f"  {_word_text(word):<{width}}  {display}")
     return EXIT_OK
 
 
@@ -235,98 +236,96 @@ def cmd_specht(args) -> int:
         # a walk inside the build, W(psi') at most, met the library's bound
         raise CommandError(str(exc), code=EXIT_GROUP_LIMIT) from None
     space = module.space
-    useful = space.useful
-    e_vec = module.e_vec
     good = verify.good_from_space(space)
-    missing = set(good.witnesses)
-    good_words = [t.rep_word for t in space if t.rep in missing]
     witness = verify.obstruction_from_space(space)
-    witness_word = word_order(system)(witness)[1] if witness is not None else None
-    probe = None
+    check_doc = {
+        "vanishing_witness": list(word_order(system)(witness)[1]) if witness is not None else None
+    }
+    passed = {"useful": space.useful, "good": good.is_good}
+    if "useful" in checks:
+        check_doc["useful"] = space.useful
+    if "good" in checks:
+        missing = set(good.witnesses)
+        check_doc["good"] = {
+            "good": good.is_good,
+            "witnesses": [list(t.rep_word) for t in space if t.rep in missing],
+        }
     if "probe" in checks:
         seed = {} if args.probe_seed is None else {"seed": args.probe_seed}
         probe = verify.submodule_theorem_probe(module, trials=args.probe_trials, **seed)
-
-    failed = False
-    if "useful" in checks and not useful:
-        failed = True
-    if "good" in checks and not good.is_good:
-        failed = True
-    if probe is not None and not probe.ok:
-        failed = True
-
-    if args.json:
-        doc = {"schema": SCHEMA}
-        doc.update(specht.specht_report(module, sample_words=words))
-        doc["useful"] = useful
-        doc["good"] = good.is_good
-        check_doc = {
-            "vanishing_witness": list(witness_word) if witness_word is not None else None
+        passed["probe"] = probe.ok
+        check_doc["probe"] = {
+            "trials": probe.trials,
+            "seed": probe.seed,
+            "characteristic": probe.characteristic,
+            "violations": list(probe.violations),
         }
-        if "useful" in checks:
-            check_doc["useful"] = useful
-        if "good" in checks:
-            check_doc["good"] = {
-                "good": good.is_good,
-                "witnesses": [list(word) for word in good_words],
-            }
-        if probe is not None:
-            check_doc["probe"] = {
-                "trials": probe.trials,
-                "seed": probe.seed,
-                "characteristic": probe.characteristic,
-                "violations": list(probe.violations),
-            }
-        doc["checks"] = check_doc
+    code = EXIT_OK if all(passed[name] for name in checks) else EXIT_CHECK_FAILED
+    J, Jp = _simples_text(system, psi), _simples_text(system, psi_prime)
+    dims = specht.quotient_dimension(module)
+    doc = {
+        "ambient": system.label,
+        "psi": {"label": psi.label, "J": J},
+        "psi_prime": {"label": psi_prime.label, "J'": Jp},
+        "field": field_name(field),
+        "tabloid_count": len(space),
+        "dim_S": dims[0],
+        "dim_radical": dims[1],
+        "dim_D": dims[2],
+        "sample_characters": [
+            {"word": list(word), "trace": field.format(specht.character_value(module, word))}
+            for word in words
+        ],
+        "useful": space.useful,
+        "good": good.is_good,
+        "checks": check_doc,
+    }
+    if args.json:
         _emit(doc)
-        return EXIT_CHECK_FAILED if failed else EXIT_OK
+        return code
 
     print(f"ambient {system.label}: |W| = {order}")
+    print(f"psi {psi.label}: J = {','.join(J)}, |N(psi)| = {order // len(space)}")
     print(
-        f"psi {psi.label}: J = {','.join(format_root(system, r) for r in psi.simples)}, "
-        f"|N(psi)| = {order // len(space)}"
-    )
-    print(
-        f"psi' {psi_prime.label}: J' = "
-        f"{','.join(format_root(system, r) for r in psi_prime.simples)}, "
+        f"psi' {psi_prime.label}: J' = {','.join(Jp)}, "
         f"|W(psi')| = {len(space.col_group)}"
     )
-    print(f"field {field_name(field)}")
+    print(f"field {doc['field']}")
     print(f"tabloids: {len(space)}")
-    dims = specht.quotient_dimension(module)
     print(f"dim S = {dims[0]}, dim radical = {dims[1]}, dim D = {dims[2]}")
-    print(f"useful sub-system: {'yes' if useful else 'no'}")
+    print(f"useful sub-system: {'yes' if space.useful else 'no'}")
     print(f"good sub-system: {'yes' if good.is_good else 'no'}")
-    print(f"e_{{J,J'}} = {specht.format_module_vector(space, field, e_vec)}")
+    print(f"e_{{J,J'}} = {specht.format_module_vector(space, field, module.e_vec)}")
     if module.dimension:
         print("independent generators:")
         for word, vec in _independent_generators(module, order):
             print(f"  {_word_text(word)} | {specht.format_module_vector(space, field, vec)}")
-    if witness_word is not None:
-        print(f"vanishing witness: {_word_text(witness_word)}")
+    if check_doc["vanishing_witness"] is not None:
+        print(f"vanishing witness: {_word_text(check_doc['vanishing_witness'])}")
     if words:
         print("character values:")
-        for word in words:
-            tr = specht.character_value(module, word)
-            print(f"  psi({_word_text(word)}) = {field.format(tr)}")
+        for char in doc["sample_characters"]:
+            print(f"  psi({_word_text(char['word'])}) = {char['trace']}")
     if checks:
+        verdict = {name: "pass" if ok else "FAIL" for name, ok in passed.items()}
         print("checks:")
         if "useful" in checks:
-            print(f"  useful: {'pass' if useful else 'FAIL'}")
+            print(f"  useful: {verdict['useful']}")
         if "good" in checks:
-            line = f"  good: {'pass' if good.is_good else 'FAIL'}"
-            if good_words:
-                line += f" (missing cosets: {' '.join(map(_word_text, good_words))})"
+            line = f"  good: {verdict['good']}"
+            if check_doc["good"]["witnesses"]:
+                cosets = " ".join(map(_word_text, check_doc["good"]["witnesses"]))
+                line += f" (missing cosets: {cosets})"
             elif good.reason:
                 line += f" ({good.reason})"
             print(line)
-        if probe is not None:
+        if "probe" in checks:
+            probe_doc = check_doc["probe"]
             print(
-                f"  probe: trials={probe.trials} seed={probe.seed} "
-                f"violations={len(probe.violations)} "
-                f"{'pass' if probe.ok else 'FAIL'}"
+                f"  probe: trials={probe_doc['trials']} seed={probe_doc['seed']} "
+                f"violations={len(probe_doc['violations'])} {verdict['probe']}"
             )
-    return EXIT_CHECK_FAILED if failed else EXIT_OK
+    return code
 
 
 def _build_parser() -> argparse.ArgumentParser:

@@ -191,12 +191,6 @@ def to_dense(field, v: SparseVector) -> list:
     return out
 
 
-def vadd(field, u: SparseVector, v: SparseVector) -> SparseVector:
-    if u.dim != v.dim:
-        raise ValueError("dimension mismatch")
-    return vector(field, u.dim, chain(u.entries.items(), v.entries.items()))
-
-
 def vsub(field, u: SparseVector, v: SparseVector) -> SparseVector:
     if u.dim != v.dim:
         raise ValueError("dimension mismatch")

@@ -308,14 +308,3 @@ def format_root(system: RootSystem, r: Root) -> str:
         if all(-9 <= a <= 0 for a in r):
             return "-" + "".join(str(-a) for a in r)
     return ",".join(map(str, r))
-
-
-def root_system_to_json(system: RootSystem) -> dict:
-    """JSON document: gram entries as exact "p/q" strings, roots as arrays."""
-    return {
-        "label": system.label,
-        "rank": system.rank,
-        "gram": [[str(x) for x in row] for row in system.gram],
-        "roots": [list(r) for r in system.roots],
-        "positive_count": system.positive_count,
-    }

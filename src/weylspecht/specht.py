@@ -34,7 +34,6 @@ from .exactlin import (
     dot,
     echelon_basis,
     echelon_insert,
-    field_name,
     row_reduce,
     vector,
 )
@@ -542,36 +541,3 @@ def format_module_vector(space: TabloidSpace, field, v: SparseVector) -> str:
         else:
             parts.append(f"+({field.format(c)})*{disp}")
     return " ".join(parts)
-
-
-def specht_report(
-    module: SpechtModuleData,
-    sample_words: tuple[tuple[int, ...], ...] = (),
-) -> dict:
-    """JSON-ready report for a built module."""
-    space = module.space
-    system = space.system
-    dims = quotient_dimension(module)
-    report = {
-        "ambient": system.label,
-        "psi": {
-            "label": space.psi.label,
-            "J": [format_root(system, r) for r in space.psi.simples],
-        },
-        "psi_prime": {
-            "label": space.psi_prime.label,
-            "J'": [format_root(system, r) for r in space.psi_prime.simples],
-        },
-        "field": field_name(module.field),
-        "tabloid_count": len(space),
-        "dim_S": dims[0],
-        "dim_radical": dims[1],
-        "dim_D": dims[2],
-    }
-    chars = []
-    for word in sample_words:
-        chars.append(
-            {"word": list(word), "trace": module.field.format(character_value(module, word))}
-        )
-    report["sample_characters"] = chars
-    return report

@@ -289,12 +289,3 @@ def restricted_reflections(
         if row_reduce(QQ, moved, dim=system.rank).rank == 1:
             out.append(w)
     return tuple(out)
-
-
-def subsystem_to_json(system: RootSystem, psi: Subsystem) -> dict:
-    """Report document: {label, simples, size}."""
-    return {
-        "label": psi.label,
-        "simples": [rootsys.format_root(system, r) for r in psi.simples],
-        "size": psi.size,
-    }

@@ -7,7 +7,9 @@ from pathlib import Path
 
 import pytest
 
+from oracles import disjoint_pairs
 from weylspecht.cli import main
+from weylspecht.rootsys import build_root_system, format_root
 
 
 def run(capsys, *argv):
@@ -32,6 +34,8 @@ def test_roots_json_g2(capsys):
     assert code == 0
     doc = json.loads(out)
     assert doc["schema"] == "weyl-specht/1"
+    assert (doc["label"], doc["rank"], doc["positive_count"]) == ("G2", 2, 6)
+    assert len(doc["roots"]) == 12
     gram = [[Fraction(x) for x in row] for row in doc["gram"]]
     assert gram == [[Fraction(2), Fraction(-3)], [Fraction(-3), Fraction(6)]]
 
@@ -134,6 +138,55 @@ def test_specht_d4_json_report(capsys):
     assert doc["checks"]["useful"] is True
     assert doc["checks"]["good"]["good"] is True
     assert doc["checks"]["vanishing_witness"] is None
+
+
+def _word_text(word):
+    return " ".join(map(str, word)) or "e"
+
+
+def _agreement_cases():
+    for label in ("A3", "G2"):
+        system = build_root_system(label)
+        for psi, psi_prime in disjoint_pairs(system, max_size=2):
+            if psi.simples and psi_prime.simples:
+                J, Jp = (
+                    ",".join(format_root(system, r) for r in sub.simples)
+                    for sub in (psi, psi_prime)
+                )
+                for field in ("Q", "F2"):
+                    yield label, J, Jp, field
+
+
+def test_text_and_json_reports_agree(capsys):
+    # both renderers read one computed report; the manifest pins only the
+    # benchmark pairs, so every small pair of A3 and G2 is compared here
+    cases = list(_agreement_cases())
+    assert len(cases) == 2 * 158
+    for label, J, Jp, field in cases:
+        argv = ["specht", "--type", label, "--J", J, "--Jp", Jp, "--field", field,
+                "--check", "useful,good", "--char", "1 2"]
+        code, text, _ = run(capsys, *argv)
+        json_code, out, _ = run(capsys, *argv, "--json")
+        doc = json.loads(out)
+        lines = text.splitlines()
+        case = f"{label} J={J} J'={Jp} {field}"
+        assert code == json_code, case
+        dims = (doc["dim_S"], doc["dim_radical"], doc["dim_D"])
+        assert "dim S = %d, dim radical = %d, dim D = %d" % dims in lines, case
+        yes_no = {True: "yes", False: "no"}
+        assert f"useful sub-system: {yes_no[doc['useful']]}" in lines, case
+        assert f"good sub-system: {yes_no[doc['good']]}" in lines, case
+        good_line = next(line for line in lines if line.startswith("  good: "))
+        witnesses = doc["checks"]["good"]["witnesses"]
+        cosets = " ".join(map(_word_text, witnesses))
+        assert ("missing cosets" in good_line) == bool(witnesses), case
+        if witnesses:
+            assert good_line.endswith(f"(missing cosets: {cosets})"), case
+        witness = doc["checks"]["vanishing_witness"]
+        witness_lines = [line for line in lines if line.startswith("vanishing witness: ")]
+        expected = [] if witness is None else [f"vanishing witness: {_word_text(witness)}"]
+        assert witness_lines == expected, case
+        assert f"  psi(1 2) = {doc['sample_characters'][0]['trace']}" in lines, case
 
 
 def test_specht_g2_vanishing(capsys):

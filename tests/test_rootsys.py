@@ -1,4 +1,3 @@
-import json
 from fractions import Fraction
 
 import pytest
@@ -13,7 +12,6 @@ from weylspecht.rootsys import (
     negate,
     parse_root,
     reflect_root,
-    root_system_to_json,
 )
 
 COUNTS = {
@@ -263,13 +261,3 @@ def test_format_parse_roundtrip(coords):
 def test_all_roots_roundtrip(d4):
     for r in d4.roots:
         assert parse_root(d4, format_root(d4, r)) == r
-
-
-def test_json_document(g2):
-    doc = root_system_to_json(g2)
-    assert doc["label"] == "G2"
-    assert doc["rank"] == 2
-    gram = [[Fraction(x) for x in row] for row in doc["gram"]]
-    assert gram == [[Fraction(2), Fraction(-3)], [Fraction(-3), Fraction(6)]]
-    assert len(doc["roots"]) == 12
-    json.dumps(doc)  # serializable as-is
