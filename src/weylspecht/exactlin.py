@@ -13,7 +13,8 @@ positive pivot, and a step replaces e by a*e - b*r, where a and b are the
 two pivot entries divided by their gcd, and then removes the content of
 the result. Only `echelon_basis` leaves the integers, when it divides each
 back-substituted row by its pivot to emit the canonical monic basis with
-Fraction entries.
+Fraction entries. Every membership test is that reduction: `in_echelon_span`
+on working rows, and `contains` on a canonical basis read as working rows.
 """
 
 from __future__ import annotations
@@ -35,9 +36,6 @@ class RationalField:
 
     def add(self, a, b):
         return a + b
-
-    def sub(self, a, b):
-        return a - b
 
     def mul(self, a, b):
         return a * b
@@ -95,9 +93,6 @@ class PrimeField:
 
     def add(self, a, b):
         return (a + b) % self.p
-
-    def sub(self, a, b):
-        return (a - b) % self.p
 
     def mul(self, a, b):
         return (a * b) % self.p
@@ -380,24 +375,11 @@ def _monic(row: dict, m: int) -> dict:
 
 
 def contains(basis: SubspaceBasis, v: SparseVector) -> bool:
-    """Whether v reduces to zero against the basis."""
+    """Whether v lies in the span of the basis, by the reduction that
+    `in_echelon_span` makes: the canonical rows are working rows once those
+    over Q are cleared of their denominators."""
     if v.dim != basis.dim:
         raise ValueError("dimension mismatch")
     p = basis.field.characteristic
-    by_pivot = {q: r.entries for q, r in zip(basis.pivots, basis.rows)}
-    if p:
-        return not _reduce(p, dict(v.entries), by_pivot)
-    # Over Q the monic Fraction rows are used as they are. The rows are
-    # reduced, so clearing one pivot column leaves the others.
-    e = dict(v.entries)
-    get = e.get
-    for m in [m for m in e if m in by_pivot]:
-        c = e[m]
-        for i, s in by_pivot[m].items():
-            val = get(i, 0) - c * s
-            if val:
-                e[i] = val
-            else:
-                del e[i]
-    return not e
-
+    rows = (r.entries if p else _integral(r.entries) for r in basis.rows)
+    return not _remainder(p, dict(zip(basis.pivots, rows)), v)

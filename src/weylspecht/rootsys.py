@@ -269,6 +269,8 @@ def parse_root(system: RootSystem, text: str, if_not_root: str = "warn") -> Root
     minus applying to the whole vector; anything else uses the comma form.
     `if_not_root` is one of "warn", "error", "ignore".
     """
+    if if_not_root not in ("warn", "error", "ignore"):
+        raise ValueError(f"unknown if_not_root mode {if_not_root!r}")
     t = text.strip()
     if not t:
         raise ValueError("empty root text")

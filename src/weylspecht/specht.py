@@ -13,9 +13,10 @@ applying the tables one at a time (`spin`). The kappa operator is the
 signed sum over the reflection group of the column system, and the
 polytabloid e_{wJ,wJ'} is the translate w e_{J,J'} of kappa applied to the
 base tabloid. The module S is the submodule spun from e_{J,J'}; it is
-spanned by the translates
-d e_{J,J'} for d in D_psi', which the same walk lists. None of this
-generates W; `group` does, when first read.
+spanned by the translates d e_{J,J'} for d in D_psi', which the same walk
+lists. A trace on S is one read of its canonical rows at their moved
+pivots (`_trace`), for one element and for the character norm alike. None
+of this generates W; `group` does, when first read.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ import warnings
 from collections import deque
 from fractions import Fraction
 from functools import cached_property
-from itertools import repeat
+from itertools import takewhile
 from math import lcm
 
 from .exactlin import (
@@ -37,7 +38,7 @@ from .exactlin import (
     row_reduce,
     vector,
 )
-from .rootsys import Root, RootSystem, format_root
+from .rootsys import RootSystem, format_root
 from .subsystem import (
     Subsystem,
     complements_meet_trivially,
@@ -55,7 +56,6 @@ from .weyl import (
     fold_walk,
     gather,
     generate_group,
-    reflection_in,
     subgroup_generated,
 )
 
@@ -66,28 +66,17 @@ Element = GroupElement | tuple[int, ...]
 class Tabloid:
     """One coset d N(psi), keyed by the root set d(psi)."""
 
-    __slots__ = ("key", "rep", "rep_word", "rows", "cols")
+    __slots__ = ("key", "rep", "rep_word")
 
-    def __init__(
-        self,
-        key: frozenset,
-        rep: GroupElement,
-        rep_word: tuple[int, ...],
-        rows: tuple[Root, ...],
-        cols: tuple[Root, ...],
-    ):
+    def __init__(self, key: frozenset, rep: GroupElement, rep_word: tuple[int, ...]):
         self.key = key
         self.rep = rep
         self.rep_word = rep_word
-        self.rows = rows
-        self.cols = cols
 
     def __eq__(self, other):
         if type(other) is not Tabloid:
             return NotImplemented
-        return (self.key, self.rep_word, self.rep, self.rows, self.cols) == (
-            other.key, other.rep_word, other.rep, other.rows, other.cols
-        )
+        return (self.key, self.rep_word, self.rep) == (other.key, other.rep_word, other.rep)
 
 
 class TabloidSpace:
@@ -193,10 +182,10 @@ class TabloidSpace:
 
     @cached_property
     def _col_steps(self) -> tuple:
-        # the tables of the J' reflections
-        psi_prime = self.psi_prime
-        roots = sorted(set(psi_prime.simples)) if psi_prime is not None else ()
-        return tuple(gather(self._table(reflection_in(self.system, r).perm)) for r in roots)
+        # the J' reflections' tables: W(psi')'s elements of length 1, which
+        # its walk lists in letter order after the identity
+        letters = takewhile(lambda p: len(p[1]) == 1, zip(self.col_group[1:], self.col_words[1:]))
+        return tuple(gather(self._table(s.perm)) for s, _ in letters)
 
     def index_action(self, w: Element) -> tuple[int, ...]:
         """The permutation of tabloid indices induced by w, an element or a
@@ -236,24 +225,18 @@ def enumerate_tabloids(
     seed = frozenset(system.root_index(r) for r in psi.roots)
     gens = system.simple_reflection_perms
     points, words = zip(*coset_walk(gens, seed))
-    tabloids = []
     roots = system.roots
-    for point, d, word in zip(points, elements_of(system, gens, words), words):
-        rows = tuple(apply_to_root(system, d, j) for j in psi.simples)
-        cols = (
-            tuple(apply_to_root(system, d, j) for j in psi_prime.simples)
-            if psi_prime is not None
-            else ()
-        )
-        key = frozenset(roots[i] for i in point)
-        tabloids.append(Tabloid(key=key, rep=d, rep_word=word, rows=rows, cols=cols))
+    tabloids = tuple(
+        Tabloid(key=frozenset(roots[i] for i in point), rep=d, rep_word=word)
+        for point, d, word in zip(points, elements_of(system, gens, words), words)
+    )
     col_simples = psi_prime.simples if psi_prime is not None else ()
     return TabloidSpace(
         system=system,
         psi=psi,
         psi_prime=psi_prime,
         group=group,
-        tabloids=tuple(tabloids),
+        tabloids=tabloids,
         col_group=subgroup_generated(system, col_simples),
     )
 
@@ -471,33 +454,35 @@ def matrix_of(module: SpechtModuleData, w: Element, basis_vectors=None):
     return tuple(tuple(r.entries.get(j, field.zero) for j in range(k, 2 * k)) for r in pq.rows)
 
 
+def _trace(rows, at_pivots, m: tuple[int, ...]):
+    """sum_r b_r[m(p_r)] over rows b_r, S's canonical rows or multiples of
+    them, whose pivots p_r `at_pivots` reads off m; missing entries are
+    skipped. For m the tabloid permutation of w it is the trace of w^-1,
+    which is that of w on every module over every field: an element of a
+    Weyl group is a product of two involutions (Carter 1972, Theorem C),
+    so it is conjugate to its inverse."""
+    return sum(filter(None, map(dict.get, rows, at_pivots(m))))
+
+
 def character_value(module: SpechtModuleData, w: Element):
-    """Trace of the action of w; zero on the zero module."""
-    field = module.field
+    """Trace of the action of w, read by `_trace`; zero on the zero module."""
+    field, basis = module.field, module.basis
     m = module.space.index_action(w)
-    if module.dimension == 0:
-        return field.zero
-    source = dict(zip(m, range(len(m))))  # w sends source[p] to p
-    tr = field.zero
-    for r, p in zip(module.basis.rows, module.basis.pivots):
-        c = r.entries.get(source[p])
-        if c is not None:
-            tr = field.add(tr, c)
-    return tr
+    # the sum enters the field: Q's zero is a Fraction, F_p's add reduces mod p
+    return field.add(field.zero, _trace([r.entries for r in basis.rows], gather(basis.pivots), m))
 
 
 def character_norm(module: SpechtModuleData) -> Fraction:
     """(1/|W|) sum of psi(w) psi(w^-1); equals 1 exactly for an irreducible
     rational character. Characteristic zero only.
 
-    A rational character is real, so the sum is one of squares, and since
-    inversion permutes W it is taken over psi(w^-1) = sum_r b_r[m(p_r)]:
-    the canonical rows b_r of S read at their pivots p_r moved by the
-    tabloid permutation m of w. Each m is one right-composition table step
-    from its parent word's (`fold_walk`), which makes it the permutation of
-    w^-1, not of w; as w^-1 runs over W when w does, the sum is the same.
-    The rows are cleared once by the lcm D of their denominators, so the
-    sum is over integers and is divided by |W| D^2 at the end.
+    A rational character is real, so the sum is one of squares, each trace
+    read by `_trace` from the tabloid permutation of an element. Each such
+    permutation is one right-composition table step from its parent word's
+    (`fold_walk`), which makes it the permutation of w^-1, not of w; as
+    w^-1 runs over W when w does, the sum is the same. The rows are cleared
+    once by the lcm D of their denominators, so the sum is over integers
+    and is divided by |W| D^2 at the end.
     """
     if module.field.characteristic != 0:
         raise ValueError("character norm requires characteristic zero")
@@ -511,19 +496,22 @@ def character_norm(module: SpechtModuleData) -> Fraction:
     words = space.group.words
     total = 0
     for _, m in fold_walk(words, space._steps, tuple(range(len(space)))):
-        trace = sum(map(dict.get, rows, at_pivots(m), repeat(0)))
+        trace = _trace(rows, at_pivots, m)
         total += trace * trace
     return Fraction(total, len(words) * den * den)
 
 
 def format_tabloid(space: TabloidSpace, t: Tabloid) -> str:
-    """Brace display {dJ;dJ'} in the stored row and column orders."""
-    sys = space.system
-    rows = ",".join(format_root(sys, r) for r in t.rows)
-    if t.cols:
-        cols = ",".join(format_root(sys, r) for r in t.cols)
-        return "{%s;%s}" % (rows, cols)
-    return "{%s}" % rows
+    """Brace display {dJ;dJ'}: the images of J and J' under the tabloid's
+    representative d, in their stored orders; {dJ} when psi' is absent or
+    has no simple roots."""
+    sys, d = space.system, t.rep
+    rows = ",".join(format_root(sys, apply_to_root(sys, d, j)) for j in space.psi.simples)
+    psi_prime = space.psi_prime
+    if psi_prime is None or not psi_prime.simples:
+        return "{%s}" % rows
+    cols = ",".join(format_root(sys, apply_to_root(sys, d, j)) for j in psi_prime.simples)
+    return "{%s;%s}" % (rows, cols)
 
 
 def format_module_vector(space: TabloidSpace, field, v: SparseVector) -> str:

@@ -47,12 +47,16 @@ def is_useful_system(system: RootSystem, psi: Subsystem, psi_prime: Subsystem) -
     return len(meet) == 1 and complements_meet_trivially(system, psi, psi_prime)
 
 
-def is_useful_subsystem(system: RootSystem, psi: Subsystem, psi_prime: Subsystem) -> bool:
-    """N(psi) meets W(psi') trivially, and likewise for the two complements.
-    The meet is the stabilizer of psi in W(psi'), so only W(psi') is closed."""
+def _meet(system: RootSystem, psi: Subsystem, psi_prime: Subsystem) -> tuple[GroupElement, ...]:
+    # N(psi) meet W(psi') of a checked pair: the stabilizer of psi in
+    # W(psi'), in the walk order of W(psi'), so only W(psi') is closed
     _require_pair(system, psi, psi_prime)
-    col_group = subgroup_generated(system, psi_prime.simples).elements
-    return len(stabilizer(system, psi, col_group)) == 1 and complements_meet_trivially(
+    return stabilizer(system, psi, subgroup_generated(system, psi_prime.simples).elements)
+
+
+def is_useful_subsystem(system: RootSystem, psi: Subsystem, psi_prime: Subsystem) -> bool:
+    """N(psi) meets W(psi') trivially (`_meet`), and likewise the complements."""
+    return len(_meet(system, psi, psi_prime)) == 1 and complements_meet_trivially(
         system, psi, psi_prime
     )
 
@@ -78,16 +82,13 @@ def obstruction_from_space(space: TabloidSpace) -> GroupElement | None:
 def vanishing_obstruction(
     system: RootSystem, psi: Subsystem, psi_prime: Subsystem
 ) -> GroupElement | None:
-    """The first order-2 negative-sign element of N(psi) meet W(psi') in
-    group order, if any; the meet is the stabilizer of psi in W(psi').
-    W is never generated.
+    """The first order-2 negative-sign element of N(psi) meet W(psi')
+    (`_meet`) in group order, if any. W is never generated.
 
     Such an element pairs off the terms of the polytabloid with opposite
     signs, forcing it to vanish.
     """
-    _require_pair(system, psi, psi_prime)
-    meet = stabilizer(system, psi, subgroup_generated(system, psi_prime.simples).elements)
-    return _first_obstruction(system, meet)
+    return _first_obstruction(system, _meet(system, psi, psi_prime))
 
 
 class GoodSubsystemResult:

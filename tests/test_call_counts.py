@@ -56,6 +56,7 @@ from weylspecht.weyl import (
     GroupElement,
     compose,
     generate_group,
+    reflection_in,
     simple_reflection,
     subgroup_generated,
 )
@@ -153,6 +154,14 @@ def test_a6_listing_stops_the_distinguished_walk(monkeypatch):
     assert len(yielded) == 557
     system, _, pp = benchmark_pair("A6")
     assert len(tuple(distinguished_reps(system, pp))) == 1260
+
+
+def test_column_reflections_are_built_once():
+    # the W(psi') walk builds the |J'| = 2 reflections, and kappa's tables
+    # read them off that walk
+    with contextlib.redirect_stdout(io.StringIO()):
+        calls = _call_counts(cli.main, A6_SPECHT)
+    assert calls(reflection_in) == 2
 
 
 def test_a6_text_report_never_generates_the_group():

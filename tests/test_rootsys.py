@@ -250,6 +250,13 @@ def test_parse_non_root_policies(a3):
     assert parse_root(a3, "101", if_not_root="ignore") == (1, 0, 1)
 
 
+def test_parse_rejects_an_unknown_policy(a3):
+    # an unknown mode is an error, not a silent "ignore", root or not
+    for text in ("101", "110"):
+        with pytest.raises(ValueError, match="'raise'"):
+            parse_root(a3, text, if_not_root="raise")
+
+
 @settings(deadline=None)
 @given(st.lists(st.integers(-9, 9), min_size=3, max_size=3))
 def test_format_parse_roundtrip(coords):

@@ -306,6 +306,11 @@ def test_kappa_with_trivial_column_group(a3, w_a3):
     space = enumerate_tabloids(a3, psi, w_a3, empty)
     v = unit(len(space), 1)
     assert apply_kappa(space, QQ, v).entries == v.entries
+    # with no J' a tabloid displays as {dJ}, as in the psi-only space
+    shown = [format_tabloid(space, t) for t in space]
+    alone = enumerate_tabloids(a3, psi, w_a3)
+    assert shown == [format_tabloid(alone, t) for t in alone]
+    assert shown == ["{100,001}", "{110,011}", "{010,111}"]
 
 
 def test_kappa_on_base_tabloid_d4(case_d4_rank3):
@@ -758,7 +763,8 @@ def test_matrix_in_a_given_basis_rebuilds_each_image(field):
 
 @pytest.mark.parametrize("field", [QQ, PrimeField(3)], ids=repr)
 def test_character_value_is_trace_of_matrix(corpus, field):
-    # every element of W on A3, both D4 pairs and F4; G2 affords zero
+    # every element of W on A3, both D4 pairs and F4, given as an element and
+    # as its word; G2 affords zero
     checked = 0
     for system, group, psi, psi_prime, _ in corpus:
         with warnings.catch_warnings():
@@ -766,10 +772,11 @@ def test_character_value_is_trace_of_matrix(corpus, field):
             module = build_specht_module(system, psi, psi_prime, field, group=group)
         if module.dimension == 0:
             continue
-        for w in group:
+        for w, word in zip(group, group.words):
             m = matrix_of(module, w)
             trace = functools.reduce(field.add, (m[i][i] for i in range(len(m))), field.zero)
             assert character_value(module, w) == trace
+            assert character_value(module, word) == trace
         checked += 1
     assert checked == 4
 
