@@ -8,9 +8,12 @@ and an element of W by folding its descent word over them. One walk, a
 breadth-first orbit of root indices under root permutations, lists W, the
 column group W(psi'), the tabloids and the distinguished representatives,
 each in the order of its shortest words. W itself is generated only for
-what enumerates it: the character norm, N(psi) and the oracles. The walk
-yields words as it reaches them and keeps no element; whatever is valued
-per element is one step from its parent word's value (`weyl.fold_walk`).
+what enumerates it: the character norm, N(psi) and the oracles, and its
+elements are folded from its words only when first read. The walk yields
+words as it reaches them and keeps no element; whatever is valued per
+element is one step from a shorter word's value: in the walk's order
+(`weyl.fold_walk`), or depth first for the sums over a whole group, kappa
+and the norm (`weyl.fold_prefixes`).
 
 The names below resolve on first use (PEP 562): `import weylspecht` loads
 no submodule, and `weylspecht.build_root_system` loads only `rootsys`.

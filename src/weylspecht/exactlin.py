@@ -65,13 +65,28 @@ QQ = RationalField()
 
 
 def _is_prime(p: int) -> bool:
+    """Deterministic Miller-Rabin on the bases 2, 3, 5 and 7, which has no
+    strong pseudoprime below 3215031751 (Pomerance, Selfridge and Wagstaff
+    1980), beyond every field order allowed here."""
     if p < 2:
         return False
-    d = 2
-    while d * d <= p:
-        if p % d == 0:
+    for a in (2, 3, 5, 7):
+        if p % a == 0:
+            return p == a
+    # p - 1 = d 2^s with d odd
+    d, s = p - 1, 0
+    while not d % 2:
+        d, s = d // 2, s + 1
+    for a in (2, 3, 5, 7):
+        x = pow(a, d, p)
+        if x == 1 or x == p - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % p
+            if x == p - 1:
+                break
+        else:
             return False
-        d += 1 if d == 2 else 2
     return True
 
 

@@ -16,7 +16,12 @@ base tabloid. The module S is the submodule spun from e_{J,J'}; it is
 spanned by the translates d e_{J,J'} for d in D_psi', which the same walk
 lists. A trace on S is one read of its canonical rows at their moved
 pivots (`_trace`), for one element and for the character norm alike. None
-of this generates W; `group` does, when first read.
+of this generates W; `group` does, when first read, and holds only its
+words until its elements are read. The two sums over a whole group, kappa
+over W(psi') and the character norm over W, fold each element's tabloid
+permutation from its prefix word's depth first (`weyl.fold_prefixes`), so
+the norm builds no element of W and its memory grows with the longest
+word, not with the widest level of W.
 """
 
 from __future__ import annotations
@@ -53,7 +58,7 @@ from .weyl import (
     coset_walk,
     descent_word,
     elements_of,
-    fold_walk,
+    fold_prefixes,
     gather,
     generate_group,
     subgroup_generated,
@@ -110,8 +115,6 @@ class TabloidSpace:
         self.index = {t.key: i for i, t in enumerate(tabloids)}
         # W(psi'), each element with its word in the sorted J' reflections
         self.col_group, self.col_words = col_group.elements, col_group.words
-        # a reflection has determinant -1
-        self.col_signs = tuple(-1 if len(w) % 2 else 1 for w in self.col_words)
 
     def __len__(self) -> int:
         return len(self.tabloids)
@@ -295,19 +298,20 @@ def cyclic_submodule(space: TabloidSpace, field, v: SparseVector) -> SubspaceBas
 def apply_kappa(space: TabloidSpace, field, v: SparseVector) -> SparseVector:
     """The signed sum over the column reflection group, applied to v.
 
-    Each sigma's tabloid permutation is one right-composition step from its
-    parent's (`fold_walk` over the J' reflection words), which makes it
-    m(sigma^-1) rather than m(sigma). The group is closed under inversion
-    and sign(sigma^-1) = sign(sigma), so the sum is the same."""
+    Each sigma's tabloid permutation m(sigma) is one right-composition step
+    from its prefix's (`fold_prefixes` over the J' reflection words), and
+    its sign is the parity of its word, since a reflection has determinant
+    -1."""
     if v.dim != len(space):
         raise ValueError("vector does not belong to this tabloid space")
     acc: dict = {}
     get = acc.get
-    acts = fold_walk(space.col_words, space._col_steps, tuple(range(len(space))))
-    for (_, m), sgn in zip(acts, space.col_signs):
-        for i, c in v.entries.items():
+    # v's entries for an even word, and negated for an odd one
+    signed = (tuple(v.entries.items()), tuple((i, -c) for i, c in v.entries.items()))
+    for word, m in fold_prefixes(space.col_words, space._col_steps, tuple(range(len(space)))):
+        for i, c in signed[len(word) % 2]:
             j = m[i]
-            acc[j] = get(j, 0) + (c if sgn > 0 else -c)
+            acc[j] = get(j, 0) + c
     return vector(field, v.dim, acc.items())
 
 
@@ -477,12 +481,12 @@ def character_norm(module: SpechtModuleData) -> Fraction:
     rational character. Characteristic zero only.
 
     A rational character is real, so the sum is one of squares, each trace
-    read by `_trace` from the tabloid permutation of an element. Each such
-    permutation is one right-composition table step from its parent word's
-    (`fold_walk`), which makes it the permutation of w^-1, not of w; as
-    w^-1 runs over W when w does, the sum is the same. The rows are cleared
-    once by the lcm D of their denominators, so the sum is over integers
-    and is divided by |W| D^2 at the end.
+    read by `_trace` from the tabloid permutation m(w). Each m(w) is one
+    right-composition table step from its prefix word's (`fold_prefixes`
+    over W's words), so W's elements are never built and only one
+    permutation per letter of the current word is held. The rows are
+    cleared once by the lcm D of their denominators, so the sum is over
+    integers and is divided by |W| D^2 at the end.
     """
     if module.field.characteristic != 0:
         raise ValueError("character norm requires characteristic zero")
@@ -495,7 +499,7 @@ def character_norm(module: SpechtModuleData) -> Fraction:
     at_pivots = gather(basis.pivots)
     words = space.group.words
     total = 0
-    for _, m in fold_walk(words, space._steps, tuple(range(len(space)))):
+    for _, m in fold_prefixes(words, space._steps, tuple(range(len(space)))):
         trace = _trace(rows, at_pivots, m)
         total += trace * trace
     return Fraction(total, len(words) * den * den)

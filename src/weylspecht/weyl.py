@@ -12,16 +12,23 @@ reflections in a root list it is their subgroup; the orbit of psi's root
 set is the tabloids; and the walk that keeps J positive is D_psi. Each
 element is reached by a shortest word, so the words are reduced and
 reproducible. The walk yields its points as it reaches them and keeps no
-element or table; anything valued per element (its perm, its tabloid
-permutation, its translate of e_{J,J'}) is one step from the value of its
-parent word by `fold_walk`. Points and elements are moved by
-`operator.itemgetter`: s o p is `itemgetter(*p)(s)`, built in C.
+element or table; a generated group keeps the walk's words and folds its
+elements from them when they are first read. Anything valued per element
+is one step from the value of a shorter word: `fold_walk` steps from the
+parent word, less its first letter, in the walk's order, for readers that
+need that order (the elements, the listed translates of e_{J,J'});
+`fold_prefixes` steps from the prefix, less its last letter, depth first,
+for sums over a whole group (kappa, the character norm), and holds one
+value per letter of the current word instead of a level of the walk.
+Points and elements are moved by `operator.itemgetter`: s o p is
+`itemgetter(*p)(s)`, built in C.
 """
 
 from __future__ import annotations
 
 import math
 from collections import Counter
+from itertools import islice
 from operator import itemgetter
 
 from .rootsys import Root, RootSystem, reflection
@@ -109,19 +116,28 @@ def word_to_element(system: RootSystem, word) -> GroupElement:
 
 class GeneratedGroup:
     """A group generated by reflections, in BFS order (identity first), with
-    one word each in its generators: for W, the simple reflections."""
+    one word each in its generators `gens`, root permutations: for W, the
+    simple reflections. Only the words are held until the elements are
+    first read (`elements`, iteration, indexing, `identity`, ==), which
+    folds them once with `elements_of`; `len` reads the words."""
 
-    __slots__ = ("system_label", "elements", "words")
+    __slots__ = ("system", "gens", "words", "_elements")
 
-    def __init__(
-        self,
-        system_label: str,
-        elements: tuple[GroupElement, ...],
-        words: tuple[tuple[int, ...], ...],
-    ):
-        self.system_label = system_label
-        self.elements = elements
+    def __init__(self, system: RootSystem, gens, words: tuple[tuple[int, ...], ...]):
+        self.system = system
+        self.gens = tuple(gens)
         self.words = words
+        self._elements = None
+
+    @property
+    def system_label(self) -> str:
+        return self.system.label
+
+    @property
+    def elements(self) -> tuple[GroupElement, ...]:
+        if self._elements is None:
+            self._elements = elements_of(self.system, self.gens, self.words)
+        return self._elements
 
     def __eq__(self, other):
         if type(other) is not GeneratedGroup:
@@ -131,7 +147,7 @@ class GeneratedGroup:
         )
 
     def __len__(self) -> int:
-        return len(self.elements)
+        return len(self.words)
 
     def __iter__(self):
         return iter(self.elements)
@@ -170,6 +186,38 @@ def fold_walk(words, steps, start):
         yield word, value
 
 
+def fold_prefixes(words, steps, start):
+    """Yield each of a group's walk words with its value, in lexicographic
+    order of the words: `start` for the empty word, and steps[i - 1] of
+    its prefix's value for a word u i, whose prefix u is the word less its
+    last letter.
+
+    A walk's words are the lex-least reduced words of their elements (see
+    `coset_walk`), and so are their prefixes: were u' < u a reduced word of
+    the element of u, then u' i would be a smaller reduced word of that of
+    u i. So in lex order each word comes after its prefix, and every word
+    between the two extends that prefix: the order is a depth-first walk
+    of the prefix tree, and only the values of the current word's prefixes
+    are held, at most one more than the longest word. A word whose prefix
+    is not the one held at its depth raises ValueError.
+    """
+    words = sorted(words)
+    if not words or words[0]:
+        raise ValueError("the words lack the empty word")
+    steps = (None, *steps)
+    # slot d holds the last word of length d reached, and its value
+    held_words = [()] * (len(max(words, key=len)) + 1)
+    held_values = [start] * len(held_words)
+    yield (), start
+    for word in islice(words, 1, None):
+        d = len(word)
+        if held_words[d - 1] != word[:-1]:
+            raise ValueError(f"word {word} comes without its prefix {word[:-1]}")
+        held_words[d] = word
+        value = held_values[d] = steps[word[-1]](held_values[d - 1])
+        yield word, value
+
+
 def elements_of(system: RootSystem, gens, words) -> tuple[GroupElement, ...]:
     """The elements named by a walk's words in `gens`, root permutations:
     the element of i u is s_i o (the element of u)."""
@@ -184,7 +232,7 @@ def _generated(system: RootSystem, gens, limit=math.inf) -> GeneratedGroup:
     # images of the simple roots name it
     seed = tuple(system.index[a] for a in system.simple_roots())
     words = tuple(word for _, word in coset_walk(gens, seed, limit=limit))
-    return GeneratedGroup(system.label, elements_of(system, gens, words), words)
+    return GeneratedGroup(system, gens, words)
 
 
 def generate_group(system: RootSystem, limit: int = DEFAULT_GROUP_LIMIT) -> GeneratedGroup:

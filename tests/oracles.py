@@ -526,6 +526,21 @@ def sparse_probe_vector(field, dim, rng):
 
 
 # --------------------------------------------------------------------------
+# primality by trial division
+
+def is_prime_by_trial_division(n: int) -> bool:
+    """No divisor d with 2 <= d <= sqrt(n); trying 2 and the odd d."""
+    if n < 2:
+        return False
+    d = 2
+    while d * d <= n:
+        if n % d == 0:
+            return False
+        d += 1 if d == 2 else 2
+    return True
+
+
+# --------------------------------------------------------------------------
 # dense fraction-free rank
 
 def bareiss_rank(mat) -> int:

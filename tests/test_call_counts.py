@@ -39,6 +39,7 @@ from weylspecht.exactlin import (
     in_echelon_span,
     row_reduce,
 )
+from weylspecht.rootsys import parse_root
 from weylspecht.specht import (
     TabloidSpace,
     _permuted,
@@ -55,6 +56,8 @@ from weylspecht.weyl import (
     GeneratedGroup,
     GroupElement,
     compose,
+    elements_of,
+    fold_walk,
     generate_group,
     reflection_in,
     simple_reflection,
@@ -342,6 +345,32 @@ def test_an_element_folds_its_descent_word(case_d4_deg6):
         calls = _call_counts(matrix_of, module, simple_reflection(system, i))
         assert calls(TabloidSpace._table) == 0
         assert calls(TabloidSpace.index_action) == 1
+
+
+def test_group_elements_are_folded_on_first_read(d4):
+    # the walks keep their words; the elements are folded once, when read
+    made = []
+    calls = _call_counts(
+        lambda: made.extend((generate_group(d4), subgroup_generated(d4, d4.simple_roots())))
+    )
+    assert calls(elements_of) == 0
+    for group in made:
+        assert _call_counts(len, group)(elements_of) == 0
+        assert _call_counts(lambda: group.elements)(elements_of) == 1
+        assert _call_counts(lambda: group.elements)(elements_of) == 0
+
+
+def test_character_norm_builds_no_element(d4):
+    # the norm folds W's words depth first and reads no element of a given W
+    psi, pp = (
+        subsystem.closure_from_simples(d4, [parse_root(d4, t) for t in texts])
+        for texts in (("1000", "0100", "0001"), ("1110",))
+    )
+    module = build_specht_module(d4, psi, pp, QQ, group=generate_group(d4))
+    calls = _call_counts(character_norm, module)
+    assert calls(elements_of) == 0
+    assert calls(fold_walk) == 0
+    assert calls(GroupElement.__init__) == 0
 
 
 def test_character_norm_folds_no_word(case_d4_rank3, case_d4_deg6):

@@ -9,12 +9,14 @@ from oracles import (
     dense_rows,
     form_complement,
     intersect,
+    is_prime_by_trial_division,
     row_reduce_by_field_ops,
 )
 from weylspecht.exactlin import (
     QQ,
     PrimeField,
     SparseVector,
+    _is_prime,
     contains,
     dot,
     field_by_name,
@@ -54,6 +56,22 @@ def test_prime_field_rejects_bad_orders():
         PrimeField(1)
     with pytest.raises(ValueError):
         PrimeField(2**31)
+
+
+@pytest.mark.parametrize(
+    "numbers",
+    [
+        range(-2, 20000),
+        # strong pseudoprimes to base 2, to bases 2 and 3, to bases 2, 3 and 5
+        (2047, 1373653, 25326001),
+        # the largest allowed order, the prime below it, and one less than it
+        (2147483647, 2147483629, 2147483646),
+    ],
+    ids=["below-20000", "pseudoprimes", "near-2^31"],
+)
+def test_primality_matches_trial_division(numbers):
+    for n in numbers:
+        assert _is_prime(n) == is_prime_by_trial_division(n), n
 
 
 def test_prime_field_zero_inverse():

@@ -1,5 +1,6 @@
 import functools
 import random
+import tracemalloc
 import warnings
 from fractions import Fraction
 
@@ -19,6 +20,7 @@ from oracles import (
     matrix_in_basis_by_solving,
     quotient_dimension_by_complements,
     quotient_dimension_by_sum,
+    row_reading_pair,
 )
 from weylspecht import (
     SpechtModuleData,
@@ -56,6 +58,7 @@ from weylspecht.verify import DEFAULT_PROBE_SEED, probe_vector
 from weylspecht.weyl import (
     apply_to_root,
     compose,
+    fold_prefixes,
     fold_walk,
     identity,
     inverse,
@@ -229,8 +232,9 @@ def _kappa_by_keys(space):
     ids=["A3", "G2", "D4-3", "D4-6", "F4", "A5", "A6", "A7"],
 )
 def test_kappa_folds_the_column_words(label, j_texts, jp_texts):
-    # each sigma's permutation is one step from its parent's, and the sum
-    # over W(psi') equals the sum by keys; W is never generated
+    # each sigma's permutation is one step from its prefix's, its sign is
+    # the parity of its word, and the sum over W(psi') equals the sum by
+    # keys; W is never generated
     system = build_root_system(label)
     psi, pp = (
         closure_from_simples(system, [parse_root(system, t) for t in texts])
@@ -239,23 +243,30 @@ def test_kappa_folds_the_column_words(label, j_texts, jp_texts):
     space = enumerate_tabloids(system, psi, psi_prime=pp)
     for i, expected in enumerate(_kappa_by_keys(space)):
         assert apply_kappa(space, QQ, unit(len(space), i)).entries == expected
-    assert space.col_signs == tuple(sign(system, w) for w in space.col_group)
+    for w, word in zip(space.col_group, space.col_words):
+        assert sign(system, w) == (-1) ** len(word)
     assert "group" not in vars(space)
 
 
 def test_fold_walk_on_tabloids_matches_whole_word_folds(case_d4_deg6):
     # on the walks of W and of D_psi': a right-composition table step from
-    # the parent gives the permutation of w^-1 (read by `character_norm` and
-    # `apply_kappa`), and a translate step gives w e_{J,J'} (read by the
-    # generator listing)
+    # the parent gives the permutation of w^-1, and a translate step gives
+    # w e_{J,J'} (read by the generator listing); on W's words the same
+    # table step from the prefix, depth first, gives the permutation of w
+    # itself (read by `character_norm`, and by `apply_kappa` on W(psi'))
     space = case_d4_deg6.space
     e = polytabloid(space, QQ, ())
+    start = tuple(range(len(space)))
     translate_steps = [functools.partial(_permuted, table) for table in space._tables]
     for words in (space.group.words, distinguished_reps(space.system, space.psi_prime)):
-        for word, m in fold_walk(words, space._steps, tuple(range(len(space)))):
+        for word, m in fold_walk(words, space._steps, start):
             assert m == space.index_action(word[::-1])
         for word, v in fold_walk(words, translate_steps, e):
             assert v == act_vector(space, QQ, word, e)
+    folded = list(fold_prefixes(space.group.words, space._steps, start))
+    assert [word for word, _ in folded] == sorted(space.group.words)
+    for word, m in folded:
+        assert m == space.index_action(word)
 
 
 def test_space_without_group_matches_space_with_group(case_d4_rank3, case_g2):
@@ -838,8 +849,9 @@ def test_character_norm_matches_the_word_fold(name, norm):
 
 
 def test_character_norm_matches_the_word_fold_on_any_basis(case_d4_rank3):
-    # the walk reads psi(w^-1) where the fold reads psi(w), so the sums agree
-    # for any rows, invariant or not: fractional rows, one row, no rows
+    # the norm and the word fold both read the rows at m(w) for each w, so
+    # the sums agree for any rows, invariant or not: fractional rows, one
+    # row, no rows
     module = case_d4_rank3.module
     dim = len(module.space)
     rows = [[2, 1, 0, 3] + [0] * (dim - 4), [0, 3, 1, 0] + [0] * (dim - 4)]
@@ -853,6 +865,29 @@ def test_character_norm_matches_the_word_fold_on_any_basis(case_d4_rank3):
     for basis in bases:
         synthetic = SpechtModuleData(module.space, QQ, module.e_vec, basis)
         assert character_norm(synthetic) == character_norm_by_words(synthetic)
+
+
+@pytest.mark.slow
+def test_a7_group_and_norm_memory():
+    # W(A7) keeps its 40320 words and no element, and the norm holds one
+    # tabloid permutation per letter of the current word, not a level of W
+    shape = (4, 3, 1)
+    system = build_root_system("A7")
+    psi, pp = (closure_from_simples(system, roots) for roots in row_reading_pair(shape))
+    tracemalloc.start()
+    try:
+        group = generate_group(system)
+        kept = tracemalloc.get_traced_memory()[0]
+        module = build_specht_module(system, psi, pp, QQ, group=group)
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        norm = character_norm(module)
+        norm_peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert norm == 1
+    assert kept < 10 * 2**20
+    assert norm_peak < 2 * 2**20
 
 
 def test_character_norm_rejects_positive_characteristic(d4, w_d4):

@@ -17,6 +17,7 @@ from weylspecht.weyl import (
     compose,
     descent_word,
     elements_of,
+    fold_prefixes,
     fold_walk,
     generate_group,
     group_order,
@@ -294,6 +295,40 @@ def test_fold_walk_steps_each_word_from_its_parent(system, words):
     assert [p for _, p in folded] == [word_to_element(system, w).perm for w in words]
     assert len(taken) == len(words) - 1
     assert elements_of(system, gens, words) == tuple(word_to_element(system, w) for w in words)
+
+
+def _right_steps(system, taken):
+    # the value of a word u i is that of u, then tau_i: p o s is itemgetter(*s)(p)
+    def right_step(s):
+        def step(p):
+            taken.append(s)
+            return itemgetter(*s)(p)
+
+        return step
+
+    return [right_step(s) for s in system.simple_reflection_perms]
+
+
+@pytest.mark.parametrize("label", ["A3", "B3", "G2", "D4"])
+def test_fold_prefixes_steps_each_word_from_its_prefix(label):
+    # lex order, one step per nonempty word, and each value is the fold of
+    # its whole word, whatever order the words are given in
+    system = build_root_system(label)
+    words = list(generate_group(system).words)
+    random.Random(label).shuffle(words)
+    taken = []
+    folded = list(fold_prefixes(words, _right_steps(system, taken), identity(system).perm))
+    assert [word for word, _ in folded] == sorted(words)
+    assert [p for _, p in folded] == [word_to_element(system, w).perm for w, _ in folded]
+    assert len(taken) == len(words) - 1
+
+
+@pytest.mark.parametrize(
+    "words", [((), (1,), (2, 1)), ((1,),), ((), (1, 2))], ids=["no-2", "no-empty", "no-1"]
+)
+def test_fold_prefixes_rejects_a_word_without_its_prefix(a3, words):
+    with pytest.raises(ValueError):
+        list(fold_prefixes(words, _right_steps(a3, []), identity(a3).perm))
 
 
 def test_length_and_sign_basics(a3, w_a3):
