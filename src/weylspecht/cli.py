@@ -1,7 +1,7 @@
 """Command line front end: root systems, tabloid families, module reports.
 
 Exit codes: 0 success, 1 stdout closed early, 2 unparsable input, 3 a
-requested check failed, 4 group-size limit exceeded. Reports go to stdout,
+requested check failed, 4 a walk exceeded the limit. Reports go to stdout,
 diagnostics to stderr; identical invocations print identical bytes.
 
 Every command builds a root system, so only `rootsys` is loaded with this
@@ -60,22 +60,19 @@ def _subsystem(system, roots):
         raise CommandError(str(exc)) from None
 
 
-def _order(system, limit: int | None) -> int:
-    """|W| from the degrees, refused above the limit (by default the
-    library's) before any work."""
-    from .weyl import DEFAULT_GROUP_LIMIT, group_order
+def _walks(command):
+    # a command whose walks stop at --limit points, at least 1, or at the
+    # library's default; a walk past it exits 4 before any output
+    def run(args):
+        from .weyl import GroupLimitError
 
-    if limit is None:
-        limit = DEFAULT_GROUP_LIMIT
-    if limit < 1:
-        raise CommandError(f"--limit must be at least 1, got {limit}")
-    order = group_order(system)
-    if order > limit:
-        raise CommandError(
-            f"group of {system.label} exceeds the limit of {limit} elements",
-            code=EXIT_GROUP_LIMIT,
-        )
-    return order
+        if args.limit is not None and args.limit < 1:
+            raise CommandError(f"--limit must be at least 1, got {args.limit}")
+        try:
+            return command(args, {} if args.limit is None else {"limit": args.limit})
+        except GroupLimitError as exc:
+            raise CommandError(str(exc), code=EXIT_GROUP_LIMIT) from None
+    return run
 
 
 def _word_text(word) -> str:
@@ -147,13 +144,15 @@ def _simples_text(system, psi) -> list:
     return [format_root(system, r) for r in psi.simples]
 
 
-def cmd_tabloids(args) -> int:
+@_walks
+def cmd_tabloids(args, bound) -> int:
     from . import specht
+    from .weyl import group_order
 
     system = _system(args.type)
-    order = _order(system, args.limit)
+    order = group_order(system)
     psi = _subsystem(system, _simples(system, args.J))
-    space = specht.enumerate_tabloids(system, psi)
+    space = specht.enumerate_tabloids(system, psi, **bound)
     J = _simples_text(system, psi)
     rows = [(t.rep_word, specht.format_tabloid(space, t)) for t in space]
     index = len(space)
@@ -178,20 +177,19 @@ def cmd_tabloids(args) -> int:
     return EXIT_OK
 
 
-def _independent_generators(module, order: int):
+def _independent_generators(module):
     # the first translates d e_{J,J'}, d in D_psi', that are independent,
-    # each with the word of d; the listing stops at the dim-th, and with it
-    # the walk of D_psi', which yields its words as it reaches them. The
-    # word of d is a letter i before the word of its parent, so d e_{J,J'}
-    # is the parent's translate moved by the table of tau_i. D_psi' has at
-    # most |W| = order elements, and order has passed the --limit check
+    # each with the word of d; the listing stops at the dim-th, and so does
+    # the lazy walk of D_psi', under the space's limit. The word of d is a
+    # letter i before its parent's, so d e_{J,J'} is the parent's translate
+    # moved by the table of tau_i
     from . import specht
     from .exactlin import echelon_insert
     from .subsystem import distinguished_reps
     from .weyl import fold_walk
 
     space, field = module.space, module.field
-    words = distinguished_reps(space.system, space.psi_prime, order)
+    words = distinguished_reps(space.system, space.psi_prime, space.limit)
     steps = [functools.partial(specht._permuted, table) for table in space._tables]
     by_pivot: dict = {}
     picked = []
@@ -203,13 +201,14 @@ def _independent_generators(module, order: int):
     return picked
 
 
-def cmd_specht(args) -> int:
+@_walks
+def cmd_specht(args, bound) -> int:
     from . import specht, verify
     from .exactlin import field_by_name, field_name
-    from .weyl import GroupLimitError, word_order
+    from .weyl import group_order, word_order
 
     system = _system(args.type)
-    order = _order(system, args.limit)
+    order = group_order(system)
     psi = _subsystem(system, _simples(system, args.J))
     psi_prime = _subsystem(system, _simples(system, args.Jp))
     if psi.roots & psi_prime.roots:
@@ -228,13 +227,9 @@ def cmd_specht(args) -> int:
         raise CommandError(f"--probe-trials must be at least 1, got {args.probe_trials}")
     words = _collect_words(system, args.char)
 
-    try:
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            module = specht.build_specht_module(system, psi, psi_prime, field)
-    except GroupLimitError as exc:
-        # a walk inside the build, W(psi') at most, met the library's bound
-        raise CommandError(str(exc), code=EXIT_GROUP_LIMIT) from None
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        module = specht.build_specht_module(system, psi, psi_prime, field, **bound)
     space = module.space
     good = verify.good_from_space(space)
     witness = verify.obstruction_from_space(space)
@@ -284,6 +279,8 @@ def cmd_specht(args) -> int:
         _emit(doc)
         return code
 
+    # the listing walks D_psi', so it runs before the first line is printed
+    generators = _independent_generators(module) if module.dimension else ()
     print(f"ambient {system.label}: |W| = {order}")
     print(f"psi {psi.label}: J = {','.join(J)}, |N(psi)| = {order // len(space)}")
     print(
@@ -296,9 +293,9 @@ def cmd_specht(args) -> int:
     print(f"useful sub-system: {'yes' if space.useful else 'no'}")
     print(f"good sub-system: {'yes' if good.is_good else 'no'}")
     print(f"e_{{J,J'}} = {specht.format_module_vector(space, field, module.e_vec)}")
-    if module.dimension:
+    if generators:
         print("independent generators:")
-        for word, vec in _independent_generators(module, order):
+        for word, vec in generators:
             print(f"  {_word_text(word)} | {specht.format_module_vector(space, field, vec)}")
     if check_doc["vanishing_witness"] is not None:
         print(f"vanishing witness: {_word_text(check_doc['vanishing_witness'])}")

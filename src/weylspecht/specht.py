@@ -52,6 +52,7 @@ from .subsystem import (
     stabilizer,
 )
 from .weyl import (
+    DEFAULT_GROUP_LIMIT,
     GeneratedGroup,
     GroupElement,
     apply_to_root,
@@ -104,7 +105,7 @@ class TabloidSpace:
         psi_prime: Subsystem | None,
         group: GeneratedGroup | None,
         tabloids: tuple[Tabloid, ...],
-        col_group: GeneratedGroup,
+        limit: int,
     ):
         self.system = system
         self.psi = psi
@@ -113,7 +114,9 @@ class TabloidSpace:
             self.group = group
         self.tabloids = tabloids
         self.index = {t.key: i for i, t in enumerate(tabloids)}
+        self.limit = limit  # the points of every walk made for the space, W's too
         # W(psi'), each element with its word in the sorted J' reflections
+        col_group = subgroup_generated(system, psi_prime.simples if psi_prime else (), limit)
         self.col_group, self.col_words = col_group.elements, col_group.words
 
     def __len__(self) -> int:
@@ -128,7 +131,7 @@ class TabloidSpace:
     @cached_property
     def group(self) -> GeneratedGroup:
         """All of W, generated when first read unless given."""
-        return generate_group(self.system)
+        return generate_group(self.system, self.limit)
 
     @cached_property
     def n_psi(self) -> tuple[GroupElement, ...]:
@@ -213,9 +216,10 @@ def enumerate_tabloids(
     psi: Subsystem,
     group: GeneratedGroup | None = None,
     psi_prime: Subsystem | None = None,
+    limit: int = DEFAULT_GROUP_LIMIT,
 ) -> TabloidSpace:
     """One tabloid per coset of N(psi); count equals the index of N(psi).
-    W is not generated; a given `group` is kept as the space's `group`."""
+    W is not generated; the space keeps a given `group`, and `limit`."""
     labels = {psi.ambient_label}
     if group is not None:
         labels.add(group.system_label)
@@ -227,20 +231,19 @@ def enumerate_tabloids(
     # reaching it and its lex-least word, in W's order
     seed = frozenset(system.root_index(r) for r in psi.roots)
     gens = system.simple_reflection_perms
-    points, words = zip(*coset_walk(gens, seed))
+    points, words = zip(*coset_walk(gens, seed, limit=limit))
     roots = system.roots
     tabloids = tuple(
         Tabloid(key=frozenset(roots[i] for i in point), rep=d, rep_word=word)
         for point, d, word in zip(points, elements_of(system, gens, words), words)
     )
-    col_simples = psi_prime.simples if psi_prime is not None else ()
     return TabloidSpace(
         system=system,
         psi=psi,
         psi_prime=psi_prime,
         group=group,
         tabloids=tabloids,
-        col_group=subgroup_generated(system, col_simples),
+        limit=limit,
     )
 
 
@@ -338,7 +341,7 @@ class SpechtModuleData:
         """D_psi', the distinguished representatives d of the column system,
         in group order, identity first; the translates d e_{J,J'} span S."""
         system = self.space.system
-        words = distinguished_reps(system, self.space.psi_prime)
+        words = distinguished_reps(system, self.space.psi_prime, self.space.limit)
         return elements_of(system, system.simple_reflection_perms, words)
 
     @property
@@ -356,16 +359,17 @@ def build_specht_module(
     psi_prime: Subsystem,
     field,
     group: GeneratedGroup | None = None,
+    limit: int = DEFAULT_GROUP_LIMIT,
 ) -> SpechtModuleData:
     """The cyclic module generated by e_{J,J'}.
 
     The basis is the spin of e_{J,J'} under the simple reflections (see
-    `cyclic_submodule`); a given `group` is kept as the space's `group`.
+    `cyclic_submodule`); the space keeps a given `group`, and `limit`.
 
     Warns when the pair is not a useful sub-system; the computation still
     runs and may produce the zero module.
     """
-    space = enumerate_tabloids(system, psi, group, psi_prime)
+    space = enumerate_tabloids(system, psi, group, psi_prime, limit)
     if not space.useful:
         warnings.warn(
             f"{{J, J'}} is not a useful sub-system in {system.label}; "

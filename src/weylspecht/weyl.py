@@ -26,7 +26,6 @@ Points and elements are moved by `operator.itemgetter`: s o p is
 
 from __future__ import annotations
 
-import math
 from collections import Counter
 from itertools import islice
 from operator import itemgetter
@@ -35,7 +34,7 @@ from .rootsys import Root, RootSystem, reflection
 
 
 class GroupLimitError(RuntimeError):
-    """A walk would exceed its element budget."""
+    """A walk would pass its limit of points."""
 
 
 DEFAULT_GROUP_LIMIT = 100_000
@@ -227,7 +226,7 @@ def elements_of(system: RootSystem, gens, words) -> tuple[GroupElement, ...]:
     return tuple(GroupElement(p, label) for _, p in fold_walk(words, steps, start))
 
 
-def _generated(system: RootSystem, gens, limit=math.inf) -> GeneratedGroup:
+def _generated(system: RootSystem, gens, limit: int) -> GeneratedGroup:
     # the walk of the simple roots under gens: an element is linear, so its
     # images of the simple roots name it
     seed = tuple(system.index[a] for a in system.simple_roots())
@@ -241,9 +240,7 @@ def generate_group(system: RootSystem, limit: int = DEFAULT_GROUP_LIMIT) -> Gene
     BFS reaches every element by a shortest word, so the recorded word of w
     is reduced and its length equals length(w).
     """
-    if group_order(system) > limit:
-        raise GroupLimitError(f"group of {system.label} exceeds the limit of {limit} elements")
-    return _generated(system, system.simple_reflection_perms)
+    return _generated(system, system.simple_reflection_perms, limit)
 
 
 def subgroup_generated(
@@ -256,7 +253,7 @@ def subgroup_generated(
     return _generated(system, refl, limit)
 
 
-def coset_walk(gens, seed, keep=None, limit=math.inf):
+def coset_walk(gens, seed, keep=None, limit=DEFAULT_GROUP_LIMIT):
     """Walk `seed`, a tuple or frozenset of root indices, under `gens`, root
     permutations acting on the left, one length at a time; with `keep`, only
     the images it accepts.
@@ -266,7 +263,8 @@ def coset_walk(gens, seed, keep=None, limit=math.inf):
     the lex-least reduced word of its element in `gens`, and the points come
     in the order of the generated group: by length, then by that word.
     Yields each point with its word as it reaches it, seed first, and keeps
-    only the points seen and two levels of words.
+    only the points seen and two levels of words; a point past the `limit`-th
+    raises GroupLimitError.
     """
     make = type(seed)
     seen = {seed}

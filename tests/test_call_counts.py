@@ -52,7 +52,6 @@ from weylspecht.specht import (
 )
 from weylspecht.subsystem import distinguished_reps, normalizer
 from weylspecht.weyl import (
-    DEFAULT_GROUP_LIMIT,
     GeneratedGroup,
     GroupElement,
     compose,
@@ -284,7 +283,7 @@ def test_specht_report_lists_translates_up_to_the_dimension(case_d4_rank3):
     # each translate is tested for independence once, and each but e_{J,J'}
     # is one table step from its parent's, with no word folded
     c = case_d4_rank3
-    calls = _call_counts(cli._independent_generators, c.module, DEFAULT_GROUP_LIMIT)
+    calls = _call_counts(cli._independent_generators, c.module)
     listed = calls(echelon_insert)
     dreps = tuple(distinguished_reps(c.system, c.psi_prime))
     assert c.module.dimension <= listed < len(dreps)

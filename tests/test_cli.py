@@ -390,31 +390,48 @@ D4_COMMANDS = (
 
 def test_group_limit_exit_code(capsys):
     for argv in D4_COMMANDS:
-        code, out, err = run(capsys, *argv, "--limit", "10")
+        code, out, err = run(capsys, *argv, "--limit", "3")
         assert code == 4
         assert out == ""
         assert "limit" in err
 
 
-def test_group_limit_is_the_order(capsys):
-    # |W(D4)| = 192: a limit of exactly |W| passes, one less exits 4
-    for argv in D4_COMMANDS:
-        code, out, err = run(capsys, *argv, "--limit", "192")
+def test_group_limit_is_the_largest_walk(capsys):
+    # the limit bounds the points of each walk, not |W(D4)| = 192: the
+    # tabloid walk of J = 1000 has 12 points, and the D4 report's largest
+    # walks have 4, its tabloids and the D_psi' translates it lists
+    for argv, largest in zip(D4_COMMANDS, (12, 4)):
+        code, out, err = run(capsys, *argv, "--limit", str(largest))
         assert code == 0
         assert out.startswith("ambient D4: |W| = 192\n")
-        code, out, err = run(capsys, *argv, "--limit", "191")
+        code, out, err = run(capsys, *argv, "--limit", str(largest - 1))
         assert code == 4
         assert out == ""
-        assert err == "error: group of D4 exceeds the limit of 191 elements\n"
+        assert err == f"error: coset walk exceeds the limit of {largest - 1} points\n"
+
+
+def test_listing_walk_past_the_limit_prints_nothing(capsys):
+    # the A7 report lists 89 points of D_psi', more than its 56 tabloids and
+    # |W(psi')| = 8; the listing runs before the first line is printed
+    argv = (
+        "specht", "--type", "A7", "--J", "1000000,0100000,0010000,0001000,0000010,0000001",
+        "--Jp", "1111100,0111110,0011111",
+    )
+    code, out, err = run(capsys, *argv, "--limit", "89")
+    assert (code, err) == (0, "")
+    assert "independent generators:" in out
+    code, out, err = run(capsys, *argv, "--limit", "88")
+    assert (code, out) == (4, "")
+    assert err == "error: coset walk exceeds the limit of 88 points\n"
 
 
 def test_column_group_past_the_walk_bound_exits_4(capsys):
-    # |W(B8)| = 10321920 passes --limit, but the walk of W(psi') = W(B7),
-    # 645120 elements, meets the library's bound of 100000 points
+    # the walk of W(psi') = W(B7), 645120 elements, meets the default bound
+    # of 100000 points
     argv = (
         "specht", "--type", "B8", "--J", "10000000",
         "--Jp", "01000000,00100000,00010000,00001000,00000100,00000010,00000001",
-        "--json", "--limit", "100000000",
+        "--json",
     )
     code, out, err = run(capsys, *argv)
     assert (code, out) == (4, "")

@@ -57,8 +57,8 @@ def test_cli_output_matches_manifest(argv, key):
     assert hashlib.sha256(buf.getvalue().encode()).hexdigest() == expected["sha256"]
 
 
-# past the default group limit: 378 tabloids and dim S = 252; the pair is not
-# useful, so the checks fail with exit 3
+# |W(A8)| = 362880: 378 tabloids and dim S = 252; the pair is not useful, so
+# the checks fail with exit 3
 A8_REPORT = [
     "specht", "--type", "A8", "--J", "10000000,00100000", "--Jp", "01000000,00010000",
     "--check", "useful,good", "--char", "1 2", "--limit", "400000",
@@ -78,6 +78,14 @@ def _run(argv):
 @pytest.mark.slow
 def test_a8_report_output_is_unchanged():
     assert _run(A8_REPORT) == (3, 267, A8_REPORT_SHA256)
+
+
+@pytest.mark.slow
+def test_a8_report_runs_at_the_default_limit():
+    # |W(A8)| = 362880 is past the default bound, but the report's largest
+    # walk, the 69279 points of D_psi' that the listing reads, is not
+    assert A8_REPORT[-2] == "--limit"
+    assert _run(A8_REPORT[:-2]) == (3, 267, A8_REPORT_SHA256)
 
 
 # the row-reading (5,3) pair padded into D8: 3584 tabloids, dim S = 1792, and

@@ -56,6 +56,7 @@ from weylspecht.specht import _permuted
 from weylspecht.subsystem import distinguished_reps
 from weylspecht.verify import DEFAULT_PROBE_SEED, probe_vector
 from weylspecht.weyl import (
+    GroupLimitError,
     apply_to_root,
     compose,
     fold_prefixes,
@@ -522,6 +523,23 @@ def test_generators_live_in_the_basis_span(case_d4_deg6):
     module = case_d4_deg6.module
     for d in module.generators:
         assert contains(module.basis, act_vector(module.space, QQ, d, module.e_vec))
+
+
+def test_walks_of_a_built_module_stop_at_its_limit(a3):
+    # the A3 pair: 3 tabloids, |W(psi')| = 2, |D_psi'| = 12 and |W| = 24, so
+    # the generators need a limit of 12 and the norm, which walks W, one of 24
+    psi = closure_from_simples(a3, [parse_root(a3, r) for r in ("100", "001")])
+    pp = closure_from_simples(a3, [parse_root(a3, "110")])
+    module = build_specht_module(a3, psi, pp, QQ, limit=24)
+    assert len(module.generators) == 12
+    assert character_norm(module) == 1
+    module = build_specht_module(a3, psi, pp, QQ, limit=23)
+    assert len(module.generators) == 12
+    with pytest.raises(GroupLimitError, match="limit of 23 points"):
+        character_norm(module)
+    module = build_specht_module(a3, psi, pp, QQ, limit=11)
+    with pytest.raises(GroupLimitError, match="limit of 11 points"):
+        module.generators
 
 
 def test_span_stability_under_group(case_d4_rank3):

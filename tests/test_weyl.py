@@ -209,7 +209,7 @@ def test_group_limit(a3):
 
 def test_group_limit_is_the_order(a3):
     assert len(generate_group(a3, limit=24)) == 24
-    with pytest.raises(GroupLimitError, match="group of A3 exceeds the limit of 23"):
+    with pytest.raises(GroupLimitError, match="coset walk exceeds the limit of 23 points"):
         generate_group(a3, limit=23)
 
 
