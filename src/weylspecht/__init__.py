@@ -4,16 +4,15 @@ Pipeline: build a root system, cut out subsystems, enumerate tabloids as
 the orbit of psi, span the module with polytabloids, and decide the
 structural predicates, all over Q or a prime field. A word acts on
 tabloids by folding the simple reflections' tables, read once off the keys,
-and an element of W by folding its descent word over them. One walk, a
-breadth-first orbit of root indices under root permutations, lists W, the
-column group W(psi'), the tabloids and the distinguished representatives,
-each in the order of its shortest words. W itself is generated only for
-what enumerates it: the character norm, N(psi) and the oracles, and its
-elements are folded from its words only when first read. The walk yields
-words as it reaches them and keeps no element; whatever is valued per
-element is one step from a shorter word's value: in the walk's order
-(`weyl.fold_walk`), or depth first for the sums over a whole group, kappa
-and the norm (`weyl.fold_prefixes`).
+and an element of W by folding its descent word over them. W is walked
+depth first, down the tree of its lex-least reduced words, and kept as
+that walk's preorder, two bytes per element; one breadth-first walk of
+root indices lists the column group W(psi'), the tabloids and the
+distinguished representatives. W itself is generated only for what
+enumerates it: the character norm, N(psi) and the oracles. Whatever is
+valued per element is one step from its parent's value: over a group's
+preorder (`weyl.fold_preorder`), for kappa and the norm, or in a walk's
+order (`weyl.fold_walk`).
 
 The names below resolve on first use (PEP 562): `import weylspecht` loads
 no submodule, and `weylspecht.build_root_system` loads only `rootsys`.

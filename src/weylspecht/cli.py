@@ -189,11 +189,11 @@ def _independent_generators(module):
     from .weyl import fold_walk
 
     space, field = module.space, module.field
-    words = distinguished_reps(space.system, space.psi_prime, space.limit)
+    walk = distinguished_reps(space.system, space.psi_prime, space.limit)
     steps = [functools.partial(specht._permuted, table) for table in space._tables]
     by_pivot: dict = {}
     picked = []
-    for word, vec in fold_walk(words, steps, module.e_vec):
+    for word, vec in fold_walk(walk, steps, module.e_vec):
         if echelon_insert(field, by_pivot, vec):
             picked.append((word, vec))
             if len(picked) == module.dimension:

@@ -49,7 +49,7 @@ class RationalField:
         return 1 / Fraction(a)
 
     def format(self, a) -> str:
-        return str(a)
+        return str(a) if a else "0"
 
     def __eq__(self, other):
         return isinstance(other, RationalField)
@@ -102,6 +102,7 @@ class PrimeField:
         self.characteristic = p
         self.zero = 0
         self.one = 1 % p
+        self._zero_text = f"0 mod {p}"  # one string for every zero entry
 
     def from_int(self, n: int) -> int:
         return n % self.p
@@ -121,7 +122,7 @@ class PrimeField:
         return pow(a, -1, self.p)
 
     def format(self, a) -> str:
-        return f"{a} mod {self.p}"
+        return f"{a} mod {self.p}" if a else self._zero_text
 
     def __eq__(self, other):
         return isinstance(other, PrimeField) and other.p == self.p

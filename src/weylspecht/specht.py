@@ -17,11 +17,10 @@ spanned by the translates d e_{J,J'} for d in D_psi', which the same walk
 lists. A trace on S is one read of its canonical rows at their moved
 pivots (`_trace`), for one element and for the character norm alike. None
 of this generates W; `group` does, when first read, and holds only its
-words until its elements are read. The two sums over a whole group, kappa
-over W(psi') and the character norm over W, fold each element's tabloid
-permutation from its prefix word's depth first (`weyl.fold_prefixes`), so
-the norm builds no element of W and its memory grows with the longest
-word, not with the widest level of W.
+preorder until its elements are read. The two sums over a whole group,
+kappa over W(psi') and the character norm over W, fold each element's
+tabloid permutation from its parent's in the group's preorder
+(`weyl.fold_preorder`), so the norm builds no element or word of W.
 """
 
 from __future__ import annotations
@@ -30,7 +29,6 @@ import warnings
 from collections import deque
 from fractions import Fraction
 from functools import cached_property
-from itertools import takewhile
 from math import lcm
 
 from .exactlin import (
@@ -59,7 +57,7 @@ from .weyl import (
     coset_walk,
     descent_word,
     elements_of,
-    fold_prefixes,
+    fold_preorder,
     gather,
     generate_group,
     subgroup_generated,
@@ -115,9 +113,8 @@ class TabloidSpace:
         self.tabloids = tabloids
         self.index = {t.key: i for i, t in enumerate(tabloids)}
         self.limit = limit  # the points of every walk made for the space, W's too
-        # W(psi'), each element with its word in the sorted J' reflections
-        col_group = subgroup_generated(system, psi_prime.simples if psi_prime else (), limit)
-        self.col_group, self.col_words = col_group.elements, col_group.words
+        # W(psi'), its words in the sorted J' reflections
+        self.col_group = subgroup_generated(system, psi_prime.simples if psi_prime else (), limit)
 
     def __len__(self) -> int:
         return len(self.tabloids)
@@ -150,9 +147,9 @@ class TabloidSpace:
 
     @cached_property
     def col_stabilizer(self) -> tuple[GroupElement, ...]:
-        """N(psi) meet W(psi'), in the walk order of W(psi'): the stabilizer
-        of psi's root set inside the column group, so N(psi) itself is never
-        walked."""
+        """N(psi) meet W(psi'), in the preorder of W(psi'): the stabilizer
+        of psi's root set inside the column group, so neither N(psi) nor
+        the elements of W(psi') are built."""
         return stabilizer(self.system, self.psi, self.col_group)
 
     @cached_property
@@ -188,10 +185,8 @@ class TabloidSpace:
 
     @cached_property
     def _col_steps(self) -> tuple:
-        # the J' reflections' tables: W(psi')'s elements of length 1, which
-        # its walk lists in letter order after the identity
-        letters = takewhile(lambda p: len(p[1]) == 1, zip(self.col_group[1:], self.col_words[1:]))
-        return tuple(gather(self._table(s.perm)) for s, _ in letters)
+        # the J' reflections' tables, one per letter of W(psi')'s words
+        return tuple(gather(self._table(s)) for s in self.col_group.gens)
 
     def index_action(self, w: Element) -> tuple[int, ...]:
         """The permutation of tabloid indices induced by w, an element or a
@@ -231,11 +226,11 @@ def enumerate_tabloids(
     # reaching it and its lex-least word, in W's order
     seed = frozenset(system.root_index(r) for r in psi.roots)
     gens = system.simple_reflection_perms
-    points, words = zip(*coset_walk(gens, seed, limit=limit))
+    walk = tuple(coset_walk(gens, seed, limit=limit))
     roots = system.roots
     tabloids = tuple(
         Tabloid(key=frozenset(roots[i] for i in point), rep=d, rep_word=word)
-        for point, d, word in zip(points, elements_of(system, gens, words), words)
+        for (point, word, _), d in zip(walk, elements_of(system, gens, walk))
     )
     return TabloidSpace(
         system=system,
@@ -301,18 +296,18 @@ def cyclic_submodule(space: TabloidSpace, field, v: SparseVector) -> SubspaceBas
 def apply_kappa(space: TabloidSpace, field, v: SparseVector) -> SparseVector:
     """The signed sum over the column reflection group, applied to v.
 
-    Each sigma's tabloid permutation m(sigma) is one right-composition step
-    from its prefix's (`fold_prefixes` over the J' reflection words), and
-    its sign is the parity of its word, since a reflection has determinant
-    -1."""
+    The sum runs over the inverses, with the same signs: on W(psi')'s
+    preorder the node of a word a u gets m(u^-1) o t_a = m((a u)^-1) from
+    its parent's, and its sign is the parity of its depth."""
     if v.dim != len(space):
         raise ValueError("vector does not belong to this tabloid space")
     acc: dict = {}
     get = acc.get
     # v's entries for an even word, and negated for an odd one
     signed = (tuple(v.entries.items()), tuple((i, -c) for i, c in v.entries.items()))
-    for word, m in fold_prefixes(space.col_words, space._col_steps, tuple(range(len(space)))):
-        for i, c in signed[len(word) % 2]:
+    start = tuple(range(len(space)))
+    for depth, m in fold_preorder(space.col_group.preorder, space._col_steps, start):
+        for i, c in signed[depth % 2]:
             j = m[i]
             acc[j] = get(j, 0) + c
     return vector(field, v.dim, acc.items())
@@ -341,8 +336,8 @@ class SpechtModuleData:
         """D_psi', the distinguished representatives d of the column system,
         in group order, identity first; the translates d e_{J,J'} span S."""
         system = self.space.system
-        words = distinguished_reps(system, self.space.psi_prime, self.space.limit)
-        return elements_of(system, system.simple_reflection_perms, words)
+        walk = distinguished_reps(system, self.space.psi_prime, self.space.limit)
+        return elements_of(system, system.simple_reflection_perms, walk)
 
     @property
     def dimension(self) -> int:
@@ -485,10 +480,10 @@ def character_norm(module: SpechtModuleData) -> Fraction:
     rational character. Characteristic zero only.
 
     A rational character is real, so the sum is one of squares, each trace
-    read by `_trace` from the tabloid permutation m(w). Each m(w) is one
-    right-composition table step from its prefix word's (`fold_prefixes`
-    over W's words), so W's elements are never built and only one
-    permutation per letter of the current word is held. The rows are
+    read by `_trace` from the tabloid permutation m(w^-1), the same sum
+    over the inverses. Each m(w^-1) is one right-composition table step
+    from its parent's in W's preorder (see `apply_kappa`), so no element or
+    word of W is built and one permutation per depth is held. The rows are
     cleared once by the lcm D of their denominators, so the sum is over
     integers and is divided by |W| D^2 at the end.
     """
@@ -501,12 +496,11 @@ def character_norm(module: SpechtModuleData) -> Fraction:
     den = lcm(*(c.denominator for r in basis.rows for c in r.entries.values()))
     rows = [{i: int(c * den) for i, c in r.entries.items()} for r in basis.rows]
     at_pivots = gather(basis.pivots)
-    words = space.group.words
-    total = 0
-    for _, m in fold_prefixes(words, space._steps, tuple(range(len(space)))):
+    group, total = space.group, 0
+    for _, m in fold_preorder(group.preorder, space._steps, tuple(range(len(space)))):
         trace = _trace(rows, at_pivots, m)
         total += trace * trace
-    return Fraction(total, len(words) * den * den)
+    return Fraction(total, len(group) * den * den)
 
 
 def format_tabloid(space: TabloidSpace, t: Tabloid) -> str:

@@ -24,6 +24,9 @@ from .weyl import (
     GroupElement,
     apply_to_root,
     coset_walk,
+    fold_preorder,
+    gather,
+    identity,
 )
 
 
@@ -153,7 +156,12 @@ def orthogonal_complement(system: RootSystem, psi: Subsystem) -> Subsystem:
 
 
 def stabilizer(system: RootSystem, psi: Subsystem, elements) -> tuple[GroupElement, ...]:
-    """The given elements that map psi's root set onto itself, in order."""
+    """The given elements that map psi's root set onto itself, in order. Of
+    a generated group, the inverses of its elements are read, folded by
+    right steps p o s in its preorder: the stabilizer is the same set."""
+    if isinstance(elements, GeneratedGroup):
+        folded = fold_preorder(elements.preorder, map(gather, elements.gens), identity(system).perm)
+        elements = (GroupElement(p, system.label) for _, p in folded)
     r_idx = [system.root_index(r) for r in psi.roots]
     own = frozenset(r_idx)
     # a nonempty psi has at least two roots, so the getter returns a tuple
@@ -165,7 +173,7 @@ def normalizer(system: RootSystem, psi: Subsystem, group: GeneratedGroup) -> tup
     """N(psi), the stabilizer of psi's root set, swept from W in group order."""
     if group.system_label != system.label:
         raise ValueError("group belongs to a different root system")
-    return stabilizer(system, psi, group)
+    return stabilizer(system, psi, group.elements)
 
 
 def complements_meet_trivially(
@@ -187,25 +195,25 @@ def complements_meet_trivially(
 
 def distinguished_reps(
     system: RootSystem, psi: Subsystem, limit: int = DEFAULT_GROUP_LIMIT
-) -> Iterator[tuple[int, ...]]:
+) -> Iterator[tuple]:
     """D_psi: the elements keeping every simple root of psi positive, as
-    their lex-least reduced words, in W's order, identity first; the
-    elements themselves are `weyl.elements_of` these words.
+    the `weyl.coset_walk` that reaches them in W's order, identity first:
+    each with its lex-least reduced word and its parent's position, so
+    `weyl.elements_of` the walk folds the elements themselves.
 
     One per coset of the reflection subgroup of psi, each of minimal length
     (Dyer 1990). If the reflection in a simple root a is a left descent of
     such d, it sends d(J) negative only where d sends a root of J to a; but
     d^-1(a) is negative. So the walk from e that keeps J positive reaches
     all of D_psi. Its points lead with the images of the simple roots, which
-    name the element. The words are yielded as the walk reaches them, so a
-    reader that stops early walks no further.
+    name the element. The walk is lazy, so a reader that stops early walks
+    no further.
     """
     rank, pc = system.rank, system.positive_count
     seed = tuple(system.index[a] for a in system.simple_roots())
     seed += tuple(system.root_index(r) for r in psi.simples)
     gens = system.simple_reflection_perms
-    walk = coset_walk(gens, seed, keep=lambda x: max(x[rank:], default=-1) < pc, limit=limit)
-    return (word for _, word in walk)
+    return coset_walk(gens, seed, keep=lambda x: max(x[rank:], default=-1) < pc, limit=limit)
 
 
 def cartan_matrix(system: RootSystem, simples) -> tuple[tuple[int, ...], ...]:

@@ -49,9 +49,9 @@ def is_useful_system(system: RootSystem, psi: Subsystem, psi_prime: Subsystem) -
 
 def _meet(system: RootSystem, psi: Subsystem, psi_prime: Subsystem) -> tuple[GroupElement, ...]:
     # N(psi) meet W(psi') of a checked pair: the stabilizer of psi in
-    # W(psi'), in the walk order of W(psi'), so only W(psi') is closed
+    # W(psi'), in the preorder of W(psi'), so only W(psi') is closed
     _require_pair(system, psi, psi_prime)
-    return stabilizer(system, psi, subgroup_generated(system, psi_prime.simples).elements)
+    return stabilizer(system, psi, subgroup_generated(system, psi_prime.simples))
 
 
 def is_useful_subsystem(system: RootSystem, psi: Subsystem, psi_prime: Subsystem) -> bool:

@@ -4,29 +4,24 @@ An element stores the image index of every root. Composition is "right
 factor acts first", matching words read left to right: tau_1 tau_2 applied
 to a root applies tau_2 first.
 
-Every enumeration is one `coset_walk`: a breadth-first orbit of a tuple or
-set of root indices under root permutations acting on the left. The orbit
-of the simple roots under the simple reflections is W, since an element is
-linear and so named by its images of the simple roots; under the
-reflections in a root list it is their subgroup; the orbit of psi's root
-set is the tabloids; and the walk that keeps J positive is D_psi. Each
-element is reached by a shortest word, so the words are reduced and
-reproducible. The walk yields its points as it reaches them and keeps no
-element or table; a generated group keeps the walk's words and folds its
-elements from them when they are first read. Anything valued per element
-is one step from the value of a shorter word: `fold_walk` steps from the
-parent word, less its first letter, in the walk's order, for readers that
-need that order (the elements, the listed translates of e_{J,J'});
-`fold_prefixes` steps from the prefix, less its last letter, depth first,
-for sums over a whole group (kappa, the character norm), and holds one
-value per letter of the current word instead of a level of the walk.
-Points and elements are moved by `operator.itemgetter`: s o p is
-`itemgetter(*p)(s)`, built in C.
+`generate_group` walks W depth first down the tree of lex-least reduced
+words, read off inverse root permutations, and keeps no set of elements.
+Every other enumeration is one `coset_walk`, a breadth-first orbit of root
+indices under root permutations acting on the left: under the reflections
+in a root list, their subgroup; from psi's root set, the tabloids; keeping
+J positive, D_psi. Either walk reaches each point by its lex-least reduced
+word. A generated group keeps only its preorder, two bytes per element.
+Anything valued per element is one step from its parent's value:
+`fold_preorder` over a group, for the sums over it (kappa, the character
+norm), and `fold_walk` in a coset walk's order (the tabloid
+representatives, the listed translates of e_{J,J'}). Points and elements
+are moved by `operator.itemgetter`: s o p is `itemgetter(*p)(s)`, built in C.
 """
 
 from __future__ import annotations
 
 from collections import Counter
+from functools import cache
 from itertools import islice
 from operator import itemgetter
 
@@ -114,29 +109,38 @@ def word_to_element(system: RootSystem, word) -> GroupElement:
 
 
 class GeneratedGroup:
-    """A group generated by reflections, in BFS order (identity first), with
-    one word each in its generators `gens`, root permutations: for W, the
-    simple reflections. Only the words are held until the elements are
-    first read (`elements`, iteration, indexing, `identity`, ==), which
-    folds them once with `elements_of`; `len` reads the words."""
+    """A group generated by `gens`, root permutations of reflections, held
+    as the preorder of its lex-least reduced words (see `fold_preorder`):
+    two `bytes`, each word's length and first letter (0 at the identity).
+    `len` reads it; `words`, `elements`, iteration, indexing, `identity` and
+    == read the BFS order, by length and then word, folded on first read."""
 
-    __slots__ = ("system", "gens", "words", "_elements")
+    __slots__ = ("system", "gens", "preorder", "_bfs")
 
-    def __init__(self, system: RootSystem, gens, words: tuple[tuple[int, ...], ...]):
+    def __init__(self, system: RootSystem, gens, preorder: tuple[bytes, bytes]):
         self.system = system
         self.gens = tuple(gens)
-        self.words = words
-        self._elements = None
+        self.preorder = preorder
+        self._bfs = None
 
     @property
     def system_label(self) -> str:
         return self.system.label
 
-    @property
-    def elements(self) -> tuple[GroupElement, ...]:
-        if self._elements is None:
-            self._elements = elements_of(self.system, self.gens, self.words)
-        return self._elements
+    def _read(self, i: int):
+        # (words, elements) by length and then word, folded on first read:
+        # the element of a u is s_a o (the element of u)
+        if self._bfs is None:
+            gens = enumerate(self.gens, 1)
+            steps = [lambda v, a=a, s=s: ((a,) + v[0], itemgetter(*v[1])(s)) for a, s in gens]
+            start = ((), identity(self.system).perm)
+            folded = (v for _, v in fold_preorder(self.preorder, steps, start))
+            words, perms = zip(*sorted(folded, key=lambda v: (len(v[0]), v[0])))
+            self._bfs = words, tuple(GroupElement(p, self.system.label) for p in perms)
+        return self._bfs[i]
+
+    words = property(lambda self: self._read(0))
+    elements = property(lambda self: self._read(1))
 
     def __eq__(self, other):
         if type(other) is not GeneratedGroup:
@@ -146,7 +150,7 @@ class GeneratedGroup:
         )
 
     def __len__(self) -> int:
-        return len(self.words)
+        return len(self.preorder[0])
 
     def __iter__(self):
         return iter(self.elements)
@@ -168,79 +172,88 @@ def gather(indices):
     return lambda s: tuple(s[i] for i in indices)
 
 
-def fold_walk(words, steps, start):
-    """Yield each word of a walk, in order, with its value: `start` for the
-    empty word, and steps[i - 1] of its parent's value for a word i u, whose
-    parent u is the word less its first letter.
-
-    A walk lists every word after its parent, one letter shorter, so only
-    the previous length level of values is held, and each value costs one
-    step instead of a fold of its whole word.
+def fold_walk(walk, steps, start):
+    """Yield each word of a `coset_walk`, in order, with its value: `start`
+    for the seed's, and steps[i - 1] of its parent's value for a word i u,
+    whose parent u has the given position in the level before. Only that
+    level of values is held, and each value costs one step.
     """
-    level, prev, cur = 0, {}, {}
-    for word in words:
+    level, prev, cur = 0, [], []
+    for _, word, parent in walk:
         if len(word) > level:
-            level, prev, cur = len(word), cur, {}
-        value = cur[word] = steps[word[0] - 1](prev[word[1:]]) if word else start
+            level, prev, cur = len(word), cur, []
+        value = steps[word[0] - 1](prev[parent]) if word else start
+        cur.append(value)
         yield word, value
 
 
-def fold_prefixes(words, steps, start):
-    """Yield each of a group's walk words with its value, in lexicographic
-    order of the words: `start` for the empty word, and steps[i - 1] of
-    its prefix's value for a word u i, whose prefix u is the word less its
-    last letter.
-
-    A walk's words are the lex-least reduced words of their elements (see
-    `coset_walk`), and so are their prefixes: were u' < u a reduced word of
-    the element of u, then u' i would be a smaller reduced word of that of
-    u i. So in lex order each word comes after its prefix, and every word
-    between the two extends that prefix: the order is a depth-first walk
-    of the prefix tree, and only the values of the current word's prefixes
-    are held, at most one more than the longest word. A word whose prefix
-    is not the one held at its depth raises ValueError.
+def fold_preorder(preorder, steps, start):
+    """Yield the depth and value of each node of a group's preorder: `start`
+    at the root, and steps[a - 1] of its parent's value at a node of letter
+    a, whose parent is the last node one level up. One value per depth is
+    held; a node more than one below the last raises ValueError.
     """
-    words = sorted(words)
-    if not words or words[0]:
-        raise ValueError("the words lack the empty word")
-    steps = (None, *steps)
-    # slot d holds the last word of length d reached, and its value
-    held_words = [()] * (len(max(words, key=len)) + 1)
-    held_values = [start] * len(held_words)
-    yield (), start
-    for word in islice(words, 1, None):
-        d = len(word)
-        if held_words[d - 1] != word[:-1]:
-            raise ValueError(f"word {word} comes without its prefix {word[:-1]}")
-        held_words[d] = word
-        value = held_values[d] = steps[word[-1]](held_values[d - 1])
-        yield word, value
+    depths, letters = preorder
+    if not depths or depths[0]:
+        raise ValueError("the preorder lacks its root")
+    steps, held, top = (None, *steps), [start] * (max(depths) + 1), 0
+    yield 0, start
+    for d, a in zip(islice(depths, 1, None), islice(letters, 1, None)):
+        if not 0 < d <= top + 1:
+            raise ValueError(f"a node at depth {d} follows one at depth {top}")
+        top = d
+        value = held[d] = steps[a](held[d - 1])
+        yield d, value
 
 
-def elements_of(system: RootSystem, gens, words) -> tuple[GroupElement, ...]:
-    """The elements named by a walk's words in `gens`, root permutations:
-    the element of i u is s_i o (the element of u)."""
+def elements_of(system: RootSystem, gens, walk) -> tuple[GroupElement, ...]:
+    """The elements named by a `coset_walk`'s words in `gens`, root
+    permutations: the element of i u is s_i o (the element of u)."""
     steps = [lambda p, s=s: itemgetter(*p)(s) for s in gens]
-    label = system.label
-    start = identity(system).perm
-    return tuple(GroupElement(p, label) for _, p in fold_walk(words, steps, start))
-
-
-def _generated(system: RootSystem, gens, limit: int) -> GeneratedGroup:
-    # the walk of the simple roots under gens: an element is linear, so its
-    # images of the simple roots name it
-    seed = tuple(system.index[a] for a in system.simple_roots())
-    words = tuple(word for _, word in coset_walk(gens, seed, limit=limit))
-    return GeneratedGroup(system, gens, words)
+    label, start = system.label, identity(system).perm
+    return tuple(GroupElement(p, label) for _, p in fold_walk(walk, steps, start))
 
 
 def generate_group(system: RootSystem, limit: int = DEFAULT_GROUP_LIMIT) -> GeneratedGroup:
-    """All of W: the walk of the simple roots under the simple reflections.
+    """All of W, walked depth first down the tree of lex-least reduced words.
 
-    BFS reaches every element by a shortest word, so the recorded word of w
-    is reduced and its length equals length(w).
+    The word of v != e is a u, for a the smallest left descent of v and u
+    the word of s_a v; a is a left descent of v iff v^-1 sends alpha_a
+    negative (Humphreys 1990, 1.6-1.7). So u has the child a u when a is no
+    left descent of u and no b < a is one of s_a u: a b < a that is one of
+    u must be joined to a, and u^-1 must keep s_a(alpha_b) positive. One
+    inverse root permutation per depth is held, a 256-byte table (rank 8
+    has at most 240 roots), so u^-1 o s_a is s_a.translate(u^-1). The
+    visits are counted against `limit`.
     """
-    return _generated(system, system.simple_reflection_perms, limit)
+    pc, rank = system.positive_count, system.rank
+    simple = [system.index[a] for a in system.simple_roots()]
+    gens = [None] + [bytes((*s, *range(len(s), 256))) for s in system.simple_reflection_perms]
+    at_simple, negative = bytes(simple), bytes(i >= pc for i in range(256))
+
+    @cache
+    def children(descents):
+        # the candidate letters, last first, each with the roots to test
+        out = []
+        for a in range(rank, 0, -1):
+            tested = [gens[a][simple[b]] for b in range(a - 1) if descents[b]]
+            if not descents[a - 1] and not set(tested) & set(simple):
+                out.append((a, bytes(tested)))
+        return out
+
+    depths, letters = bytearray(b"\0"), bytearray(b"\0")
+    stack = [(1, a, bytes(range(256))) for a, _ in children(bytes(rank))]
+    while stack:
+        d, a, inv = stack.pop()
+        if len(depths) >= limit:
+            raise GroupLimitError(f"coset walk exceeds the limit of {limit} points")
+        inv = gens[a].translate(inv)
+        depths.append(d)
+        letters.append(a)
+        for b, tested in children(at_simple.translate(inv).translate(negative)):
+            if not tested or max(tested.translate(inv)) < pc:
+                stack.append((d + 1, b, inv))
+    return GeneratedGroup(system, system.simple_reflection_perms, (bytes(depths), bytes(letters)))
 
 
 def subgroup_generated(
@@ -248,9 +261,15 @@ def subgroup_generated(
 ) -> GeneratedGroup:
     """The subgroup generated by the reflections in the given roots, walked
     in deterministic order; the letter i of its words is the reflection in
-    the i-th of the sorted distinct roots."""
+    the i-th of the sorted distinct roots. Reflections in non-simple roots
+    need not be a base, so this is the breadth-first `coset_walk`; its words
+    sorted by their reversals are the preorder.
+    """
     refl = [reflection_in(system, g).perm for g in sorted(set(gens))]
-    return _generated(system, refl, limit)
+    seed = tuple(system.index[a] for a in system.simple_roots())
+    words = sorted((w for _, w, _ in coset_walk(refl, seed, limit=limit)), key=lambda w: w[::-1])
+    preorder = bytes(map(len, words)), bytes(w[0] if w else 0 for w in words)
+    return GeneratedGroup(system, refl, preorder)
 
 
 def coset_walk(gens, seed, keep=None, limit=DEFAULT_GROUP_LIMIT):
@@ -261,20 +280,19 @@ def coset_walk(gens, seed, keep=None, limit=DEFAULT_GROUP_LIMIT):
     Within a level the points are ordered by (letter, parent's position).
     A point is first reached from its smallest left descent, so its word is
     the lex-least reduced word of its element in `gens`, and the points come
-    in the order of the generated group: by length, then by that word.
-    Yields each point with its word as it reaches it, seed first, and keeps
-    only the points seen and two levels of words; a point past the `limit`-th
-    raises GroupLimitError.
+    by length, then by that word. Yields each point, seed first, with its
+    word and its parent's position in the level before, keeping the points
+    seen and two levels; a point past the `limit`-th raises GroupLimitError.
     """
     make = type(seed)
     seen = {seed}
     points, words = [seed], [()]
-    yield seed, ()
+    yield seed, (), None
     while points:
         images, parent_words = list(map(gather, points)), words
         points, words = [], []
         for i, s in enumerate(gens, start=1):
-            for image, word in zip(images, parent_words):
+            for j, (image, word) in enumerate(zip(images, parent_words)):
                 x = make(image(s))
                 if x in seen or (keep is not None and not keep(x)):
                     continue
@@ -284,7 +302,7 @@ def coset_walk(gens, seed, keep=None, limit=DEFAULT_GROUP_LIMIT):
                 word = (i,) + word
                 points.append(x)
                 words.append(word)
-                yield x, word
+                yield x, word, j
 
 
 def group_order(system: RootSystem) -> int:

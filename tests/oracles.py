@@ -52,6 +52,7 @@ from weylspecht.exactlin import (
     vsub,
 )
 from weylspecht.rootsys import inner_product, negate, reflect_root
+from weylspecht.weyl import coset_walk
 from weylspecht.subsystem import (
     Subsystem,
     _connected_components,
@@ -126,6 +127,16 @@ def bfs_by_compose(system, gens):
                 elements.append(nxt)
                 words.append(word + (i,))
     return tuple(elements), tuple(words)
+
+
+def bfs_group_words(system):
+    """W's words from the breadth-first walk of the simple roots under the
+    simple reflections, in the walk's order: each element reached first by
+    its lex-least reduced word, by length and then word. No limit is
+    applied."""
+    seed = tuple(system.index[a] for a in system.simple_roots())
+    walk = coset_walk(system.simple_reflection_perms, seed, limit=math.inf)
+    return (word for _, word, _ in walk)
 
 
 def words_by_perm(group):

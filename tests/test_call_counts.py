@@ -56,6 +56,7 @@ from weylspecht.weyl import (
     GroupElement,
     compose,
     elements_of,
+    fold_preorder,
     fold_walk,
     generate_group,
     reflection_in,
@@ -96,6 +97,8 @@ def test_specht_command_builds_the_pair_once():
     assert calls(enumerate_tabloids) == 1
     # W(psi') only: the complement half of usefulness closes no group
     assert calls(subgroup_generated) == 1
+    # usefulness folds W(psi')'s preorder, so no group's words or elements are read
+    assert calls(GeneratedGroup._read) == 0
 
 
 A5_TABLOIDS = ["tabloids", "--type", "A5", "--J", "10000,01000,00010"]
@@ -347,16 +350,19 @@ def test_an_element_folds_its_descent_word(case_d4_deg6):
 
 
 def test_group_elements_are_folded_on_first_read(d4):
-    # the walks keep their words; the elements are folded once, when read
+    # the walks keep their preorder; the words and the elements are folded
+    # from it once, when read, and `len` (which the benchmark's tracer reads
+    # for the group order) folds nothing
     made = []
     calls = _call_counts(
         lambda: made.extend((generate_group(d4), subgroup_generated(d4, d4.simple_roots())))
     )
+    assert calls(fold_preorder) == 0
     assert calls(elements_of) == 0
     for group in made:
-        assert _call_counts(len, group)(elements_of) == 0
-        assert _call_counts(lambda: group.elements)(elements_of) == 1
-        assert _call_counts(lambda: group.elements)(elements_of) == 0
+        assert _call_counts(len, group)(fold_preorder) == 0
+        assert _call_counts(lambda: group.elements)(fold_preorder) > 0
+        assert _call_counts(lambda: (group.words, group.elements))(fold_preorder) == 0
 
 
 def test_character_norm_builds_no_element(d4):

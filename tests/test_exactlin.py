@@ -40,6 +40,21 @@ def test_rational_field_formats():
     assert QQ.format(Fraction(-1)) == "-1"
 
 
+@pytest.mark.parametrize(
+    "field", [QQ, PrimeField(7), PrimeField(2**31 - 1)], ids=["Q", "F7", "F2147483647"]
+)
+def test_format_shares_one_zero_text(field):
+    # a matrix of a simple reflection is mostly zeros: their text is one object
+    p = field.characteristic
+    values = [0, 1, p - 1] if p else [Fraction(0), Fraction(1), Fraction(3, 4)]
+    texts = [field.format(field.from_int(x) if p else x) for x in values]
+    if p:
+        assert texts == ["0 mod %d" % p, "1 mod %d" % p, "%d mod %d" % (p - 1, p)]
+    else:
+        assert texts == ["0", "1", "3/4"]
+    assert field.format(field.zero) is field.format(field.from_int(0)) is texts[0]
+
+
 def test_prime_field_arithmetic():
     f7 = PrimeField(7)
     assert f7.add(5, 4) == 2

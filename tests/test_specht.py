@@ -59,7 +59,8 @@ from weylspecht.weyl import (
     GroupLimitError,
     apply_to_root,
     compose,
-    fold_prefixes,
+    coset_walk,
+    fold_preorder,
     fold_walk,
     identity,
     inverse,
@@ -244,7 +245,7 @@ def test_kappa_folds_the_column_words(label, j_texts, jp_texts):
     space = enumerate_tabloids(system, psi, psi_prime=pp)
     for i, expected in enumerate(_kappa_by_keys(space)):
         assert apply_kappa(space, QQ, unit(len(space), i)).entries == expected
-    for w, word in zip(space.col_group, space.col_words):
+    for w, word in zip(space.col_group, space.col_group.words):
         assert sign(system, w) == (-1) ** len(word)
     assert "group" not in vars(space)
 
@@ -252,22 +253,26 @@ def test_kappa_folds_the_column_words(label, j_texts, jp_texts):
 def test_fold_walk_on_tabloids_matches_whole_word_folds(case_d4_deg6):
     # on the walks of W and of D_psi': a right-composition table step from
     # the parent gives the permutation of w^-1, and a translate step gives
-    # w e_{J,J'} (read by the generator listing); on W's words the same
-    # table step from the prefix, depth first, gives the permutation of w
-    # itself (read by `character_norm`, and by `apply_kappa` on W(psi'))
+    # w e_{J,J'} (read by the generator listing); on W's preorder the same
+    # table step from the parent also gives the permutation of w^-1 (read
+    # by `character_norm`, and by `apply_kappa` on W(psi'))
     space = case_d4_deg6.space
     e = polytabloid(space, QQ, ())
     start = tuple(range(len(space)))
     translate_steps = [functools.partial(_permuted, table) for table in space._tables]
-    for words in (space.group.words, distinguished_reps(space.system, space.psi_prime)):
-        for word, m in fold_walk(words, space._steps, start):
+    system = space.system
+    seed = tuple(system.index[a] for a in system.simple_roots())
+    w_walk = tuple(coset_walk(system.simple_reflection_perms, seed))
+    for walk in (w_walk, tuple(distinguished_reps(system, space.psi_prime))):
+        for word, m in fold_walk(walk, space._steps, start):
             assert m == space.index_action(word[::-1])
-        for word, v in fold_walk(words, translate_steps, e):
+        for word, v in fold_walk(walk, translate_steps, e):
             assert v == act_vector(space, QQ, word, e)
-    folded = list(fold_prefixes(space.group.words, space._steps, start))
-    assert [word for word, _ in folded] == sorted(space.group.words)
-    for word, m in folded:
-        assert m == space.index_action(word)
+    prepend = [lambda u, a=a: (a,) + u for a in range(1, system.rank + 1)]
+    words = [w for _, w in fold_preorder(space.group.preorder, prepend, ())]
+    folded = fold_preorder(space.group.preorder, space._steps, start)
+    for word, (depth, m) in zip(words, folded, strict=True):
+        assert depth == len(word) and m == space.index_action(word[::-1])
 
 
 def test_space_without_group_matches_space_with_group(case_d4_rank3, case_g2):

@@ -325,9 +325,14 @@ def test_semidirect_decomposition(a3, w_a3, g2, w_g2, d4, w_d4):
 # transversals
 
 
+def _dist_words(system, psi):
+    # the words of the D_psi walk, in its order
+    return tuple(word for _, word, _ in distinguished_reps(system, psi))
+
+
 def test_distinguished_reps_a3(a3, w_a3):
     psi = closure_from_simples(a3, roots_of(a3, "100", "001"))
-    reps = [word_to_element(a3, w) for w in distinguished_reps(a3, psi)]
+    reps = [word_to_element(a3, w) for w in _dist_words(a3, psi)]
     w_psi = subgroup_generated(a3, psi.simples)
     assert len(reps) == len(w_a3) // len(w_psi) == 6
     # exactly one representative per coset, of minimal length
@@ -343,14 +348,14 @@ def test_distinguished_reps_a3(a3, w_a3):
 
 def test_distinguished_reps_trivial_cases(a3, w_a3):
     empty = closure_from_simples(a3, [])
-    assert tuple(distinguished_reps(a3, empty)) == w_a3.words
+    assert _dist_words(a3, empty) == w_a3.words
     psi = closure_from_simples(a3, roots_of(a3, "100"))
-    assert next(distinguished_reps(a3, psi)) == ()
+    assert next(distinguished_reps(a3, psi))[1:] == ((), None)
     # rank 1: each point of the walk is one simple root, and J is empty
     a1 = build_root_system("A1")
     w_a1 = generate_group(a1)
     empty = closure_from_simples(a1, [])
-    assert tuple(distinguished_reps(a1, empty)) == w_a1.words
+    assert _dist_words(a1, empty) == w_a1.words
 
 
 def test_distinguished_reps_limit(a3):
@@ -364,7 +369,7 @@ def _assert_walk_matches_scan(system, group, psi):
     # a word names one element, so equal words are equal elements
     expected = distinguished_reps_by_scan(system, psi, group)
     word_of = words_by_perm(group)
-    assert tuple(distinguished_reps(system, psi)) == tuple(word_of[d.perm] for d in expected)
+    assert _dist_words(system, psi) == tuple(word_of[d.perm] for d in expected)
 
 
 @pytest.mark.parametrize("label", ["A3", "G2", "B3", "C3", "D4"])
@@ -417,7 +422,7 @@ def test_normalizer_reps_whole_system(a3, w_a3):
 def test_coset_reps_lie_among_distinguished(a3, w_a3, g2, w_g2, d4, w_d4):
     for system, group in ((a3, w_a3), (g2, w_g2), (d4, w_d4)):
         for psi in candidate_subsystems(system, max_size=3):
-            dist = set(distinguished_reps(system, psi))
+            dist = set(_dist_words(system, psi))
             for t in enumerate_tabloids(system, psi, group):
                 assert t.rep_word in dist
 

@@ -1,10 +1,11 @@
 import math
 import random
+import tracemalloc
 from operator import itemgetter
 
 import pytest
 
-from oracles import bfs_by_compose, load_workloads
+from oracles import bfs_by_compose, bfs_group_words, load_workloads
 from weylspecht.rootsys import build_root_system, negate, parse_root
 from weylspecht.subsystem import (
     closure_from_simples,
@@ -17,7 +18,8 @@ from weylspecht.weyl import (
     compose,
     descent_word,
     elements_of,
-    fold_prefixes,
+    coset_walk,
+    fold_preorder,
     fold_walk,
     generate_group,
     group_order,
@@ -207,10 +209,55 @@ def test_group_limit(a3):
         generate_group(a3, limit=10)
 
 
-def test_group_limit_is_the_order(a3):
-    assert len(generate_group(a3, limit=24)) == 24
-    with pytest.raises(GroupLimitError, match="coset walk exceeds the limit of 23 points"):
-        generate_group(a3, limit=23)
+@pytest.mark.parametrize("label,order", [("A3", 24), ("B3", 48), ("G2", 12), ("D4", 192)])
+def test_group_limit_is_the_order(label, order):
+    system = build_root_system(label)
+    assert len(generate_group(system, limit=order)) == order
+    text = f"coset walk exceeds the limit of {order - 1} points"
+    with pytest.raises(GroupLimitError, match=text):
+        generate_group(system, limit=order - 1)
+
+
+# |W| up to 46080, and past 100000 (slow): D7, B7, C7 and A8
+DESCENT_WALK_LABELS = [
+    f"{series}{n}" for series in "ABCD" for n in range(2 if series == "D" else 1, 8)
+] + ["G2", "F4", "A8"]
+
+
+@pytest.mark.parametrize(
+    "label",
+    [
+        pytest.param(x, marks=pytest.mark.slow) if x in ("D7", "B7", "C7", "A8") else x
+        for x in DESCENT_WALK_LABELS
+    ],
+)
+def test_descent_walk_gives_the_bfs_words(label):
+    # the depth-first descent walk lists the words of the breadth-first
+    # walk, and its preorder is theirs sorted by reversed word
+    system = build_root_system(label)
+    group = generate_group(system, limit=math.inf)
+    assert all(map(tuple.__eq__, group.words, bfs_group_words(system)))
+    if group_order(system) <= 50000:
+        words = sorted(group.words, key=lambda w: w[::-1])
+        assert group.preorder == (bytes(map(len, words)), bytes(w[0] if w else 0 for w in words))
+    assert len(group.words) == len(group) == group_order(system)
+
+
+def test_a7_walk_memory():
+    # W(A7) keeps two bytes per element, and the walk holds one inverse
+    # root permutation per depth, not the elements seen
+    system = build_root_system("A7")
+    system.simple_reflection_perms, system.simple_roots()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        group = generate_group(system)
+        kept, peak = (m - before for m in tracemalloc.get_traced_memory())
+    finally:
+        tracemalloc.stop()
+    assert len(group) == 40320
+    assert kept < 2**18
+    assert peak < 2**20
 
 
 COMPOSE_BFS_LABELS = [
@@ -267,18 +314,20 @@ def test_subgroup_matches_compose_bfs(ambient, roots):
     assert (group.elements, group.words) == (elements, words)
 
 
-def _walk_words():
+def _walks():
     # the walks of W(A3), W(B3), W(G2), and D_psi' of the D4-6 pair
     for label in ("A3", "B3", "G2"):
         system = build_root_system(label)
-        yield pytest.param(system, generate_group(system).words, id=label)
+        seed = tuple(system.index[a] for a in system.simple_roots())
+        walk = tuple(coset_walk(system.simple_reflection_perms, seed))
+        yield pytest.param(system, walk, id=label)
     d4 = build_root_system("D4")
     pp = closure_from_simples(d4, [parse_root(d4, t) for t in ("0001", "0110")])
     yield pytest.param(d4, tuple(distinguished_reps(d4, pp)), id="D4-6-Dpsi")
 
 
-@pytest.mark.parametrize("system,words", list(_walk_words()))
-def test_fold_walk_steps_each_word_from_its_parent(system, words):
+@pytest.mark.parametrize("system,walk", list(_walks()))
+def test_fold_walk_steps_each_word_from_its_parent(system, walk):
     # one step per nonempty word, and each value is the fold of its whole word
     taken = []
 
@@ -290,15 +339,16 @@ def test_fold_walk_steps_each_word_from_its_parent(system, words):
         return step
 
     gens = system.simple_reflection_perms
-    folded = list(fold_walk(words, [left_step(s) for s in gens], identity(system).perm))
-    assert [word for word, _ in folded] == list(words)
+    words = [word for _, word, _ in walk]
+    folded = list(fold_walk(walk, [left_step(s) for s in gens], identity(system).perm))
+    assert [word for word, _ in folded] == words
     assert [p for _, p in folded] == [word_to_element(system, w).perm for w in words]
     assert len(taken) == len(words) - 1
-    assert elements_of(system, gens, words) == tuple(word_to_element(system, w) for w in words)
+    assert elements_of(system, gens, walk) == tuple(word_to_element(system, w) for w in words)
 
 
 def _right_steps(system, taken):
-    # the value of a word u i is that of u, then tau_i: p o s is itemgetter(*s)(p)
+    # the value of a node a u is that of u, then tau_a: p o s is itemgetter(*s)(p)
     def right_step(s):
         def step(p):
             taken.append(s)
@@ -310,25 +360,27 @@ def _right_steps(system, taken):
 
 
 @pytest.mark.parametrize("label", ["A3", "B3", "G2", "D4"])
-def test_fold_prefixes_steps_each_word_from_its_prefix(label):
-    # lex order, one step per nonempty word, and each value is the fold of
-    # its whole word, whatever order the words are given in
+def test_fold_preorder_steps_each_node_from_its_parent(label):
+    # one step per node past the root, and with the right steps each node
+    # of a word w gets the fold of w reversed, the permutation of w^-1
     system = build_root_system(label)
-    words = list(generate_group(system).words)
-    random.Random(label).shuffle(words)
+    group = generate_group(system)
+    prepend = [lambda u, a=a: (a,) + u for a in range(1, system.rank + 1)]
+    words = [w for _, w in fold_preorder(group.preorder, prepend, ())]
+    assert sorted(words, key=lambda w: (len(w), w)) == list(group.words)
     taken = []
-    folded = list(fold_prefixes(words, _right_steps(system, taken), identity(system).perm))
-    assert [word for word, _ in folded] == sorted(words)
-    assert [p for _, p in folded] == [word_to_element(system, w).perm for w, _ in folded]
+    folded = list(fold_preorder(group.preorder, _right_steps(system, taken), identity(system).perm))
+    assert [d for d, _ in folded] == list(map(len, words)) == list(group.preorder[0])
+    assert [p for _, p in folded] == [word_to_element(system, w[::-1]).perm for w in words]
     assert len(taken) == len(words) - 1
 
 
 @pytest.mark.parametrize(
-    "words", [((), (1,), (2, 1)), ((1,),), ((), (1, 2))], ids=["no-2", "no-empty", "no-1"]
+    "depths", [b"\0\1\3", b"\1", b"", b"\0\1\0"], ids=["jump", "no-root", "empty", "two-roots"]
 )
-def test_fold_prefixes_rejects_a_word_without_its_prefix(a3, words):
+def test_fold_preorder_rejects_a_node_without_its_parent(a3, depths):
     with pytest.raises(ValueError):
-        list(fold_prefixes(words, _right_steps(a3, []), identity(a3).perm))
+        list(fold_preorder((depths, b"\1" * len(depths)), _right_steps(a3, []), identity(a3).perm))
 
 
 def test_length_and_sign_basics(a3, w_a3):
