@@ -4,15 +4,16 @@ Pipeline: build a root system, cut out subsystems, enumerate tabloids as
 the orbit of psi, span the module with polytabloids, and decide the
 structural predicates, all over Q or a prime field. A word acts on
 tabloids by folding the simple reflections' tables, read once off the keys,
-and an element of W by folding its descent word over them. W is walked
-depth first, down the tree of its lex-least reduced words, and kept as
-that walk's preorder, two bytes per element; one breadth-first walk of
-root indices lists the column group W(psi'), the tabloids and the
-distinguished representatives. W itself is generated only for what
-enumerates it: the character norm, N(psi) and the oracles. Whatever is
-valued per element is one step from its parent's value: over a group's
-preorder (`weyl.fold_preorder`), for kappa and the norm, or in a walk's
-order (`weyl.fold_walk`).
+and an element of W by folding its descent word over them. One depth-first
+walk down the tree of lex-least reduced words, kept as its preorder, two
+bytes per element, lists W, the column group W(psi') and, for the
+character norm, the distinguished representatives D_psi'; one
+breadth-first walk of root indices lists the tabloids and, for the
+generator listing, D_psi' in W's order. W itself is generated only for
+N(psi) and the oracles: the norm is dim End_W(S), a rank summed over
+D_psi'. Whatever is valued per element is one step from its parent's
+value: over a preorder (`weyl.fold_preorder`), for kappa and the norm, or
+in a walk's order (`weyl.fold_walk`).
 
 The names below resolve on first use (PEP 562): `import weylspecht` loads
 no submodule, and `weylspecht.build_root_system` loads only `rootsys`.

@@ -13,14 +13,11 @@ applying the tables one at a time (`spin`). The kappa operator is the
 signed sum over the reflection group of the column system, and the
 polytabloid e_{wJ,wJ'} is the translate w e_{J,J'} of kappa applied to the
 base tabloid. The module S is the submodule spun from e_{J,J'}; it is
-spanned by the translates d e_{J,J'} for d in D_psi', which the same walk
-lists. A trace on S is one read of its canonical rows at their moved
-pivots (`_trace`), for one element and for the character norm alike. None
-of this generates W; `group` does, when first read, and holds only its
-preorder until its elements are read. The two sums over a whole group,
-kappa over W(psi') and the character norm over W, fold each element's
-tabloid permutation from its parent's in the group's preorder
-(`weyl.fold_preorder`), so the norm builds no element or word of W.
+spanned by the translates d e_{J,J'} for d in D_psi'. The sums over many
+elements, kappa over W(psi') and the character norm over D_psi', fold
+each element's tabloid permutation from its parent's in a depth-first
+walk (`weyl.fold_preorder`). None of this generates W; `group` does, when
+first read, for N(psi) and the oracles.
 """
 
 from __future__ import annotations
@@ -29,7 +26,7 @@ import warnings
 from collections import deque
 from fractions import Fraction
 from functools import cached_property
-from math import lcm
+from operator import mul
 
 from .exactlin import (
     QQ,
@@ -38,6 +35,7 @@ from .exactlin import (
     dot,
     echelon_basis,
     echelon_insert,
+    from_dense,
     row_reduce,
     vector,
 )
@@ -55,6 +53,7 @@ from .weyl import (
     GroupElement,
     apply_to_root,
     coset_walk,
+    descent_walk,
     descent_word,
     elements_of,
     fold_preorder,
@@ -184,9 +183,14 @@ class TabloidSpace:
         return tuple(index[frozenset(map(image.__getitem__, key))] for key in index)
 
     @cached_property
-    def _col_steps(self) -> tuple:
+    def _col_tables(self) -> tuple[tuple[int, ...], ...]:
         # the J' reflections' tables, one per letter of W(psi')'s words
-        return tuple(gather(self._table(s)) for s in self.col_group.gens)
+        return tuple(map(self._table, self.col_group.gens))
+
+    @cached_property
+    def _displays(self) -> tuple[str, ...]:
+        # each tabloid's `format_tabloid`, built once for every vector printed
+        return tuple(format_tabloid(self, t) for t in self.tabloids)
 
     def index_action(self, w: Element) -> tuple[int, ...]:
         """The permutation of tabloid indices induced by w, an element or a
@@ -306,7 +310,7 @@ def apply_kappa(space: TabloidSpace, field, v: SparseVector) -> SparseVector:
     # v's entries for an even word, and negated for an odd one
     signed = (tuple(v.entries.items()), tuple((i, -c) for i, c in v.entries.items()))
     start = tuple(range(len(space)))
-    for depth, m in fold_preorder(space.col_group.preorder, space._col_steps, start):
+    for depth, m in fold_preorder(space.col_group.preorder, map(gather, space._col_tables), start):
         for i, c in signed[depth % 2]:
             j = m[i]
             acc[j] = get(j, 0) + c
@@ -457,50 +461,94 @@ def matrix_of(module: SpechtModuleData, w: Element, basis_vectors=None):
     return tuple(tuple(r.entries.get(j, field.zero) for j in range(k, 2 * k)) for r in pq.rows)
 
 
-def _trace(rows, at_pivots, m: tuple[int, ...]):
-    """sum_r b_r[m(p_r)] over rows b_r, S's canonical rows or multiples of
-    them, whose pivots p_r `at_pivots` reads off m; missing entries are
-    skipped. For m the tabloid permutation of w it is the trace of w^-1,
-    which is that of w on every module over every field: an element of a
-    Weyl group is a product of two involutions (Carter 1972, Theorem C),
-    so it is conjugate to its inverse."""
-    return sum(filter(None, map(dict.get, rows, at_pivots(m))))
-
-
 def character_value(module: SpechtModuleData, w: Element):
-    """Trace of the action of w, read by `_trace`; zero on the zero module."""
+    """Trace of the action of w; zero on the zero module.
+
+    It is sum_r b_r[m(p_r)] over S's canonical rows b_r and their pivots
+    p_r, for m the tabloid permutation of w, so the trace of w^-1, which is
+    that of w on every module over every field: an element of a Weyl group
+    is a product of two involutions (Carter 1972, Theorem C), so it is
+    conjugate to its inverse.
+    """
     field, basis = module.field, module.basis
-    m = module.space.index_action(w)
+    rows, m = [r.entries for r in basis.rows], module.space.index_action(w)
     # the sum enters the field: Q's zero is a Fraction, F_p's add reduces mod p
-    return field.add(field.zero, _trace([r.entries for r in basis.rows], gather(basis.pivots), m))
+    return field.add(field.zero, sum(filter(None, map(dict.get, rows, gather(basis.pivots)(m)))))
+
+
+def _signed_orbits(space: TabloidSpace):
+    """Each tabloid's W(psi')-orbit number and sign, and the orbit count:
+    the signed orbit sums are a basis of kappa M. An orbit in which an odd
+    element fixes a point, seen as a J' reflection joining two points of
+    one sign, is killed by kappa: its points get sign 0."""
+    n = len(space)
+    orbit, sign, count = [None] * n, [0] * n, 0
+    for t in range(n):
+        if orbit[t] is not None:
+            continue
+        orbit[t], sign[t], members, odd = count, 1, [t], False
+        for i in members:
+            for j in (table[i] for table in space._col_tables):
+                if orbit[j] is None:
+                    orbit[j], sign[j] = count, -sign[i]
+                    members.append(j)
+                odd = odd or sign[j] == sign[i]
+        if odd:
+            for i in members:
+                sign[i] = 0
+        else:
+            count += 1
+    return orbit, sign, count
 
 
 def character_norm(module: SpechtModuleData) -> Fraction:
-    """(1/|W|) sum of psi(w) psi(w^-1); equals 1 exactly for an irreducible
-    rational character. Characteristic zero only.
+    """The norm of S's character over Q, dim End_W(S): 1 exactly when S is
+    irreducible. Characteristic zero only.
 
-    A rational character is real, so the sum is one of squares, each trace
-    read by `_trace` from the tabloid permutation m(w^-1), the same sum
-    over the inverses. Each m(w^-1) is one right-composition table step
-    from its parent's in W's preorder (see `apply_kappa`), so no element or
-    word of W is built and one permutation per depth is held. The rows are
-    cleared once by the lcm D of their denominators, so the sum is over
-    integers and is divided by |W| D^2 at the end.
+    Let M' = Ind_{W(psi')}^W sgn, with orthonormal basis f_d, d in D_psi',
+    and phi: M' -> M, f_d -> d e for e = e_{J,J'}, so S = im phi. Over Q
+    submodules split off, so the theta phi, theta in End_W(S), are the phi
+    psi phi, psi in Hom_W(M, M'). Hom_W(M', M) is kappa M via beta ->
+    beta(f_1), so psi runs over the adjoints beta_v*, v in kappa M, and phi
+    beta_v* phi = beta_{L(v)} with L(v) = sum_d <d v, e> d e in kappa M.
+    The form is positive definite on kappa M, so the norm is the rank of
+    H_ab = sum_d <d v_a, e> <d e, v_b> over the basis v_a of kappa M of
+    `_signed_orbits`.
+
+    <d v_a, e> = <v_a, d^-1 e> and <d e, v_b> read m(d^-1) and m(d) at e's
+    support. D_psi' is walked by `weyl.descent_walk`, and each node's pair
+    is one step from its parent's (`weyl.fold_preorder`): m(d^-1) whole, by
+    a right-composition step, and m(d) on the support, by a left one. The
+    row (<d e, v_b>)_b is summed in C as one integer of width-bit slots, and
+    H's rows are such integers, read back at the end.
     """
     if module.field.characteristic != 0:
         raise ValueError("character norm requires characteristic zero")
-    basis = module.basis
-    if not basis.rank:
+    if not module.basis.rank:
         return Fraction(0)
     space = module.space
-    den = lcm(*(c.denominator for r in basis.rows for c in r.entries.values()))
-    rows = [{i: int(c * den) for i, c in r.entries.items()} for r in basis.rows]
-    at_pivots = gather(basis.pivots)
-    group, total = space.group, 0
-    for _, m in fold_preorder(group.preorder, space._steps, tuple(range(len(space)))):
-        trace = _trace(rows, at_pivots, m)
-        total += trace * trace
-    return Fraction(total, len(group) * den * den)
+    system, tables = space.system, space._tables
+    orbit, sign, k = _signed_orbits(space)
+    support, coeffs = zip(*((i, int(c)) for i, c in space.base_polytabloid.entries.items()))
+    gens = system.simple_reflection_perms
+    walk = descent_walk(system, system.simple_roots(), gens, space.psi_prime.simples, space.limit)
+    # |H_ab| <= |D_psi'| s^2, for s the sum of |e|'s coefficients, and a bit for the sign
+    width = (len(walk[0]) * sum(map(abs, coeffs)) ** 2).bit_length() + 1
+    ys = [c << width * a for a, c in zip(orbit, sign)]
+    # a node of letter a: (m(u^-1) o t_a, t_a o m(u) at the support)
+    steps = [lambda v, r=r, t=t: (r(v[0]), gather(v[1])(t)) for r, t in zip(space._steps, tables)]
+    at_support, packed = gather(support), [0] * k
+    for _, (p, q) in fold_preorder(walk, steps, (tuple(range(len(space))), support)):
+        y = sum(map(mul, coeffs, map(ys.__getitem__, q)))
+        if y:
+            for c, j in zip(coeffs, at_support(p)):
+                if sign[j]:
+                    packed[orbit[j]] += c * sign[j] * y
+    # each slot now holds H_ab + half, in [0, 2^width)
+    half = 1 << width - 1
+    offset = sum(half << width * b for b in range(k))
+    rows = [[(x + offset >> width * b) % (2 * half) - half for b in range(k)] for x in packed]
+    return Fraction(row_reduce(QQ, [from_dense(QQ, r) for r in rows], dim=k).rank)
 
 
 def format_tabloid(space: TabloidSpace, t: Tabloid) -> str:
@@ -523,7 +571,7 @@ def format_module_vector(space: TabloidSpace, field, v: SparseVector) -> str:
     parts = []
     for i in sorted(v.entries):
         c = v.entries[i]
-        disp = format_tabloid(space, space.tabloids[i])
+        disp = space._displays[i]
         if c == field.one:
             parts.append("+" + disp)
         elif c == minus_one:

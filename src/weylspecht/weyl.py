@@ -4,28 +4,30 @@ An element stores the image index of every root. Composition is "right
 factor acts first", matching words read left to right: tau_1 tau_2 applied
 to a root applies tau_2 first.
 
-`generate_group` walks W depth first down the tree of lex-least reduced
-words, read off inverse root permutations, and keeps no set of elements.
-Every other enumeration is one `coset_walk`, a breadth-first orbit of root
-indices under root permutations acting on the left: under the reflections
-in a root list, their subgroup; from psi's root set, the tabloids; keeping
-J positive, D_psi. Either walk reaches each point by its lex-least reduced
-word. A generated group keeps only its preorder, two bytes per element.
-Anything valued per element is one step from its parent's value:
-`fold_preorder` over a group, for the sums over it (kappa, the character
-norm), and `fold_walk` in a coset walk's order (the tabloid
-representatives, the listed translates of e_{J,J'}). Points and elements
-are moved by `operator.itemgetter`: s o p is `itemgetter(*p)(s)`, built in C.
+`descent_walk` walks depth first down the tree of lex-least reduced words
+of a reflection group in its simple reflections, read off inverse root
+permutations, and keeps no set of elements: all of W, a subgroup given by
+its simple roots, or D_psi, the elements of W keeping a root set positive.
+A generated group keeps only that walk's preorder, two bytes per element.
+The other enumerations are one `coset_walk`, a breadth-first orbit of root
+indices under root permutations acting on the left: from psi's root set,
+the tabloids; keeping J positive, D_psi in W's order. Either walk reaches
+each point by its lex-least reduced word. Anything valued per element is
+one step from its parent's value: `fold_preorder` over a preorder, for
+the sums over one (kappa over W(psi'), the character norm over D_psi'),
+and `fold_walk` in a coset walk's order (the tabloid representatives, the
+listed translates of e_{J,J'}). Points and elements are moved by
+`operator.itemgetter`: s o p is `itemgetter(*p)(s)`, built in C.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from functools import cache
-from itertools import islice
+from itertools import combinations, islice
 from operator import itemgetter
 
-from .rootsys import Root, RootSystem, reflection
+from .rootsys import Root, RootSystem, inner_product, reflection
 
 
 class GroupLimitError(RuntimeError):
@@ -214,8 +216,10 @@ def elements_of(system: RootSystem, gens, walk) -> tuple[GroupElement, ...]:
     return tuple(GroupElement(p, label) for _, p in fold_walk(walk, steps, start))
 
 
-def generate_group(system: RootSystem, limit: int = DEFAULT_GROUP_LIMIT) -> GeneratedGroup:
-    """All of W, walked depth first down the tree of lex-least reduced words.
+def descent_walk(system: RootSystem, simples, refl, avoid=(), limit=DEFAULT_GROUP_LIMIT):
+    """The preorder (see `fold_preorder`) of the group generated by `refl`,
+    the reflections in `simples`, a simple system of positive roots: its
+    tree of lex-least reduced words, walked depth first.
 
     The word of v != e is a u, for a the smallest left descent of v and u
     the word of s_a v; a is a left descent of v iff v^-1 sends alpha_a
@@ -223,26 +227,33 @@ def generate_group(system: RootSystem, limit: int = DEFAULT_GROUP_LIMIT) -> Gene
     left descent of u and no b < a is one of s_a u: a b < a that is one of
     u must be joined to a, and u^-1 must keep s_a(alpha_b) positive. One
     inverse root permutation per depth is held, a 256-byte table (rank 8
-    has at most 240 roots), so u^-1 o s_a is s_a.translate(u^-1). The
-    visits are counted against `limit`.
+    has at most 240 roots), so u^-1 o s_a is s_a.translate(u^-1).
+
+    A child a u is skipped when u^-1(alpha_a) is in `avoid`, positive roots
+    it would send negative. The rest keep `avoid` positive, and so do their
+    parents: if v = a u does and u sends beta in `avoid` negative, then
+    v(beta) = alpha_a and beta = v^-1(alpha_a) < 0. Visits count to `limit`.
     """
-    pc, rank = system.positive_count, system.rank
-    simple = [system.index[a] for a in system.simple_roots()]
-    gens = [None] + [bytes((*s, *range(len(s), 256))) for s in system.simple_reflection_perms]
-    at_simple, negative = bytes(simple), bytes(i >= pc for i in range(256))
+    pc, rank = system.positive_count, len(simples)
+    simple = [system.index[a] for a in simples]
+    gens = [bytes(range(256))] + [bytes((*s, *range(len(s), 256))) for s in refl]
+    # a root index's kind: 1 if negative, 2 if avoided; read at the images of
+    # the simple roots under u^-1, 1 marks a left descent of u, 2 a child skipped
+    kind = bytes(1 if i >= pc else 2 if r in avoid else 0 for i, r in enumerate(system.roots))
+    at_simple, kind = bytes(simple), kind.ljust(256, b"\0")
 
     @cache
-    def children(descents):
+    def children(kinds):
         # the candidate letters, last first, each with the roots to test
         out = []
         for a in range(rank, 0, -1):
-            tested = [gens[a][simple[b]] for b in range(a - 1) if descents[b]]
-            if not descents[a - 1] and not set(tested) & set(simple):
+            tested = [gens[a][simple[b]] for b in range(a - 1) if kinds[b] == 1]
+            if not kinds[a - 1] and not set(tested) & set(simple):
                 out.append((a, bytes(tested)))
         return out
 
-    depths, letters = bytearray(b"\0"), bytearray(b"\0")
-    stack = [(1, a, bytes(range(256))) for a, _ in children(bytes(rank))]
+    depths, letters = bytearray(), bytearray()
+    stack = [(0, 0, gens[0])]
     while stack:
         d, a, inv = stack.pop()
         if len(depths) >= limit:
@@ -250,26 +261,35 @@ def generate_group(system: RootSystem, limit: int = DEFAULT_GROUP_LIMIT) -> Gene
         inv = gens[a].translate(inv)
         depths.append(d)
         letters.append(a)
-        for b, tested in children(at_simple.translate(inv).translate(negative)):
+        for b, tested in children(at_simple.translate(inv).translate(kind)):
             if not tested or max(tested.translate(inv)) < pc:
                 stack.append((d + 1, b, inv))
-    return GeneratedGroup(system, system.simple_reflection_perms, (bytes(depths), bytes(letters)))
+    return bytes(depths), bytes(letters)
+
+
+def generate_group(system: RootSystem, limit: int = DEFAULT_GROUP_LIMIT) -> GeneratedGroup:
+    """All of W: the `descent_walk` of the simple reflections."""
+    gens = system.simple_reflection_perms
+    walk = descent_walk(system, system.simple_roots(), gens, (), limit)
+    return GeneratedGroup(system, gens, walk)
 
 
 def subgroup_generated(
     system: RootSystem, gens, limit: int = DEFAULT_GROUP_LIMIT
 ) -> GeneratedGroup:
-    """The subgroup generated by the reflections in the given roots, walked
-    in deterministic order; the letter i of its words is the reflection in
-    the i-th of the sorted distinct roots. Reflections in non-simple roots
-    need not be a base, so this is the breadth-first `coset_walk`; its words
-    sorted by their reversals are the preorder.
+    """The subgroup generated by the reflections in the given roots, its
+    `descent_walk`; the letter i of its words is the reflection in the i-th
+    of the sorted distinct roots. Those must be positive and pairwise
+    obtuse, so that they are the simple system of the subgroup (Humphreys
+    1990, 1.3); any other list raises ValueError.
     """
-    refl = [reflection_in(system, g).perm for g in sorted(set(gens))]
-    seed = tuple(system.index[a] for a in system.simple_roots())
-    words = sorted((w for _, w, _ in coset_walk(refl, seed, limit=limit)), key=lambda w: w[::-1])
-    preorder = bytes(map(len, words)), bytes(w[0] if w else 0 for w in words)
-    return GeneratedGroup(system, refl, preorder)
+    roots = sorted(set(map(tuple, gens)))
+    if not all(map(system.is_positive, roots)) or any(
+        inner_product(system, a, b) > 0 for a, b in combinations(roots, 2)
+    ):
+        raise ValueError("the roots are not the simple system of the subgroup they generate")
+    refl = [reflection_in(system, g).perm for g in roots]
+    return GeneratedGroup(system, refl, descent_walk(system, roots, refl, (), limit))
 
 
 def coset_walk(gens, seed, keep=None, limit=DEFAULT_GROUP_LIMIT):

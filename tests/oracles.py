@@ -52,7 +52,7 @@ from weylspecht.exactlin import (
     vsub,
 )
 from weylspecht.rootsys import inner_product, negate, reflect_root
-from weylspecht.weyl import coset_walk
+from weylspecht.weyl import coset_walk, fold_preorder, gather
 from weylspecht.subsystem import (
     Subsystem,
     _connected_components,
@@ -758,6 +758,24 @@ def character_norm_by_words(module):
     whole word of w; a rational character is real, so psi(w^-1) = psi(w)."""
     words = module.space.group.words
     return sum((character_value(module, w) ** 2 for w in words), Fraction(0)) / len(words)
+
+
+def character_norm_by_fold(module):
+    """(1/|W|) sum of psi(w)^2 over W, each trace read at the canonical
+    rows' pivots from the tabloid permutation m(w^-1), which is one table
+    step from its parent's in W's preorder; the rows are cleared by the lcm
+    D of their denominators, and the integer sum is divided by |W| D^2."""
+    basis = module.basis
+    if not basis.rank:
+        return Fraction(0)
+    space = module.space
+    den = math.lcm(*(c.denominator for r in basis.rows for c in r.entries.values()))
+    rows = [{i: int(c * den) for i, c in r.entries.items()} for r in basis.rows]
+    at_pivots, group, total = gather(basis.pivots), space.group, 0
+    for _, m in fold_preorder(group.preorder, space._steps, tuple(range(len(space)))):
+        trace = sum(filter(None, map(dict.get, rows, at_pivots(m))))
+        total += trace * trace
+    return Fraction(total, len(group) * den * den)
 
 
 # --------------------------------------------------------------------------

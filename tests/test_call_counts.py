@@ -366,16 +366,20 @@ def test_group_elements_are_folded_on_first_read(d4):
 
 
 def test_character_norm_builds_no_element(d4):
-    # the norm folds W's words depth first and reads no element of a given W
+    # the norm folds D_psi' depth first: it reads no element of a given W,
+    # and without one it neither generates nor reads W
     psi, pp = (
         subsystem.closure_from_simples(d4, [parse_root(d4, t) for t in texts])
         for texts in (("1000", "0100", "0001"), ("1110",))
     )
-    module = build_specht_module(d4, psi, pp, QQ, group=generate_group(d4))
-    calls = _call_counts(character_norm, module)
-    assert calls(elements_of) == 0
-    assert calls(fold_walk) == 0
-    assert calls(GroupElement.__init__) == 0
+    for group in (generate_group(d4), None):
+        module = build_specht_module(d4, psi, pp, QQ, group=group)
+        calls = _call_counts(character_norm, module)
+        assert calls(elements_of) == 0
+        assert calls(fold_walk) == 0
+        assert calls(GroupElement.__init__) == 0
+        assert calls(generate_group) == 0
+    assert "group" not in vars(module.space)
 
 
 def test_character_norm_folds_no_word(case_d4_rank3, case_d4_deg6):

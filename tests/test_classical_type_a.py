@@ -11,6 +11,7 @@ with the construction.
 import pytest
 
 from oracles import (
+    character_norm_by_fold,
     distinct_part_partitions,
     hook_dimension,
     is_p_core,
@@ -72,7 +73,11 @@ def test_row_reading_pair_affords_the_classical_specht_module(shape):
             assert (radical, dim_d) == (0, dim_s)
             assert quotient_dimension_by_sum(module) == (dim_s, 0, dim_s)
         if p == 0 and sum(shape) <= 8:
+            # S^lambda is irreducible over Q (James 1978, LNM 682, ch. 4);
+            # through n = 7 the fold over all of W agrees
             assert character_norm(module) == 1
+            if sum(shape) <= 7:
+                assert character_norm_by_fold(module) == 1
 
 
 @pytest.mark.parametrize("shape", SLOW_AT_8, ids=_shape_id)

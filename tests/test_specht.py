@@ -11,9 +11,11 @@ from hypothesis import strategies as st
 from oracles import (
     bareiss_rank,
     benchmark_pair_module,
+    character_norm_by_fold,
     character_norm_by_words,
     cyclic_span_by_field_ops,
     cyclic_span_by_orbit,
+    disjoint_pairs,
     distinguished_reps_by_scan,
     index_action_by_keys,
     load_workloads,
@@ -531,18 +533,16 @@ def test_generators_live_in_the_basis_span(case_d4_deg6):
 
 
 def test_walks_of_a_built_module_stop_at_its_limit(a3):
-    # the A3 pair: 3 tabloids, |W(psi')| = 2, |D_psi'| = 12 and |W| = 24, so
-    # the generators need a limit of 12 and the norm, which walks W, one of 24
+    # the A3 pair: 3 tabloids, |W(psi')| = 2 and |D_psi'| = 12, so the
+    # generators and the norm, which walks D_psi' and not W, need a limit of 12
     psi = closure_from_simples(a3, [parse_root(a3, r) for r in ("100", "001")])
     pp = closure_from_simples(a3, [parse_root(a3, "110")])
-    module = build_specht_module(a3, psi, pp, QQ, limit=24)
+    module = build_specht_module(a3, psi, pp, QQ, limit=12)
     assert len(module.generators) == 12
     assert character_norm(module) == 1
-    module = build_specht_module(a3, psi, pp, QQ, limit=23)
-    assert len(module.generators) == 12
-    with pytest.raises(GroupLimitError, match="limit of 23 points"):
-        character_norm(module)
     module = build_specht_module(a3, psi, pp, QQ, limit=11)
+    with pytest.raises(GroupLimitError, match="limit of 11 points"):
+        character_norm(module)
     with pytest.raises(GroupLimitError, match="limit of 11 points"):
         module.generators
 
@@ -868,11 +868,44 @@ def test_character_norm_values(case_d4_rank3, case_d4_deg6, case_g2):
 )
 def test_character_norm_matches_the_word_fold(name, norm):
     module = benchmark_pair_module(name, QQ)
-    assert character_norm(module) == character_norm_by_words(module) == norm
+    assert character_norm(module) == character_norm_by_fold(module) == norm
+    assert character_norm_by_words(module) == norm
 
 
-def test_character_norm_matches_the_word_fold_on_any_basis(case_d4_rank3):
-    # the norm and the word fold both read the rows at m(w) for each w, so
+@pytest.mark.parametrize("label", ["A3", "G2", "B3", "D4"])
+def test_character_norm_matches_the_fold_on_every_small_pair(label):
+    # every disjoint pair of subsystems of rank at most 2, useful or not
+    system = build_root_system(label)
+    group = generate_group(system)
+    norms = set()
+    for psi, pp in disjoint_pairs(system, max_size=2):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            module = build_specht_module(system, psi, pp, QQ, group=group)
+        norm = character_norm(module)
+        assert norm == character_norm_by_fold(module), (psi.simples, pp.simples)
+        norms.add(norm)
+    # zero, irreducible and reducible modules all occur
+    assert {0, 1} < norms
+
+
+@pytest.mark.slow
+def test_character_norm_at_rank_7_and_8():
+    # |W| = 362880 and 645120, walked as |D_psi'| = 5040 and 80640 points
+    # under the default bound: A8 (4,3,2) is irreducible, B7 (4,3) is not
+    a8 = build_root_system("A8")
+    psi, pp = (closure_from_simples(a8, roots) for roots in row_reading_pair((4, 3, 2)))
+    assert character_norm(build_specht_module(a8, psi, pp, QQ)) == 1
+    b7 = build_root_system("B7")
+    psi, pp = (
+        closure_from_simples(b7, [parse_root(b7, r) for r in text.split(",")])
+        for text in ("1000000,0100000,0010000,0000100,0000010", "1111000,0111100,0011110")
+    )
+    assert character_norm(build_specht_module(b7, psi, pp, QQ)) == 8
+
+
+def test_the_norm_fold_matches_the_word_fold_on_any_basis(case_d4_rank3):
+    # the fold and the word fold both read the rows at m(w) for each w, so
     # the sums agree for any rows, invariant or not: fractional rows, one
     # row, no rows
     module = case_d4_rank3.module
@@ -887,7 +920,7 @@ def test_character_norm_matches_the_word_fold_on_any_basis(case_d4_rank3):
     assert max(c.denominator for c in bases[0].rows[0].entries.values()) > 1
     for basis in bases:
         synthetic = SpechtModuleData(module.space, QQ, module.e_vec, basis)
-        assert character_norm(synthetic) == character_norm_by_words(synthetic)
+        assert character_norm_by_fold(synthetic) == character_norm_by_words(synthetic)
 
 
 @pytest.mark.slow

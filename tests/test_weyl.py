@@ -19,6 +19,7 @@ from weylspecht.weyl import (
     descent_word,
     elements_of,
     coset_walk,
+    descent_walk,
     fold_preorder,
     fold_walk,
     generate_group,
@@ -427,6 +428,35 @@ def test_subgroup_limit(d4):
     simples = d4.simple_roots()
     with pytest.raises(GroupLimitError):
         subgroup_generated(d4, simples, limit=10)
+
+
+def test_subgroup_of_a_root_list_that_is_no_simple_system_raises():
+    # alpha_1 and alpha_1 + alpha_2 are acute; a negative root is no simple root
+    a2 = build_root_system("A2")
+    for texts in (("10", "11"), ("10", "-01")):
+        with pytest.raises(ValueError, match="simple system"):
+            subgroup_generated(a2, [parse_root(a2, t) for t in texts])
+
+
+def _corpus_column_systems():
+    for name, (ambient, _, jp_text) in sorted(load_workloads().PAIRS.items()):
+        system = build_root_system(ambient)
+        pp = closure_from_simples(system, [parse_root(system, t) for t in jp_text.split(",")])
+        yield pytest.param(system, pp, id=name)
+
+
+@pytest.mark.parametrize("system,pp", list(_corpus_column_systems()))
+def test_the_descent_walk_avoiding_jp_is_d_psi_prime(system, pp):
+    # |W : W(psi')| points, the elements that `distinguished_reps` reaches
+    gens = system.simple_reflection_perms
+    walk = descent_walk(system, system.simple_roots(), gens, pp.simples)
+    assert len(walk[0]) == group_order(system) // len(subgroup_generated(system, pp.simples))
+    steps = [lambda p, s=s: itemgetter(*p)(s) for s in gens]
+    folded = {p for _, p in fold_preorder(walk, steps, identity(system).perm)}
+    listed = elements_of(system, gens, tuple(distinguished_reps(system, pp)))
+    assert folded == {d.perm for d in listed}
+    with pytest.raises(GroupLimitError):
+        descent_walk(system, system.simple_roots(), gens, pp.simples, limit=len(walk[0]) - 1)
 
 
 def test_permutations_commute_with_negation(a3, w_a3, g2, w_g2):
