@@ -14,7 +14,7 @@ from weylspecht import (
     character_norm,
     character_value,
     closure_from_simples,
-    generate_group,
+    group_order,
     is_good_subsystem,
     is_useful_subsystem,
     matrix_of,
@@ -43,13 +43,12 @@ def word_text(word):
 
 def run_case(label, j_texts, jp_texts, char_word):
     system = build_root_system(label)
-    group = generate_group(system)
     psi = closure_from_simples(system, [parse_root(system, t) for t in j_texts])
     pp = closure_from_simples(system, [parse_root(system, t) for t in jp_texts])
 
     print("=" * 72)
     print(f"{label}: J = {','.join(j_texts)}  J' = {','.join(jp_texts)}")
-    print(f"|W| = {len(group)}  psi {psi.label} ({psi.size} roots)  psi' {pp.label}")
+    print(f"|W| = {group_order(system)}  psi {psi.label} ({psi.size} roots)  psi' {pp.label}")
 
     useful = is_useful_subsystem(system, psi, pp)
     good = is_good_subsystem(system, psi, pp)
@@ -57,9 +56,9 @@ def run_case(label, j_texts, jp_texts, char_word):
 
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        module = build_specht_module(system, psi, pp, QQ, group=group)
+        module = build_specht_module(system, psi, pp, QQ)
     space = module.space
-    print(f"|N(psi)| = {len(space.n_psi)}   tabloids = {len(space)}")
+    print(f"|N(psi)| = {group_order(system) // len(space)}   tabloids = {len(space)}")
     for t in space:
         print(f"   {word_text(t.rep_word):<8} {format_tabloid(space, t)}")
 

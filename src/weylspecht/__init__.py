@@ -9,11 +9,12 @@ walk down the tree of lex-least reduced words, kept as its preorder, two
 bytes per element, lists W, the column group W(psi') and, for the
 character norm, the distinguished representatives D_psi'; one
 breadth-first walk of root indices lists the tabloids and, for the
-generator listing, D_psi' in W's order. W itself is generated only for
-N(psi) and the oracles: the norm is dim End_W(S), a rank summed over
-D_psi'. Whatever is valued per element is one step from its parent's
-value: over a preorder (`weyl.fold_preorder`), for kappa and the norm, or
-in a walk's order (`weyl.fold_walk`).
+generator listing, D_psi' in W's order. W itself is generated only by
+`generate_group`, which no stage calls: the norm is dim End_W(S), a rank
+summed over D_psi', and |N(psi)| is |W| over the tabloid count. Whatever
+is valued per element is one step from its parent's value: over a
+preorder (`weyl.fold_preorder`), for kappa and the norm, or in a walk's
+order (`weyl.fold_walk`).
 
 The names below resolve on first use (PEP 562): `import weylspecht` loads
 no submodule, and `weylspecht.build_root_system` loads only `rootsys`.
@@ -39,13 +40,12 @@ _HOME = {
         "specht",
     ),
     **dict.fromkeys(
-        ("Subsystem", "closure_from_simples", "distinguished_reps", "normalizer",
-         "orthogonal_complement", "simple_system_of"),
+        ("Subsystem", "closure_from_simples", "distinguished_reps", "orthogonal_complement"),
         "subsystem",
     ),
     **dict.fromkeys(
         ("GoodSubsystemResult", "ProbeReport", "is_good_subsystem", "is_useful_subsystem",
-         "is_useful_system", "submodule_theorem_probe", "vanishing_obstruction"),
+         "submodule_theorem_probe", "vanishing_obstruction"),
         "verify",
     ),
     **dict.fromkeys(

@@ -16,8 +16,7 @@ base tabloid. The module S is the submodule spun from e_{J,J'}; it is
 spanned by the translates d e_{J,J'} for d in D_psi'. The sums over many
 elements, kappa over W(psi') and the character norm over D_psi', fold
 each element's tabloid permutation from its parent's in a depth-first
-walk (`weyl.fold_preorder`). None of this generates W; `group` does, when
-first read, for N(psi) and the oracles.
+walk (`weyl.fold_preorder`). None of this generates W.
 """
 
 from __future__ import annotations
@@ -44,7 +43,6 @@ from .subsystem import (
     Subsystem,
     complements_meet_trivially,
     distinguished_reps,
-    normalizer,
     stabilizer,
 )
 from .weyl import (
@@ -58,7 +56,6 @@ from .weyl import (
     elements_of,
     fold_preorder,
     gather,
-    generate_group,
     subgroup_generated,
 )
 
@@ -87,9 +84,9 @@ class TabloidSpace:
 
     The record of the pair: W(psi') with its words and signs and the
     usefulness of the pair are computed here once and read by every later
-    stage; W itself, and N(psi) swept from it, only when read. Tabloids come
-    in the (length, word) order of their representatives, which is the BFS
-    order of the group, so the family prints identically from run to run.
+    stage; W itself is not. Tabloids come in the (length, word) order of
+    their representatives, which is the BFS order of the group, so the
+    family prints identically from run to run.
     The simple reflections' tabloid-index permutations are read off the keys
     (`_table`); a word folds them, and an element folds its descent word, so
     nothing is stored per element.
@@ -100,18 +97,15 @@ class TabloidSpace:
         system: RootSystem,
         psi: Subsystem,
         psi_prime: Subsystem | None,
-        group: GeneratedGroup | None,
         tabloids: tuple[Tabloid, ...],
         limit: int,
     ):
         self.system = system
         self.psi = psi
         self.psi_prime = psi_prime
-        if group is not None:
-            self.group = group
         self.tabloids = tabloids
         self.index = {t.key: i for i, t in enumerate(tabloids)}
-        self.limit = limit  # the points of every walk made for the space, W's too
+        self.limit = limit  # the points of every walk made for the space
         # W(psi'), its words in the sorted J' reflections
         self.col_group = subgroup_generated(system, psi_prime.simples if psi_prime else (), limit)
 
@@ -123,16 +117,6 @@ class TabloidSpace:
 
     def __getitem__(self, i: int) -> Tabloid:
         return self.tabloids[i]
-
-    @cached_property
-    def group(self) -> GeneratedGroup:
-        """All of W, generated when first read unless given."""
-        return generate_group(self.system, self.limit)
-
-    @cached_property
-    def n_psi(self) -> tuple[GroupElement, ...]:
-        """N(psi) in group order, swept from W when first read."""
-        return normalizer(self.system, self.psi, self.group)
 
     @cached_property
     def base_polytabloid(self) -> SparseVector:
@@ -218,7 +202,8 @@ def enumerate_tabloids(
     limit: int = DEFAULT_GROUP_LIMIT,
 ) -> TabloidSpace:
     """One tabloid per coset of N(psi); count equals the index of N(psi).
-    W is not generated; the space keeps a given `group`, and `limit`."""
+    W is not generated, and a given `group` is only checked to be W of the
+    ambient system; the space keeps `limit`."""
     labels = {psi.ambient_label}
     if group is not None:
         labels.add(group.system_label)
@@ -240,7 +225,6 @@ def enumerate_tabloids(
         system=system,
         psi=psi,
         psi_prime=psi_prime,
-        group=group,
         tabloids=tabloids,
         limit=limit,
     )
@@ -363,7 +347,7 @@ def build_specht_module(
     """The cyclic module generated by e_{J,J'}.
 
     The basis is the spin of e_{J,J'} under the simple reflections (see
-    `cyclic_submodule`); the space keeps a given `group`, and `limit`.
+    `cyclic_submodule`); `group` and `limit` are as in `enumerate_tabloids`.
 
     Warns when the pair is not a useful sub-system; the computation still
     runs and may produce the zero module.

@@ -1,5 +1,5 @@
-"""Subsystems of a root system: closures, classification, normalizers,
-coset transversals and the usefulness tests of a pair.
+"""Subsystems of a root system: closures, classification, stabilizers in
+a generated group, coset transversals and the usefulness tests of a pair.
 
 A subsystem carries its simple system J as given, and everything about it
 is read from J: its roots are the orbit of J under the reflections in J,
@@ -17,12 +17,11 @@ from operator import itemgetter
 
 from . import rootsys
 from .exactlin import QQ, from_dense, row_reduce
-from .rootsys import Root, RootSystem, inner_product, negate, reflection
+from .rootsys import Root, RootSystem, inner_product, reflection
 from .weyl import (
     DEFAULT_GROUP_LIMIT,
     GeneratedGroup,
     GroupElement,
-    apply_to_root,
     coset_walk,
     fold_preorder,
     gather,
@@ -102,25 +101,6 @@ def closure_from_simples(system: RootSystem, simples) -> Subsystem:
     return _classified(system, roots, simples)
 
 
-def simple_system_of(system: RootSystem, roots) -> tuple[Root, ...]:
-    """Positive members not expressible as a sum of two positive members.
-
-    The input must be reflection-closed and stable under negation; rebuilding
-    the closure of the result reproduces the input set.
-    """
-    rset = frozenset(tuple(r) for r in roots)
-    for r in rset:
-        if r not in system.index:
-            raise ValueError(f"{r} is not a root of {system.label}")
-        if negate(r) not in rset:
-            raise ValueError("set is not stable under negation")
-    for a in rset:
-        reflect = reflection(system.doubled_gram, a)
-        if any(reflect(b) not in rset for b in rset):
-            raise ValueError("set is not reflection-closed")
-    return _indecomposables(system, rset)
-
-
 def _indecomposables(system: RootSystem, rset) -> tuple[Root, ...]:
     positives = sorted(r for r in rset if system.is_positive(r))
     sums = set()
@@ -155,25 +135,18 @@ def orthogonal_complement(system: RootSystem, psi: Subsystem) -> Subsystem:
     return _classified(system, ortho, _indecomposables(system, ortho))
 
 
-def stabilizer(system: RootSystem, psi: Subsystem, elements) -> tuple[GroupElement, ...]:
-    """The given elements that map psi's root set onto itself, in order. Of
-    a generated group, the inverses of its elements are read, folded by
-    right steps p o s in its preorder: the stabilizer is the same set."""
-    if isinstance(elements, GeneratedGroup):
-        folded = fold_preorder(elements.preorder, map(gather, elements.gens), identity(system).perm)
-        elements = (GroupElement(p, system.label) for _, p in folded)
+def stabilizer(
+    system: RootSystem, psi: Subsystem, group: GeneratedGroup
+) -> tuple[GroupElement, ...]:
+    """The stabilizer of psi's root set in a generated group. The inverses
+    of its elements are folded by right steps p o s in its preorder, and
+    kept in that order: they are the same set."""
+    folded = fold_preorder(group.preorder, map(gather, group.gens), identity(system).perm)
     r_idx = [system.root_index(r) for r in psi.roots]
     own = frozenset(r_idx)
     # a nonempty psi has at least two roots, so the getter returns a tuple
     image = itemgetter(*r_idx) if r_idx else lambda p: ()
-    return tuple(w for w in elements if frozenset(image(w.perm)) == own)
-
-
-def normalizer(system: RootSystem, psi: Subsystem, group: GeneratedGroup) -> tuple:
-    """N(psi), the stabilizer of psi's root set, swept from W in group order."""
-    if group.system_label != system.label:
-        raise ValueError("group belongs to a different root system")
-    return stabilizer(system, psi, group.elements)
+    return tuple(GroupElement(p, system.label) for _, p in folded if frozenset(image(p)) == own)
 
 
 def complements_meet_trivially(
@@ -272,28 +245,3 @@ def _classify_component(system: RootSystem, comp) -> str:
     branched = any(sum(1 for x in row if x) > 3 for row in c)
     return f"D{n}" if branched else f"A{n}"
 
-
-def restricted_reflections(
-    system: RootSystem, psi: Subsystem, elements
-) -> tuple[GroupElement, ...]:
-    """Elements acting as reflections on the span of psi.
-
-    Qualifies when the square fixes J and the fixed space meets the span in
-    codimension one. That meet is the kernel of w - 1 on the span, so the
-    second condition says the vectors w(a) - a, a in J, span a line. Ambient
-    root reflections inside psi always qualify; elements rotating the full
-    space may still restrict to reflections of the span, which is how extra
-    stabilizer structure beyond the reflection subgroup of psi shows up.
-    """
-    out = []
-    for w in elements:
-        images = [apply_to_root(system, w, j) for j in psi.simples]
-        if any(apply_to_root(system, w, i) != j for i, j in zip(images, psi.simples)):
-            continue
-        moved = [
-            from_dense(QQ, [x - y for x, y in zip(i, j)])
-            for i, j in zip(images, psi.simples)
-        ]
-        if row_reduce(QQ, moved, dim=system.rank).rank == 1:
-            out.append(w)
-    return tuple(out)

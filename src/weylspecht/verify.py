@@ -38,15 +38,6 @@ def _require_pair(system: RootSystem, psi: Subsystem, psi_prime: Subsystem):
         raise ValueError("psi_prime must be contained in the ambient system minus psi")
 
 
-def is_useful_system(system: RootSystem, psi: Subsystem, psi_prime: Subsystem) -> bool:
-    """W(J) meets W(J') trivially, and likewise for the two complements."""
-    _require_pair(system, psi, psi_prime)
-    w_j = {w.perm for w in subgroup_generated(system, psi.simples).elements}
-    w_jp = subgroup_generated(system, psi_prime.simples).elements
-    meet = w_j.intersection(w.perm for w in w_jp)
-    return len(meet) == 1 and complements_meet_trivially(system, psi, psi_prime)
-
-
 def _meet(system: RootSystem, psi: Subsystem, psi_prime: Subsystem) -> tuple[GroupElement, ...]:
     # N(psi) meet W(psi') of a checked pair: the stabilizer of psi in
     # W(psi'), in the preorder of W(psi'), so only W(psi') is closed

@@ -8,7 +8,8 @@ to a root applies tau_2 first.
 of a reflection group in its simple reflections, read off inverse root
 permutations, and keeps no set of elements: all of W, a subgroup given by
 its simple roots, or D_psi, the elements of W keeping a root set positive.
-A generated group keeps only that walk's preorder, two bytes per element.
+A generated group keeps only that walk's preorder, two bytes per element;
+W itself is generated only by `generate_group`, which no stage calls.
 The other enumerations are one `coset_walk`, a breadth-first orbit of root
 indices under root permutations acting on the left: from psi's root set,
 the tabloids; keeping J positive, D_psi in W's order. Either walk reaches
@@ -114,55 +115,21 @@ class GeneratedGroup:
     """A group generated by `gens`, root permutations of reflections, held
     as the preorder of its lex-least reduced words (see `fold_preorder`):
     two `bytes`, each word's length and first letter (0 at the identity).
-    `len` reads it; `words`, `elements`, iteration, indexing, `identity` and
-    == read the BFS order, by length and then word, folded on first read."""
+    `len` reads it; no element is kept, and a reader folds what it needs."""
 
-    __slots__ = ("system", "gens", "preorder", "_bfs")
+    __slots__ = ("system", "gens", "preorder")
 
     def __init__(self, system: RootSystem, gens, preorder: tuple[bytes, bytes]):
         self.system = system
         self.gens = tuple(gens)
         self.preorder = preorder
-        self._bfs = None
 
     @property
     def system_label(self) -> str:
         return self.system.label
 
-    def _read(self, i: int):
-        # (words, elements) by length and then word, folded on first read:
-        # the element of a u is s_a o (the element of u)
-        if self._bfs is None:
-            gens = enumerate(self.gens, 1)
-            steps = [lambda v, a=a, s=s: ((a,) + v[0], itemgetter(*v[1])(s)) for a, s in gens]
-            start = ((), identity(self.system).perm)
-            folded = (v for _, v in fold_preorder(self.preorder, steps, start))
-            words, perms = zip(*sorted(folded, key=lambda v: (len(v[0]), v[0])))
-            self._bfs = words, tuple(GroupElement(p, self.system.label) for p in perms)
-        return self._bfs[i]
-
-    words = property(lambda self: self._read(0))
-    elements = property(lambda self: self._read(1))
-
-    def __eq__(self, other):
-        if type(other) is not GeneratedGroup:
-            return NotImplemented
-        return (self.system_label, self.words, self.elements) == (
-            other.system_label, other.words, other.elements
-        )
-
     def __len__(self) -> int:
         return len(self.preorder[0])
-
-    def __iter__(self):
-        return iter(self.elements)
-
-    def __getitem__(self, i: int) -> GroupElement:
-        return self.elements[i]
-
-    @property
-    def identity(self) -> GroupElement:
-        return self.elements[0]
 
 
 def gather(indices):
@@ -368,7 +335,7 @@ def descent_word(system: RootSystem):
 
 def word_order(system: RootSystem):
     """Sort key on elements, (length, lex-least reduced word), computed
-    without W; it orders elements as `generate_group` lists them.
+    without W; it orders W as a `coset_walk` from the simple roots does.
 
     BFS records the lex-least reduced word, whose first letter is the
     smallest left descent of w. The left descents of w are the right

@@ -9,10 +9,11 @@ from weylspecht import (
     build_specht_module,
     closure_from_simples,
     enumerate_tabloids,
-    generate_group,
     parse_root,
 )
 from weylspecht.exactlin import QQ
+
+from oracles import weyl_group
 
 # `pytest --hypothesis-profile=ci`: reproducible draws and five times the examples
 settings.register_profile("ci", derandomize=True, max_examples=500, deadline=None)
@@ -35,17 +36,17 @@ def d4():
 
 @pytest.fixture(scope="session")
 def w_a3(a3):
-    return generate_group(a3)
+    return weyl_group(a3)
 
 
 @pytest.fixture(scope="session")
 def w_g2(g2):
-    return generate_group(g2)
+    return weyl_group(g2)
 
 
 @pytest.fixture(scope="session")
 def w_d4(d4):
-    return generate_group(d4)
+    return weyl_group(d4)
 
 
 @dataclass(frozen=True)

@@ -3,7 +3,10 @@
 Everything here deliberately avoids the library's internal representations:
 root systems are rebuilt in epsilon coordinates with Fractions, ranks are
 recomputed with dense fraction-free elimination, and the coefficient laws
-are checked by direct enumeration.
+are checked by direct enumeration. It also keeps the W-reading names that
+the library no longer needs, as references: a generated group read as its
+elements (`ListedGroup`), N(psi) swept from W, the restricted reflections,
+simple systems of closed root sets and the usefulness of a system.
 """
 
 from __future__ import annotations
@@ -17,6 +20,7 @@ import warnings
 import zlib
 from collections import deque
 from fractions import Fraction
+from operator import itemgetter
 from pathlib import Path
 
 from weylspecht import (
@@ -29,10 +33,10 @@ from weylspecht import (
     closure_from_simples,
     compose,
     enumerate_tabloids,
+    generate_group,
     identity,
     is_good_subsystem,
     is_useful_subsystem,
-    is_useful_system,
     orthogonal_complement,
     parse_root,
     polytabloid,
@@ -51,13 +55,16 @@ from weylspecht.exactlin import (
     vscale,
     vsub,
 )
-from weylspecht.rootsys import inner_product, negate, reflect_root
-from weylspecht.weyl import coset_walk, fold_preorder, gather
+from weylspecht.rootsys import inner_product, negate, reflect_root, reflection
+from weylspecht.weyl import GeneratedGroup, GroupElement, coset_walk, fold_preorder, gather
 from weylspecht.subsystem import (
     Subsystem,
     _connected_components,
+    _indecomposables,
     cartan_matrix,
+    complements_meet_trivially,
 )
+from weylspecht.verify import _require_pair
 
 # --------------------------------------------------------------------------
 # epsilon-coordinate models
@@ -142,7 +149,124 @@ def bfs_group_words(system):
 def words_by_perm(group):
     """The recorded word of each element of a generated group, keyed by
     its permutation."""
+    group = listed(group)
     return {w.perm: word for w, word in zip(group.elements, group.words)}
+
+
+# --------------------------------------------------------------------------
+# generated groups read as elements, and W-reading references on them
+
+class ListedGroup(GeneratedGroup):
+    """A generated group with its words and elements read in W's BFS order,
+    by length and then word, folded from its preorder: the element of a u
+    is s_a o (the element of u). Iteration, indexing and `identity` read
+    the elements, and == compares the system, words and elements."""
+
+    __slots__ = ("words", "elements")
+
+    def __init__(self, group):
+        super().__init__(group.system, group.gens, group.preorder)
+        gens = enumerate(self.gens, 1)
+        steps = [lambda v, a=a, s=s: ((a,) + v[0], itemgetter(*v[1])(s)) for a, s in gens]
+        start = ((), identity(self.system).perm)
+        folded = (v for _, v in fold_preorder(self.preorder, steps, start))
+        self.words, perms = zip(*sorted(folded, key=lambda v: (len(v[0]), v[0])))
+        self.elements = tuple(GroupElement(p, self.system.label) for p in perms)
+
+    def __eq__(self, other):
+        if not isinstance(other, ListedGroup):
+            return NotImplemented
+        return (self.system_label, self.words, self.elements) == (
+            other.system_label, other.words, other.elements
+        )
+
+    def __iter__(self):
+        return iter(self.elements)
+
+    def __getitem__(self, i):
+        return self.elements[i]
+
+    @property
+    def identity(self):
+        return self.elements[0]
+
+
+def listed(group):
+    """The generated group read as elements (`ListedGroup`)."""
+    return group if isinstance(group, ListedGroup) else ListedGroup(group)
+
+
+@functools.lru_cache(maxsize=8)
+def weyl_group(system):
+    """All of W, listed, kept for the last few root systems read."""
+    return listed(generate_group(system))
+
+
+def normalizer(system, psi, group):
+    """N(psi), the stabilizer of psi's root set, swept from W in group order."""
+    if group.system_label != system.label:
+        raise ValueError("group belongs to a different root system")
+    r_idx = [system.root_index(r) for r in psi.roots]
+    own = frozenset(r_idx)
+    image = gather(r_idx) if r_idx else lambda p: ()
+    return tuple(w for w in listed(group) if frozenset(image(w.perm)) == own)
+
+
+def normalizer_of(space):
+    """N(psi) of a tabloid space's pair, swept from W in group order."""
+    return normalizer(space.system, space.psi, weyl_group(space.system))
+
+
+def restricted_reflections(system, psi, elements):
+    """Elements acting as reflections on the span of psi.
+
+    Qualifies when the square fixes J and the fixed space meets the span in
+    codimension one. That meet is the kernel of w - 1 on the span, so the
+    second condition says the vectors w(a) - a, a in J, span a line. Ambient
+    root reflections inside psi always qualify; elements rotating the full
+    space may still restrict to reflections of the span, which is how extra
+    stabilizer structure beyond the reflection subgroup of psi shows up.
+    """
+    out = []
+    for w in elements:
+        images = [apply_to_root(system, w, j) for j in psi.simples]
+        if any(apply_to_root(system, w, i) != j for i, j in zip(images, psi.simples)):
+            continue
+        moved = [
+            from_dense(QQ, [x - y for x, y in zip(i, j)])
+            for i, j in zip(images, psi.simples)
+        ]
+        if row_reduce(QQ, moved, dim=system.rank).rank == 1:
+            out.append(w)
+    return tuple(out)
+
+
+def simple_system_of(system, roots):
+    """Positive members not expressible as a sum of two positive members.
+
+    The input must be reflection-closed and stable under negation; rebuilding
+    the closure of the result reproduces the input set.
+    """
+    rset = frozenset(tuple(r) for r in roots)
+    for r in rset:
+        if r not in system.index:
+            raise ValueError(f"{r} is not a root of {system.label}")
+        if negate(r) not in rset:
+            raise ValueError("set is not stable under negation")
+    for a in rset:
+        reflect = reflection(system.doubled_gram, a)
+        if any(reflect(b) not in rset for b in rset):
+            raise ValueError("set is not reflection-closed")
+    return _indecomposables(system, rset)
+
+
+def is_useful_system(system, psi, psi_prime):
+    """W(J) meets W(J') trivially, and likewise for the two complements."""
+    _require_pair(system, psi, psi_prime)
+    w_j = {w.perm for w in listed(subgroup_generated(system, psi.simples))}
+    w_jp = listed(subgroup_generated(system, psi_prime.simples))
+    meet = w_j.intersection(w.perm for w in w_jp)
+    return len(meet) == 1 and complements_meet_trivially(system, psi, psi_prime)
 
 
 # --------------------------------------------------------------------------
@@ -302,7 +426,7 @@ def normalizer_by_definition(system, psi, group):
     roots = psi.roots
     jset = set(psi.simples)
     n_psi = tuple(
-        w for w in group if {apply_to_root(system, w, r) for r in roots} == roots
+        w for w in listed(group) if {apply_to_root(system, w, r) for r in roots} == roots
     )
     n_j = tuple(
         w for w in n_psi if {apply_to_root(system, w, j) for j in jset} == jset
@@ -315,7 +439,7 @@ def distinguished_reps_by_scan(system, psi, group):
     of psi positive."""
     j_idx = [system.root_index(r) for r in psi.simples]
     pc = system.positive_count
-    return tuple(w for w in group if all(w.perm[j] < pc for j in j_idx))
+    return tuple(w for w in listed(group) if all(w.perm[j] < pc for j in j_idx))
 
 
 def normalizer_reps_by_products(system, group, n_psi):
@@ -324,7 +448,7 @@ def normalizer_reps_by_products(system, group, n_psi):
     every n in N(psi). The marks fill a set with one entry per element."""
     seen: set = set()
     reps = []
-    for w in group:
+    for w in listed(group):
         if w.perm in seen:
             continue
         reps.append(w)
@@ -346,28 +470,28 @@ def is_useful_pair_by_closures(system, psi, psi_prime, row_group, col_group):
         return False
     return _meets_trivially(
         system,
-        subgroup_generated(system, orthogonal_complement(system, psi).simples),
-        subgroup_generated(system, orthogonal_complement(system, psi_prime).simples),
+        listed(subgroup_generated(system, orthogonal_complement(system, psi).simples)),
+        listed(subgroup_generated(system, orthogonal_complement(system, psi_prime).simples)),
     )
 
 
 def useful_subsystem_by_closures(system, psi, psi_prime, n_psi):
     """N(psi) against the closure W(psi'), and both complements closed."""
-    col_group = subgroup_generated(system, psi_prime.simples)
+    col_group = listed(subgroup_generated(system, psi_prime.simples))
     return is_useful_pair_by_closures(system, psi, psi_prime, n_psi, col_group)
 
 
 def useful_system_by_closures(system, psi, psi_prime):
     """W(J) against W(J'), and both complements closed."""
-    w_j = subgroup_generated(system, psi.simples)
-    w_jp = subgroup_generated(system, psi_prime.simples)
+    w_j = listed(subgroup_generated(system, psi.simples))
+    w_jp = listed(subgroup_generated(system, psi_prime.simples))
     return is_useful_pair_by_closures(system, psi, psi_prime, w_j, w_jp)
 
 
 def col_stabilizer_by_filter(system, n_psi, psi_prime):
     """N(psi) meet W(psi'): the elements of N(psi), in its order, that lie in
     the closure W(psi')."""
-    col = {w.perm for w in subgroup_generated(system, psi_prime.simples)}
+    col = {w.perm for w in listed(subgroup_generated(system, psi_prime.simples))}
     return tuple(w for w in n_psi if w.perm in col)
 
 
@@ -706,8 +830,7 @@ def benchmark_pair(name):
 
 
 def benchmark_pair_module(name, field):
-    """The module of the named benchmark pair over `field`; its space
-    generates W when `group` is first read."""
+    """The module of the named benchmark pair over `field`."""
     system, psi, pp = benchmark_pair(name)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
@@ -749,14 +872,14 @@ def index_action_by_keys(space, w):
 def cyclic_span_by_orbit(space, field, v):
     """The W-submodule generated by v, as the span of all |W| translates."""
     return row_reduce(
-        field, [act_vector(space, field, w, v) for w in space.group], dim=len(space)
+        field, [act_vector(space, field, w, v) for w in weyl_group(space.system)], dim=len(space)
     )
 
 
 def character_norm_by_words(module):
     """(1/|W|) sum of psi(w)^2 over W, each trace read after folding the
     whole word of w; a rational character is real, so psi(w^-1) = psi(w)."""
-    words = module.space.group.words
+    words = weyl_group(module.space.system).words
     return sum((character_value(module, w) ** 2 for w in words), Fraction(0)) / len(words)
 
 
@@ -771,7 +894,7 @@ def character_norm_by_fold(module):
     space = module.space
     den = math.lcm(*(c.denominator for r in basis.rows for c in r.entries.values()))
     rows = [{i: int(c * den) for i, c in r.entries.items()} for r in basis.rows]
-    at_pivots, group, total = gather(basis.pivots), space.group, 0
+    at_pivots, group, total = gather(basis.pivots), weyl_group(space.system), 0
     for _, m in fold_preorder(group.preorder, space._steps, tuple(range(len(space)))):
         trace = sum(filter(None, map(dict.get, rows, at_pivots(m))))
         total += trace * trace
@@ -827,11 +950,8 @@ def coefficient_law_violations(system, group, psi, psi_prime, check_norm=False):
     if e_vec.is_zero():
         bad.append(f"{tag}: polytabloid vanished for a useful pair")
 
-    products = {
-        compose(sigma, rho).perm
-        for sigma in space.col_group
-        for rho in space.n_psi
-    }
+    n_psi = normalizer(system, psi, group)
+    products = {compose(sigma, rho).perm for sigma in listed(space.col_group) for rho in n_psi}
     for i, t in enumerate(space.tabloids):
         appears = i in e_vec.entries
         if appears != (t.rep.perm in products):
@@ -887,7 +1007,7 @@ def semidirect_violations(system, group, psi):
     """|N(psi)| = |W(psi)| * |N(J)| with unique factorization n = w u."""
     bad = []
     n_psi, n_j = normalizer_by_definition(system, psi, group)
-    w_psi = subgroup_generated(system, psi.simples)
+    w_psi = listed(subgroup_generated(system, psi.simples))
     if len(n_psi) != len(w_psi) * len(n_j):
         bad.append(f"{system.label} J={psi.simples}: order product mismatch")
         return bad

@@ -50,13 +50,11 @@ from weylspecht.specht import (
     matrix_of,
     quotient_dimension,
 )
-from weylspecht.subsystem import distinguished_reps, normalizer
+from weylspecht.subsystem import distinguished_reps
 from weylspecht.weyl import (
-    GeneratedGroup,
     GroupElement,
     compose,
     elements_of,
-    fold_preorder,
     fold_walk,
     generate_group,
     reflection_in,
@@ -92,13 +90,9 @@ def test_specht_command_builds_the_pair_once():
     with contextlib.redirect_stdout(io.StringIO()):
         calls = _call_counts(cli.main, D4_SPECHT)
     assert calls(generate_group) == 0
-    assert calls(GeneratedGroup.__iter__) == 0
-    assert calls(normalizer) == 0
     assert calls(enumerate_tabloids) == 1
     # W(psi') only: the complement half of usefulness closes no group
     assert calls(subgroup_generated) == 1
-    # usefulness folds W(psi')'s preorder, so no group's words or elements are read
-    assert calls(GeneratedGroup._read) == 0
 
 
 A5_TABLOIDS = ["tabloids", "--type", "A5", "--J", "10000,01000,00010"]
@@ -111,8 +105,6 @@ def test_tabloids_command_never_scans_the_group():
         with contextlib.redirect_stdout(io.StringIO()):
             calls = _call_counts(cli.main, argv)
         assert calls(generate_group) == 0
-        assert calls(GeneratedGroup.__iter__) == 0
-        assert calls(normalizer) == 0
 
 
 @pytest.mark.parametrize(
@@ -135,7 +127,6 @@ def test_zero_module_skips_the_generator_scan():
             calls = _call_counts(cli.main, run)
         assert calls(generate_group) == 0
         assert calls(distinguished_reps) == 0
-        assert calls(GeneratedGroup.__iter__) == 0
     with contextlib.redirect_stdout(io.StringIO()):
         calls = _call_counts(cli.main, D4_SPECHT)
     assert calls(distinguished_reps) == 1
@@ -175,7 +166,6 @@ def test_a6_text_report_never_generates_the_group():
         calls = _call_counts(cli.main, A6_SPECHT)
     assert "independent generators:" in out.getvalue()
     assert calls(generate_group) == 0
-    assert calls(GeneratedGroup.__iter__) == 0
 
 
 def test_a6_text_report_builds_no_element_per_listed_translate():
@@ -202,8 +192,6 @@ def test_standalone_goodness_never_scans_the_group(case_d4_rank3):
     c = case_d4_rank3
     calls = _call_counts(is_good_subsystem, c.system, c.psi, c.psi_prime)
     assert calls(generate_group) == 0
-    assert calls(GeneratedGroup.__iter__) == 0
-    assert calls(normalizer) == 0
 
 
 def _generators_of_build(c):
@@ -225,16 +213,14 @@ def test_tabloid_orbit_never_scans_the_group(case_d4_rank3):
     for group in (c.group, None):
         calls = _call_counts(enumerate_tabloids, c.system, c.psi, group, c.psi_prime)
         assert calls(generate_group) == 0
-        assert calls(GeneratedGroup.__iter__) == 0
 
 
 def test_standalone_usefulness_never_scans_the_group(case_d4_rank3):
     # N(psi) meet W(psi') is the stabilizer of psi inside W(psi')
     c = case_d4_rank3
     calls = _call_counts(is_useful_subsystem, c.system, c.psi, c.psi_prime)
-    assert calls(GeneratedGroup.__iter__) == 0
+    assert calls(generate_group) == 0
     assert calls(enumerate_tabloids) == 0
-    assert calls(normalizer) == 0
 
 
 def test_standalone_obstruction_never_scans_the_group(case_g2, case_d4_rank3):
@@ -242,8 +228,6 @@ def test_standalone_obstruction_never_scans_the_group(case_g2, case_d4_rank3):
     # by (length, word) without W, so no group is generated either
     for c in (case_g2, case_d4_rank3):
         calls = _call_counts(vanishing_obstruction, c.system, c.psi, c.psi_prime)
-        assert calls(GeneratedGroup.__iter__) == 0
-        assert calls(normalizer) == 0
         assert calls(generate_group) == 0
 
 
@@ -347,22 +331,6 @@ def test_an_element_folds_its_descent_word(case_d4_deg6):
         calls = _call_counts(matrix_of, module, simple_reflection(system, i))
         assert calls(TabloidSpace._table) == 0
         assert calls(TabloidSpace.index_action) == 1
-
-
-def test_group_elements_are_folded_on_first_read(d4):
-    # the walks keep their preorder; the words and the elements are folded
-    # from it once, when read, and `len` (which the benchmark's tracer reads
-    # for the group order) folds nothing
-    made = []
-    calls = _call_counts(
-        lambda: made.extend((generate_group(d4), subgroup_generated(d4, d4.simple_roots())))
-    )
-    assert calls(fold_preorder) == 0
-    assert calls(elements_of) == 0
-    for group in made:
-        assert _call_counts(len, group)(fold_preorder) == 0
-        assert _call_counts(lambda: group.elements)(fold_preorder) > 0
-        assert _call_counts(lambda: (group.words, group.elements))(fold_preorder) == 0
 
 
 def test_character_norm_builds_no_element(d4):

@@ -500,7 +500,7 @@ def test_closed_stdout_exits_1_without_traceback():
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
 
-# what `from weylspecht import *` bound before the names resolved lazily
+# what `from weylspecht import *` binds
 EXPORTED = [
     "GeneratedGroup", "GoodSubsystemResult", "GroupElement", "GroupLimitError",
     "PrimeField", "ProbeReport", "QQ", "Root", "RootSystem", "SpechtModuleData",
@@ -511,11 +511,11 @@ EXPORTED = [
     "distinguished_reps", "enumerate_tabloids", "exactlin", "field_by_name",
     "format_module_vector", "format_root", "format_tabloid", "generate_group",
     "group_order", "identity", "inner_product", "inverse", "is_good_subsystem",
-    "is_useful_subsystem", "is_useful_system", "length", "matrix_of",
-    "normalizer", "orthogonal_complement", "parse_root", "polytabloid",
-    "quotient_dimension", "reflect_root", "rootsys", "sign", "simple_reflection",
-    "simple_system_of", "specht", "subgroup_generated", "submodule_theorem_probe",
-    "subsystem", "vanishing_obstruction", "verify", "weyl", "word_to_element",
+    "is_useful_subsystem", "length", "matrix_of", "orthogonal_complement",
+    "parse_root", "polytabloid", "quotient_dimension", "reflect_root", "rootsys",
+    "sign", "simple_reflection", "specht", "subgroup_generated",
+    "submodule_theorem_probe", "subsystem", "vanishing_obstruction", "verify",
+    "weyl", "word_to_element",
 ]
 
 # run in a fresh interpreter: the modules that `code` adds to sys.modules

@@ -9,16 +9,23 @@ from oracles import (
     candidate_subsystems,
     closure_by_search,
     disjoint_pairs,
+    distinct_part_partitions,
     distinguished_reps_by_scan,
     eps_dot,
     eps_embed,
     index_action_by_keys,
+    listed,
     load_workloads,
+    normalizer,
     normalizer_by_definition,
     normalizer_reps_by_products,
     orthogonal_complement_by_search,
+    restricted_reflections,
     restricted_reflections_by_fixed_space,
+    row_reading_pair,
     semidirect_violations,
+    simple_system_of,
+    weyl_group,
     words_by_perm,
 )
 from weylspecht.rootsys import build_root_system, parse_root
@@ -26,17 +33,14 @@ from weylspecht.subsystem import (
     cartan_matrix,
     closure_from_simples,
     distinguished_reps,
-    normalizer,
     orthogonal_complement,
-    restricted_reflections,
-    simple_system_of,
 )
 from weylspecht.specht import enumerate_tabloids
 from weylspecht.weyl import (
     GroupLimitError,
     apply_to_root,
     compose,
-    generate_group,
+    group_order,
     length,
     subgroup_generated,
     word_to_element,
@@ -285,7 +289,7 @@ def test_normalizer_d4_chain(d4, w_d4):
 @pytest.mark.parametrize("label", ["A3", "B3", "G2", "D4"])
 def test_restricted_reflections_match_fixed_space(label):
     system = build_root_system(label)
-    group = generate_group(system)
+    group = weyl_group(system)
     for psi in candidate_subsystems(system):
         expected = restricted_reflections_by_fixed_space(system, psi, group)
         assert restricted_reflections(system, psi, group) == expected, psi.simples
@@ -308,6 +312,39 @@ def _closure_order(elements):
 def test_normalizer_of_whole_system(a3, w_a3):
     full = closure_from_simples(a3, a3.simple_roots())
     assert normalizer(a3, full, w_a3) == tuple(w_a3)
+
+
+def _pairs_in(system):
+    # every disjoint pair of a small ambient, the benchmark corpus's pairs and
+    # the row-reading pairs of the distinct-part shapes of n <= 6
+    label = system.label
+    if label in ("A3", "G2", "B3", "D4"):
+        yield from disjoint_pairs(system, max_size=2)
+    for ambient, *texts in BENCHMARK_PAIRS.values():
+        if ambient == label:
+            yield tuple(closure_from_simples(system, roots_of(system, *t.split(","))) for t in texts)
+    for shape in distinct_part_partitions(system.rank + 1) if label[0] == "A" else ():
+        if len(shape) > 1 and sum(shape) <= 6:
+            yield tuple(closure_from_simples(system, j) for j in row_reading_pair(shape))
+
+
+@pytest.mark.parametrize(
+    "label",
+    ["A2", "A3", "A4", "A5", "A6", "G2", "B3", "D4", "F4"]
+    + [pytest.param(label, marks=pytest.mark.slow) for label in ("A7", "D6", "B6")],
+)
+def test_normalizer_order_is_the_order_over_the_tabloid_count(label):
+    # the CLI reports |N(psi)| as |W| // |W : N(psi)|, read without W; the
+    # sweep of W is its twin
+    system = build_root_system(label)
+    group, order, sizes = weyl_group(system), group_order(system), {}
+    pairs = list(_pairs_in(system))
+    assert pairs
+    for psi, pp in pairs:
+        if psi.roots not in sizes:
+            sizes[psi.roots] = len(normalizer(system, psi, group))
+        index = len(enumerate_tabloids(system, psi, psi_prime=pp))
+        assert sizes[psi.roots] == order // index, (psi.simples, pp.simples)
 
 
 def test_semidirect_decomposition(a3, w_a3, g2, w_g2, d4, w_d4):
@@ -333,7 +370,7 @@ def _dist_words(system, psi):
 def test_distinguished_reps_a3(a3, w_a3):
     psi = closure_from_simples(a3, roots_of(a3, "100", "001"))
     reps = [word_to_element(a3, w) for w in _dist_words(a3, psi)]
-    w_psi = subgroup_generated(a3, psi.simples)
+    w_psi = listed(subgroup_generated(a3, psi.simples))
     assert len(reps) == len(w_a3) // len(w_psi) == 6
     # exactly one representative per coset, of minimal length
     cosets = {}
@@ -353,7 +390,7 @@ def test_distinguished_reps_trivial_cases(a3, w_a3):
     assert next(distinguished_reps(a3, psi))[1:] == ((), None)
     # rank 1: each point of the walk is one simple root, and J is empty
     a1 = build_root_system("A1")
-    w_a1 = generate_group(a1)
+    w_a1 = weyl_group(a1)
     empty = closure_from_simples(a1, [])
     assert _dist_words(a1, empty) == w_a1.words
 
@@ -376,7 +413,7 @@ def _assert_walk_matches_scan(system, group, psi):
 def test_distinguished_walk_matches_scan_on_every_pair(label):
     # D_psi' of every disjoint pair, walked without W, against the W scan
     system = build_root_system(label)
-    group = generate_group(system)
+    group = weyl_group(system)
     columns = {pp.roots: pp for _, pp in disjoint_pairs(system, max_size=2)}
     for pp in columns.values():
         _assert_walk_matches_scan(system, group, pp)
@@ -396,7 +433,7 @@ def test_distinguished_walk_matches_scan_on_benchmark_pairs(name):
     ambient, _, jp_text = BENCHMARK_PAIRS[name]
     system = build_root_system(ambient)
     pp = closure_from_simples(system, roots_of(system, *jp_text.split(",")))
-    _assert_walk_matches_scan(system, generate_group(system), pp)
+    _assert_walk_matches_scan(system, weyl_group(system), pp)
 
 
 def _assert_reps_words(system, group, psi, expected):
@@ -444,7 +481,7 @@ def _assert_orbit_matches_oracle(system, group, psi):
     assert [t.key for t in space] == [
         frozenset(apply_to_root(system, d, r) for r in psi.roots) for d in reps
     ]
-    assert space.n_psi == n_psi
+    assert normalizer(system, psi, group) == n_psi
     for i, table in enumerate(space._tables):
         assert table == index_action_by_keys(space, group[i + 1])
     return space
@@ -453,7 +490,7 @@ def _assert_orbit_matches_oracle(system, group, psi):
 @pytest.mark.parametrize("label", ["A3", "B3", "C3", "G2", "D4"])
 def test_sweep_matches_oracle_on_candidates(label):
     system = build_root_system(label)
-    group = generate_group(system)
+    group = weyl_group(system)
     for psi in candidate_subsystems(system, max_size=2):
         _assert_orbit_matches_oracle(system, group, psi)
 
@@ -476,20 +513,20 @@ def test_sweep_matches_oracle_on_candidates(label):
 def test_sweep_matches_oracle_on_benchmark_pairs(label, j_texts):
     system = build_root_system(label)
     psi = closure_from_simples(system, roots_of(system, *j_texts))
-    _assert_orbit_matches_oracle(system, generate_group(system), psi)
+    _assert_orbit_matches_oracle(system, weyl_group(system), psi)
 
 
 def test_sweep_of_empty_psi(a3, w_a3):
     empty = closure_from_simples(a3, [])
     space = _assert_orbit_matches_oracle(a3, w_a3, empty)
-    assert space.n_psi == tuple(w_a3)
+    assert normalizer(a3, empty, w_a3) == tuple(w_a3)
     assert [t.rep for t in space] == [w_a3.identity]
 
 
 def test_sweep_of_whole_system(d4, w_d4):
     full = closure_from_simples(d4, d4.simple_roots())
     space = _assert_orbit_matches_oracle(d4, w_d4, full)
-    assert space.n_psi == tuple(w_d4)
+    assert normalizer(d4, full, w_d4) == tuple(w_d4)
     assert [t.rep for t in space] == [w_d4.identity]
     # W acts simply transitively on simple systems
     assert normalizer_by_definition(d4, full, w_d4)[1] == (w_d4.identity,)

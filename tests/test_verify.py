@@ -10,6 +10,8 @@ from oracles import (
     disjoint_pairs,
     form_complement,
     intersect,
+    is_useful_system,
+    listed,
     load_workloads,
     normalizer_by_definition,
     obstruction_by_scan,
@@ -17,6 +19,7 @@ from oracles import (
     sparse_probe_vector,
     useful_subsystem_by_closures,
     useful_system_by_closures,
+    weyl_group,
 )
 from weylspecht import (
     build_root_system,
@@ -24,10 +27,8 @@ from weylspecht import (
     character_norm,
     closure_from_simples,
     enumerate_tabloids,
-    generate_group,
     is_good_subsystem,
     is_useful_subsystem,
-    is_useful_system,
     polytabloid,
     submodule_theorem_probe,
     vanishing_obstruction,
@@ -74,7 +75,7 @@ def _b3_rows_with_c3_columns():
     psi = closure_from_simples(b3, roots_of(b3, "100"))
     foreign = closure_from_simples(c3, roots_of(c3, "010", "001"))
     assert (0, 2, 1) in foreign.roots and (0, 2, 1) not in b3.index
-    return b3, generate_group(b3), psi, foreign
+    return b3, weyl_group(b3), psi, foreign
 
 
 def test_entry_points_reject_a_foreign_column_system():
@@ -107,10 +108,10 @@ def test_useful_subsystem_cases(case_a3, case_g2, case_d4_rank3):
 
 def test_g2_intersections(case_g2):
     system, group = case_g2.system, case_g2.group
-    w_psi = {w.perm for w in subgroup_generated(system, case_g2.psi.simples)}
-    w_pp = {w.perm for w in subgroup_generated(system, case_g2.psi_prime.simples)}
+    w_psi = {w.perm for w in listed(subgroup_generated(system, case_g2.psi.simples))}
+    w_pp = {w.perm for w in listed(subgroup_generated(system, case_g2.psi_prime.simples))}
     assert w_psi & w_pp == {identity(system).perm}
-    n_psi = {w.perm for w in case_g2.space.n_psi}
+    n_psi = {w.perm for w in normalizer_by_definition(system, case_g2.psi, group)[0]}
     assert len(n_psi & w_pp) > 1
 
 
@@ -140,7 +141,7 @@ def _closure_verdicts(system, group, psi, pp, n_psi):
 @pytest.mark.parametrize("label", ["A3", "G2", "B3", "C3", "D4"])
 def test_usefulness_matches_closures_on_every_pair(label):
     system = build_root_system(label)
-    group = generate_group(system)
+    group = weyl_group(system)
     n_psi = {}
     complement_only = 0
     for psi, pp in disjoint_pairs(system, max_size=2):
@@ -164,7 +165,7 @@ PAIRS = load_workloads().PAIRS  # name: (ambient, J, J')
 def test_usefulness_matches_closures_on_benchmark_pairs(name):
     ambient, j_text, jp_text = PAIRS[name]
     system = build_root_system(ambient)
-    group = generate_group(system)
+    group = weyl_group(system)
     psi = closure_from_simples(system, roots_of(system, *j_text.split(",")))
     pp = closure_from_simples(system, roots_of(system, *jp_text.split(",")))
     n_psi = normalizer_by_definition(system, psi, group)[0]
@@ -266,7 +267,7 @@ def test_self_generated_submodule_contains_module(case_d4_rank3):
     module = case_d4_rank3.module
     space = module.space
     e_vec = polytabloid(space, QQ, identity(case_d4_rank3.system))
-    orbit = [act_vector(space, QQ, w, e_vec) for w in space.group]
+    orbit = [act_vector(space, QQ, w, e_vec) for w in weyl_group(space.system)]
     cyclic = row_reduce(QQ, orbit, dim=len(space))
     assert cyclic == module.basis
 
@@ -363,7 +364,7 @@ def test_quotient_is_irreducible_or_zero(case_d4_rank3, d4, w_d4):
         for row in module.basis.rows:
             if contains(radical, row):
                 continue
-            orbit = [act_vector(space, field, w, row) for w in space.group]
+            orbit = [act_vector(space, field, w, row) for w in weyl_group(space.system)]
             closed = row_reduce(field, orbit + list(radical.rows), dim=len(space))
             for check in module.basis.rows:
                 assert contains(closed, check)
