@@ -149,6 +149,14 @@ def stabilizer(
     return tuple(GroupElement(p, system.label) for _, p in folded if frozenset(image(p)) == own)
 
 
+def normalizer(system: RootSystem, psi: Subsystem, group: GeneratedGroup) -> tuple:
+    """N(psi), the stabilizer of psi's root set in a generation of W. No
+    stage calls it; it is kept, unexported, for the benchmark's tracer."""
+    if group.system_label != system.label:
+        raise ValueError("group belongs to a different root system")
+    return stabilizer(system, psi, group)
+
+
 def complements_meet_trivially(
     system: RootSystem, psi: Subsystem, psi_prime: Subsystem
 ) -> bool:

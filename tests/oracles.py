@@ -3,10 +3,8 @@
 Everything here deliberately avoids the library's internal representations:
 root systems are rebuilt in epsilon coordinates with Fractions, ranks are
 recomputed with dense fraction-free elimination, and the coefficient laws
-are checked by direct enumeration. It also keeps the W-reading names that
-the library no longer needs, as references: a generated group read as its
-elements (`ListedGroup`), N(psi) swept from W, the restricted reflections,
-simple systems of closed root sets and the usefulness of a system.
+are checked by direct enumeration. A generated group, which the library
+keeps only as its preorder, is read here as its elements (`ListedGroup`).
 """
 
 from __future__ import annotations
@@ -55,16 +53,13 @@ from weylspecht.exactlin import (
     vscale,
     vsub,
 )
-from weylspecht.rootsys import inner_product, negate, reflect_root, reflection
+from weylspecht.rootsys import inner_product, negate, reflect_root
 from weylspecht.weyl import GeneratedGroup, GroupElement, coset_walk, fold_preorder, gather
 from weylspecht.subsystem import (
     Subsystem,
     _connected_components,
-    _indecomposables,
     cartan_matrix,
-    complements_meet_trivially,
 )
-from weylspecht.verify import _require_pair
 
 # --------------------------------------------------------------------------
 # epsilon-coordinate models
@@ -202,71 +197,9 @@ def weyl_group(system):
     return listed(generate_group(system))
 
 
-def normalizer(system, psi, group):
-    """N(psi), the stabilizer of psi's root set, swept from W in group order."""
-    if group.system_label != system.label:
-        raise ValueError("group belongs to a different root system")
-    r_idx = [system.root_index(r) for r in psi.roots]
-    own = frozenset(r_idx)
-    image = gather(r_idx) if r_idx else lambda p: ()
-    return tuple(w for w in listed(group) if frozenset(image(w.perm)) == own)
-
-
 def normalizer_of(space):
     """N(psi) of a tabloid space's pair, swept from W in group order."""
-    return normalizer(space.system, space.psi, weyl_group(space.system))
-
-
-def restricted_reflections(system, psi, elements):
-    """Elements acting as reflections on the span of psi.
-
-    Qualifies when the square fixes J and the fixed space meets the span in
-    codimension one. That meet is the kernel of w - 1 on the span, so the
-    second condition says the vectors w(a) - a, a in J, span a line. Ambient
-    root reflections inside psi always qualify; elements rotating the full
-    space may still restrict to reflections of the span, which is how extra
-    stabilizer structure beyond the reflection subgroup of psi shows up.
-    """
-    out = []
-    for w in elements:
-        images = [apply_to_root(system, w, j) for j in psi.simples]
-        if any(apply_to_root(system, w, i) != j for i, j in zip(images, psi.simples)):
-            continue
-        moved = [
-            from_dense(QQ, [x - y for x, y in zip(i, j)])
-            for i, j in zip(images, psi.simples)
-        ]
-        if row_reduce(QQ, moved, dim=system.rank).rank == 1:
-            out.append(w)
-    return tuple(out)
-
-
-def simple_system_of(system, roots):
-    """Positive members not expressible as a sum of two positive members.
-
-    The input must be reflection-closed and stable under negation; rebuilding
-    the closure of the result reproduces the input set.
-    """
-    rset = frozenset(tuple(r) for r in roots)
-    for r in rset:
-        if r not in system.index:
-            raise ValueError(f"{r} is not a root of {system.label}")
-        if negate(r) not in rset:
-            raise ValueError("set is not stable under negation")
-    for a in rset:
-        reflect = reflection(system.doubled_gram, a)
-        if any(reflect(b) not in rset for b in rset):
-            raise ValueError("set is not reflection-closed")
-    return _indecomposables(system, rset)
-
-
-def is_useful_system(system, psi, psi_prime):
-    """W(J) meets W(J') trivially, and likewise for the two complements."""
-    _require_pair(system, psi, psi_prime)
-    w_j = {w.perm for w in listed(subgroup_generated(system, psi.simples))}
-    w_jp = listed(subgroup_generated(system, psi_prime.simples))
-    meet = w_j.intersection(w.perm for w in w_jp)
-    return len(meet) == 1 and complements_meet_trivially(system, psi, psi_prime)
+    return normalizer_by_definition(space.system, space.psi, weyl_group(space.system))[0]
 
 
 # --------------------------------------------------------------------------
@@ -931,9 +864,9 @@ def coefficient_law_violations(system, group, psi, psi_prime, check_norm=False):
     """
     bad = []
     tag = f"{system.label} J={psi.simples} J'={psi_prime.simples}"
-    useful_sys = is_useful_system(system, psi, psi_prime)
+    useful_sys = useful_system_by_closures(system, psi, psi_prime)
     useful = is_useful_subsystem(system, psi, psi_prime)
-    n_j = normalizer_by_definition(system, psi, group)[1]
+    n_psi, n_j = normalizer_by_definition(system, psi, group)
     if useful and not useful_sys:
         bad.append(f"{tag}: useful sub-system but not a useful system")
     if len(n_j) == 1 and useful_sys != useful:
@@ -950,7 +883,6 @@ def coefficient_law_violations(system, group, psi, psi_prime, check_norm=False):
     if e_vec.is_zero():
         bad.append(f"{tag}: polytabloid vanished for a useful pair")
 
-    n_psi = normalizer(system, psi, group)
     products = {compose(sigma, rho).perm for sigma in listed(space.col_group) for rho in n_psi}
     for i, t in enumerate(space.tabloids):
         appears = i in e_vec.entries

@@ -14,7 +14,7 @@ from oracles import (
     disjoint_pairs,
     listed,
     normalizer_of,
-    restricted_reflections,
+    restricted_reflections_by_fixed_space,
     semidirect_violations,
     weyl_group,
 )
@@ -81,7 +81,7 @@ def test_03_d4_three_dimensional_module(case_d4_rank3):
     # the span of psi (the ambient root reflections alone only give W(psi))
     n_psi = normalizer_of(space)
     assert len(n_psi) == 48
-    refl = restricted_reflections(system, psi, n_psi)
+    refl = restricted_reflections_by_fixed_space(system, psi, n_psi)
     assert len(refl) == 9
     closure = {identity(system).perm}
     frontier = [identity(system)]

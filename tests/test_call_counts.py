@@ -50,7 +50,7 @@ from weylspecht.specht import (
     matrix_of,
     quotient_dimension,
 )
-from weylspecht.subsystem import distinguished_reps
+from weylspecht.subsystem import distinguished_reps, normalizer
 from weylspecht.weyl import (
     GroupElement,
     compose,
@@ -90,6 +90,7 @@ def test_specht_command_builds_the_pair_once():
     with contextlib.redirect_stdout(io.StringIO()):
         calls = _call_counts(cli.main, D4_SPECHT)
     assert calls(generate_group) == 0
+    assert calls(normalizer) == 0
     assert calls(enumerate_tabloids) == 1
     # W(psi') only: the complement half of usefulness closes no group
     assert calls(subgroup_generated) == 1
@@ -105,6 +106,7 @@ def test_tabloids_command_never_scans_the_group():
         with contextlib.redirect_stdout(io.StringIO()):
             calls = _call_counts(cli.main, argv)
         assert calls(generate_group) == 0
+        assert calls(normalizer) == 0
 
 
 @pytest.mark.parametrize(
@@ -192,6 +194,7 @@ def test_standalone_goodness_never_scans_the_group(case_d4_rank3):
     c = case_d4_rank3
     calls = _call_counts(is_good_subsystem, c.system, c.psi, c.psi_prime)
     assert calls(generate_group) == 0
+    assert calls(normalizer) == 0
 
 
 def _generators_of_build(c):
@@ -221,6 +224,7 @@ def test_standalone_usefulness_never_scans_the_group(case_d4_rank3):
     calls = _call_counts(is_useful_subsystem, c.system, c.psi, c.psi_prime)
     assert calls(generate_group) == 0
     assert calls(enumerate_tabloids) == 0
+    assert calls(normalizer) == 0
 
 
 def test_standalone_obstruction_never_scans_the_group(case_g2, case_d4_rank3):
@@ -228,6 +232,7 @@ def test_standalone_obstruction_never_scans_the_group(case_g2, case_d4_rank3):
     # by (length, word) without W, so no group is generated either
     for c in (case_g2, case_d4_rank3):
         calls = _call_counts(vanishing_obstruction, c.system, c.psi, c.psi_prime)
+        assert calls(normalizer) == 0
         assert calls(generate_group) == 0
 
 

@@ -7,9 +7,10 @@ from pathlib import Path
 
 import pytest
 
-from oracles import disjoint_pairs
+from oracles import disjoint_pairs, normalizer_by_definition, weyl_group
 from weylspecht.cli import main
-from weylspecht.rootsys import build_root_system, format_root
+from weylspecht.subsystem import closure_from_simples
+from weylspecht.rootsys import build_root_system, format_root, parse_root
 
 
 def run(capsys, *argv):
@@ -68,6 +69,20 @@ def test_tabloids_d4_json(capsys):
     assert doc["psi"]["normalizer_order"] == 48
     assert doc["psi"]["index"] == 4
     assert [t["word"] for t in doc["tabloids"]] == [[], [3], [2, 3], [1, 2, 3]]
+
+
+@pytest.mark.parametrize(
+    "label, j_text",
+    [("A3", "100,001"), ("G2", "10"), ("B3", "100"), ("D4", "1000,0100"), ("F4", "1000,0100,0010")],
+)
+def test_tabloids_normalizer_order_is_the_swept_normalizer(capsys, label, j_text):
+    # the CLI reads |N(psi)| as |W| // index without generating W
+    code, out, _ = run(capsys, "tabloids", "--type", label, "--J", j_text, "--json")
+    assert code == 0
+    system = build_root_system(label)
+    psi = closure_from_simples(system, [parse_root(system, t) for t in j_text.split(",")])
+    n_psi = normalizer_by_definition(system, psi, weyl_group(system))[0]
+    assert json.loads(out)["psi"]["normalizer_order"] == len(n_psi)
 
 
 def test_tabloids_whole_system(capsys):

@@ -10,22 +10,24 @@ from hypothesis import strategies as st
 
 from oracles import (
     bareiss_rank,
-    listed,
-    normalizer_of,
-    weyl_group,
     benchmark_pair_module,
     character_norm_by_fold,
     character_norm_by_words,
     cyclic_span_by_field_ops,
     cyclic_span_by_orbit,
     disjoint_pairs,
+    distinct_part_partitions,
     distinguished_reps_by_scan,
     index_action_by_keys,
+    listed,
     load_workloads,
     matrix_in_basis_by_solving,
+    normalizer_by_definition,
+    normalizer_of,
     quotient_dimension_by_complements,
     quotient_dimension_by_sum,
     row_reading_pair,
+    weyl_group,
 )
 from weylspecht import (
     SpechtModuleData,
@@ -112,9 +114,41 @@ def test_whole_system_has_one_tabloid(a3, w_a3):
     assert space[0].rep_word == ()
 
 
-def test_tabloid_count_is_group_index(case_d4_rank3):
-    space = case_d4_rank3.space
-    assert len(space) * len(normalizer_of(space)) == len(weyl_group(space.system))
+def _row_systems(system):
+    # psi of every disjoint pair of a small ambient, of the benchmark corpus
+    # and of the row-reading pairs of distinct-part shapes of n <= 6; the
+    # tabloids of a pair are those of its psi
+    label = system.label
+    rows = []
+    if label in ("A3", "G2", "B3", "D4"):
+        rows += [psi for psi, _ in disjoint_pairs(system, max_size=2)]
+    rows += [
+        closure_from_simples(system, [parse_root(system, t) for t in j_text.split(",")])
+        for ambient, j_text, _ in CORPUS.values()
+        if ambient == label
+    ]
+    if label[0] == "A" and system.rank < 6:
+        for shape in distinct_part_partitions(system.rank + 1):
+            if len(shape) > 1:
+                rows.append(closure_from_simples(system, row_reading_pair(shape)[0]))
+    return {psi.roots: psi for psi in rows}.values()
+
+
+@pytest.mark.parametrize(
+    "label",
+    ["A2", "A3", "A4", "A5", "A6", "G2", "B3", "D4", "F4"]
+    + [pytest.param(label, marks=pytest.mark.slow) for label in ("A7", "D6", "B6")],
+)
+def test_tabloid_count_is_group_index(label):
+    # |N(psi)| = |W| // |W : N(psi)|, which the CLI reports without W, against
+    # N(psi) swept from W
+    system = build_root_system(label)
+    group = weyl_group(system)
+    psis = _row_systems(system)
+    assert psis
+    for psi in psis:
+        n_psi = normalizer_by_definition(system, psi, group)[0]
+        assert len(enumerate_tabloids(system, psi)) * len(n_psi) == len(group), psi.simples
 
 
 def test_tabloid_keys_are_distinct(case_d4_deg6):

@@ -10,7 +10,6 @@ from oracles import (
     disjoint_pairs,
     form_complement,
     intersect,
-    is_useful_system,
     listed,
     load_workloads,
     normalizer_by_definition,
@@ -18,7 +17,6 @@ from oracles import (
     probe_violation_by_complement,
     sparse_probe_vector,
     useful_subsystem_by_closures,
-    useful_system_by_closures,
     weyl_group,
 )
 from weylspecht import (
@@ -56,15 +54,7 @@ def roots_of(system, *texts):
 # usefulness predicates
 
 
-def test_useful_system_cases(case_a3, case_g2):
-    assert is_useful_system(case_a3.system, case_a3.psi, case_a3.psi_prime)
-    # the G2 pair is a useful system even though it fails the stronger predicate
-    assert is_useful_system(case_g2.system, case_g2.psi, case_g2.psi_prime)
-
-
-def test_useful_system_rejects_overlap(case_a3):
-    with pytest.raises(ValueError):
-        is_useful_system(case_a3.system, case_a3.psi, case_a3.psi)
+def test_useful_subsystem_rejects_overlap(case_a3):
     with pytest.raises(ValueError):
         is_useful_subsystem(case_a3.system, case_a3.psi, case_a3.psi)
 
@@ -82,7 +72,6 @@ def test_entry_points_reject_a_foreign_column_system():
     b3, group, psi, foreign = _b3_rows_with_c3_columns()
     calls = [
         lambda: enumerate_tabloids(b3, psi, group, foreign),
-        lambda: is_useful_system(b3, psi, foreign),
         lambda: is_useful_subsystem(b3, psi, foreign),
         lambda: is_good_subsystem(b3, psi, foreign),
         lambda: vanishing_obstruction(b3, psi, foreign),
@@ -93,10 +82,10 @@ def test_entry_points_reject_a_foreign_column_system():
             call()
 
 
-def test_useful_system_rejects_foreign_rows():
+def test_useful_subsystem_rejects_foreign_rows():
     b3, _, psi, foreign = _b3_rows_with_c3_columns()
     with pytest.raises(ValueError):
-        is_useful_system(b3, foreign, psi)
+        is_useful_subsystem(b3, foreign, psi)
 
 
 def test_useful_subsystem_cases(case_a3, case_g2, case_d4_rank3):
@@ -127,7 +116,6 @@ def _closure_verdicts(system, group, psi, pp, n_psi):
     space = enumerate_tabloids(system, psi, group, pp)
     assert is_useful_subsystem(system, psi, pp) == useful, tag
     assert space.useful == useful, tag
-    assert is_useful_system(system, psi, pp) == useful_system_by_closures(system, psi, pp), tag
     meet = col_stabilizer_by_filter(system, n_psi, pp)
     # the space keeps the meet in the walk order of W(psi'), the oracle in W's
     assert tuple(sorted(space.col_stabilizer, key=word_order(system))) == meet, tag
