@@ -13,8 +13,8 @@ generator listing, D_psi' in W's order. W itself is generated only by
 `generate_group`, which no stage calls: the norm is dim End_W(S), a rank
 summed over D_psi', and |N(psi)| is |W| over the tabloid count. Whatever
 is valued per element is one step from its parent's value: over a
-preorder (`weyl.fold_preorder`), for kappa and the norm, or in a walk's
-order (`weyl.fold_walk`).
+preorder (`weyl.fold_preorder`), for the norm, or in a walk's order
+(`weyl.fold_walk`). Kappa is read off the signed W(psi')-orbits.
 
 The names below resolve on first use (PEP 562): `import weylspecht` loads
 no submodule, and `weylspecht.build_root_system` loads only `rootsys`.

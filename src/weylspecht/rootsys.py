@@ -1,11 +1,15 @@
 """Root systems of types A-D (rank <= 8), G2 and F4 in the simple-root basis.
 
 A root is an integer coordinate tuple over the simple roots, so the digit
-string a1a2...an is the native format. The inner product is carried by a
-per-type Gram matrix of exact rationals fixed by the usual coordinate
-models; G2 is normalized so the short simple root has squared length 2 and
-the long one 6, with (a1, a2) = -3. Twice the Gram matrix is integral for
-every type, so inner products and reflections are computed in integers.
+string a1a2...an is the native format. Twice the Gram matrix, in integers,
+is read off the Bourbaki diagram (Bourbaki 1968, ch. VI, plates I-IX): the
+simple roots have squared length 2, save the last, 1 in B and 4 in C, and
+(2, 6) in G2, (2, 2, 1, 1) in F4; the diagram is the chain a1 - ... - an,
+with a_n on a_{n-2} in D_n, and an edge holds minus the longer squared
+length of its two ends. That is the usual coordinate model: a_i = e_i -
+e_{i+1}, ending in e_n, 2 e_n or e_{n-1} + e_n in B, C and D; G2 in the
+plane x + y + z = 0; F4 with a1 = e2 - e3, a2 = e3 - e4, a3 = e4 and
+a4 = (e1 - e2 - e3 - e4)/2. `gram` halves it into exact rationals.
 """
 
 from __future__ import annotations
@@ -100,48 +104,17 @@ def negate(v: Root) -> Root:
     return tuple(-a for a in v)
 
 
-def _gram(series: str, rank: int) -> list[list[Fraction]]:
-    n = rank
-    g = [[Fraction(0)] * n for _ in range(n)]
-    if series == "A":
-        for i in range(n):
-            g[i][i] = Fraction(2)
-        for i in range(n - 1):
-            g[i][i + 1] = g[i + 1][i] = Fraction(-1)
-    elif series == "B":
-        # a_i = e_i - e_{i+1} for i < n, a_n = e_n
-        for i in range(n):
-            g[i][i] = Fraction(2)
-        g[n - 1][n - 1] = Fraction(1)
-        for i in range(n - 1):
-            g[i][i + 1] = g[i + 1][i] = Fraction(-1)
-    elif series == "C":
-        # a_i = e_i - e_{i+1} for i < n, a_n = 2 e_n
-        for i in range(n):
-            g[i][i] = Fraction(2)
-        g[n - 1][n - 1] = Fraction(4)
-        for i in range(n - 1):
-            g[i][i + 1] = g[i + 1][i] = Fraction(-1)
-        if n >= 2:
-            g[n - 2][n - 1] = g[n - 1][n - 2] = Fraction(-2)
-    elif series == "D":
-        # a_i = e_i - e_{i+1} for i < n, a_n = e_{n-1} + e_n
-        for i in range(n):
-            g[i][i] = Fraction(2)
-        for i in range(n - 2):
-            g[i][i + 1] = g[i + 1][i] = Fraction(-1)
-        if n >= 3:
-            g[n - 3][n - 1] = g[n - 1][n - 3] = Fraction(-1)
-    elif series == "G":
-        g = [[Fraction(2), Fraction(-3)], [Fraction(-3), Fraction(6)]]
-    elif series == "F":
-        # a1 = e2-e3, a2 = e3-e4, a3 = e4, a4 = (e1-e2-e3-e4)/2
-        g = [
-            [Fraction(2), Fraction(-1), Fraction(0), Fraction(0)],
-            [Fraction(-1), Fraction(2), Fraction(-1), Fraction(0)],
-            [Fraction(0), Fraction(-1), Fraction(1), Fraction(-1, 2)],
-            [Fraction(0), Fraction(0), Fraction(-1, 2), Fraction(1)],
-        ]
+def _doubled_gram(series: str, rank: int) -> list[list[int]]:
+    # twice the Gram matrix, from the diagram as the module docstring reads it
+    lengths = {"G": [2, 6], "F": [2, 2, 1, 1]}.get(series, [2] * rank)
+    if series in "BC":
+        lengths[-1] = 1 if series == "B" else 4
+    edges = [(i, i + 1) for i in range(rank - 1)]
+    if series == "D":  # a_n hangs on a_{n-2}
+        edges[-1:] = [(rank - 3, rank - 1)] if rank > 2 else []
+    g = [[2 * a if i == j else 0 for j in range(rank)] for i, a in enumerate(lengths)]
+    for i, j in edges:
+        g[i][j] = g[j][i] = -max(lengths[i], lengths[j])
     return g
 
 
@@ -192,9 +165,9 @@ def build_root_system(label: str) -> RootSystem:
     if series == "F" and rank != 4:
         raise ValueError("series F exists only in rank 4")
 
-    gram = _gram(series, rank)
+    doubled = tuple(map(tuple, _doubled_gram(series, rank)))
+    gram = tuple(tuple(Fraction(x, 2) for x in row) for row in doubled)
     _cartan_rows(gram)  # raises unless the Gram data is crystallographic
-    doubled = tuple(tuple(int(2 * x) for x in row) for row in gram)
     simples = [tuple(1 if j == i else 0 for j in range(rank)) for i in range(rank)]
     seen = _orbit(simples, [reflection(doubled, a) for a in simples])
 
@@ -210,7 +183,7 @@ def build_root_system(label: str) -> RootSystem:
         label=label,
         rank=rank,
         roots=roots,
-        gram=tuple(tuple(row) for row in gram),
+        gram=gram,
         positive_count=len(positives),
         index=index,
         doubled_gram=doubled,

@@ -9,14 +9,14 @@ lists in W's order of their shortest representatives. The module M^psi is
 the free module on the tabloids; a simple reflection permutes them by
 sending each key through its root permutation, a word folds these tables,
 an element folds its descent word, and a cyclic submodule is spun by
-applying the tables one at a time (`spin`). The kappa operator is the
-signed sum over the reflection group of the column system, and the
-polytabloid e_{wJ,wJ'} is the translate w e_{J,J'} of kappa applied to the
-base tabloid. The module S is the submodule spun from e_{J,J'}; it is
-spanned by the translates d e_{J,J'} for d in D_psi'. The sums over many
-elements, kappa over W(psi') and the character norm over D_psi', fold
-each element's tabloid permutation from its parent's in a depth-first
-walk (`weyl.fold_preorder`). None of this generates W.
+applying the tables one at a time (`spin`). The kappa operator, the
+signed sum over the reflection group of the column system, is read off its
+signed orbits of tabloids, and the polytabloid e_{wJ,wJ'} is the translate
+w e_{J,J'} of kappa applied to the base tabloid. The module S is the
+submodule spun from e_{J,J'}; it is spanned by the translates d e_{J,J'}
+for d in D_psi'. The character norm over D_psi' folds each element's
+tabloid permutation from its parent's in a depth-first walk
+(`weyl.fold_preorder`). None of this generates W.
 """
 
 from __future__ import annotations
@@ -82,7 +82,7 @@ class Tabloid:
 class TabloidSpace:
     """Indexed tabloid family for (system, psi) with optional column system.
 
-    The record of the pair: W(psi') with its words and signs and the
+    The record of the pair: W(psi'), its orbits on the tabloids and the
     usefulness of the pair are computed here once and read by every later
     stage; W itself is not. Tabloids come in the (length, word) order of
     their representatives, which is the BFS order of the group, so the
@@ -129,6 +129,34 @@ class TabloidSpace:
         return apply_kappa(self, QQ, SparseVector(len(self), {0: 1}))
 
     @cached_property
+    def col_orbits(self) -> tuple[list, list, list]:
+        """W(psi')'s action on the tabloids, read by kappa, usefulness and
+        the norm: each tabloid's orbit number and sign, and each surviving
+        orbit's stabilizer order |W(psi')|/|O| and points. An orbit is
+        walked along the J' reflections' tables, a point's sign the parity
+        of its path from the first; when the walk joins two points of one
+        sign, an odd element fixes a point, kappa kills the orbit, and its
+        points get sign 0 (and the next orbit's number)."""
+        n, order = len(self), len(self.col_group)
+        orbit, sign, orbits = [None] * n, [0] * n, []
+        for t in range(n):
+            if orbit[t] is not None:
+                continue
+            orbit[t], sign[t], points, odd = len(orbits), 1, [t], False
+            for i in points:
+                for j in (table[i] for table in self._col_tables):
+                    if orbit[j] is None:
+                        orbit[j], sign[j] = len(orbits), -sign[i]
+                        points.append(j)
+                    odd = odd or sign[j] == sign[i]
+            if odd:
+                for i in points:
+                    sign[i] = 0
+            else:
+                orbits.append((order // len(points), points))
+        return orbit, sign, orbits
+
+    @cached_property
     def col_stabilizer(self) -> tuple[GroupElement, ...]:
         """N(psi) meet W(psi'), in the preorder of W(psi'): the stabilizer
         of psi's root set inside the column group, so neither N(psi) nor
@@ -137,11 +165,13 @@ class TabloidSpace:
 
     @cached_property
     def useful(self) -> bool:
-        """Whether (psi, psi') is a useful sub-system. False when they meet,
-        since the reflection in a shared root stabilizes psi."""
+        """Whether (psi, psi') is a useful sub-system: N(psi) meet W(psi'),
+        the base tabloid's stabilizer in W(psi'), is trivial (its orbit
+        survives with stabilizer order 1), and so is the complements' meet."""
         if self.psi_prime is None:
             raise ValueError("tabloid space was built without a column system")
-        return len(self.col_stabilizer) == 1 and complements_meet_trivially(
+        _, sign, orbits = self.col_orbits
+        return bool(sign[0]) and orbits[0][0] == 1 and complements_meet_trivially(
             self.system, self.psi, self.psi_prime
         )
 
@@ -282,23 +312,24 @@ def cyclic_submodule(space: TabloidSpace, field, v: SparseVector) -> SubspaceBas
 
 
 def apply_kappa(space: TabloidSpace, field, v: SparseVector) -> SparseVector:
-    """The signed sum over the column reflection group, applied to v.
+    """The signed sum over the column reflection group, applied to v: the
+    sum over the orbits O that v meets of |Stab_O| <s_O, v> s_O, for s_O
+    the signed sum of O's points (`TabloidSpace.col_orbits`).
 
-    The sum runs over the inverses, with the same signs: on W(psi')'s
-    preorder the node of a word a u gets m(u^-1) o t_a = m((a u)^-1) from
-    its parent's, and its sign is the parity of its depth."""
+    The elements of W(psi') taking a tabloid t to u form one coset of
+    Stab_t. If Stab_t holds an odd element, their signs cancel; else each
+    has the parity of any J'-path from t to u, the product of the two
+    points' signs. So kappa{t} is |Stab_t| s(t) s_O on a surviving orbit
+    and 0 on a killed one."""
     if v.dim != len(space):
         raise ValueError("vector does not belong to this tabloid space")
-    acc: dict = {}
-    get = acc.get
-    # v's entries for an even word, and negated for an odd one
-    signed = (tuple(v.entries.items()), tuple((i, -c) for i, c in v.entries.items()))
-    start = tuple(range(len(space)))
-    for depth, m in fold_preorder(space.col_group.preorder, map(gather, space._col_tables), start):
-        for i, c in signed[depth % 2]:
-            j = m[i]
-            acc[j] = get(j, 0) + c
-    return vector(field, v.dim, acc.items())
+    orbit, sign, orbits = space.col_orbits
+    pairings: dict = {}
+    for i, c in v.entries.items():
+        if sign[i]:
+            pairings[orbit[i]] = pairings.get(orbit[i], 0) + c * sign[i]
+    terms = ((j, orbits[a][0] * x * sign[j]) for a, x in pairings.items() for j in orbits[a][1])
+    return vector(field, v.dim, terms)
 
 
 def polytabloid(space: TabloidSpace, field, w: Element) -> SparseVector:
@@ -460,31 +491,6 @@ def character_value(module: SpechtModuleData, w: Element):
     return field.add(field.zero, sum(filter(None, map(dict.get, rows, gather(basis.pivots)(m)))))
 
 
-def _signed_orbits(space: TabloidSpace):
-    """Each tabloid's W(psi')-orbit number and sign, and the orbit count:
-    the signed orbit sums are a basis of kappa M. An orbit in which an odd
-    element fixes a point, seen as a J' reflection joining two points of
-    one sign, is killed by kappa: its points get sign 0."""
-    n = len(space)
-    orbit, sign, count = [None] * n, [0] * n, 0
-    for t in range(n):
-        if orbit[t] is not None:
-            continue
-        orbit[t], sign[t], members, odd = count, 1, [t], False
-        for i in members:
-            for j in (table[i] for table in space._col_tables):
-                if orbit[j] is None:
-                    orbit[j], sign[j] = count, -sign[i]
-                    members.append(j)
-                odd = odd or sign[j] == sign[i]
-        if odd:
-            for i in members:
-                sign[i] = 0
-        else:
-            count += 1
-    return orbit, sign, count
-
-
 def character_norm(module: SpechtModuleData) -> Fraction:
     """The norm of S's character over Q, dim End_W(S): 1 exactly when S is
     irreducible. Characteristic zero only.
@@ -496,8 +502,8 @@ def character_norm(module: SpechtModuleData) -> Fraction:
     beta(f_1), so psi runs over the adjoints beta_v*, v in kappa M, and phi
     beta_v* phi = beta_{L(v)} with L(v) = sum_d <d v, e> d e in kappa M.
     The form is positive definite on kappa M, so the norm is the rank of
-    H_ab = sum_d <d v_a, e> <d e, v_b> over the basis v_a of kappa M of
-    `_signed_orbits`.
+    H_ab = sum_d <d v_a, e> <d e, v_b> over the basis v_a of kappa M, the
+    signed sums of the surviving orbits of `TabloidSpace.col_orbits`.
 
     <d v_a, e> = <v_a, d^-1 e> and <d e, v_b> read m(d^-1) and m(d) at e's
     support. D_psi' is walked by `weyl.descent_walk`, and each node's pair
@@ -512,7 +518,8 @@ def character_norm(module: SpechtModuleData) -> Fraction:
         return Fraction(0)
     space = module.space
     system, tables = space.system, space._tables
-    orbit, sign, k = _signed_orbits(space)
+    orbit, sign, orbits = space.col_orbits
+    k = len(orbits)  # the dimension of kappa M
     support, coeffs = zip(*((i, int(c)) for i, c in space.base_polytabloid.entries.items()))
     gens = system.simple_reflection_perms
     walk = descent_walk(system, system.simple_roots(), gens, space.psi_prime.simples, space.limit)

@@ -1,15 +1,15 @@
 """Predicates on subsystem pairs and randomized structural checks.
 
-Usefulness is read from the small group W(psi') and from the roots (see
-`subsystem.stabilizer` and `subsystem.complements_meet_trivially`), goodness
-from the support of the base polytabloid. The submodule probe spins seeded
-random vectors under the simple reflections and decides the containment
-dichotomy from e_{J,J'} alone: e lies in U, or U is orthogonal to e. The
-column operator kappa lies in F[W], so kappa U lies in the W-stable U; the
-spin stops as soon as the kappa images of the vectors spanning U put e in
-U, which proves S inside U. A spin that ends without that exit decides the
-dichotomy from U's echelon rows: e in their span, or every row orthogonal
-to e.
+Usefulness is read from the base tabloid's W(psi')-orbit, or without
+tabloids from `subsystem.stabilizer`, and from the roots (see
+`subsystem.complements_meet_trivially`); goodness from the support of the
+base polytabloid. The submodule probe spins seeded random vectors under
+the simple reflections and decides the containment dichotomy from e_{J,J'}
+alone: e lies in U, or U is orthogonal to e. The column operator kappa
+lies in F[W], so kappa U lies in the W-stable U; the spin stops as soon as
+the kappa images of the vectors spanning U put e in U, which proves S
+inside U. A spin that ends without that exit decides the dichotomy from
+U's echelon rows: e in their span, or every row orthogonal to e.
 """
 
 from __future__ import annotations
@@ -66,7 +66,11 @@ def _first_obstruction(system: RootSystem, elements) -> GroupElement | None:
 
 def obstruction_from_space(space: TabloidSpace) -> GroupElement | None:
     """The first order-2 negative-sign element of N(psi) meet W(psi') in
-    the group order, if any."""
+    the group order, if any. The meet, the base tabloid's stabilizer in
+    W(psi'), holds no odd element unless kappa kills the tabloid's orbit;
+    only then is it folded."""
+    if space.col_orbits[1][0]:
+        return None
     return _first_obstruction(space.system, space.col_stabilizer)
 
 

@@ -15,8 +15,8 @@ indices under root permutations acting on the left: from psi's root set,
 the tabloids; keeping J positive, D_psi in W's order. Either walk reaches
 each point by its lex-least reduced word. Anything valued per element is
 one step from its parent's value: `fold_preorder` over a preorder, for
-the sums over one (kappa over W(psi'), the character norm over D_psi'),
-and `fold_walk` in a coset walk's order (the tabloid representatives, the
+the character norm's sum over D_psi' and the stabilizer of psi in
+W(psi'), and `fold_walk` in a coset walk's order (the tabloid representatives, the
 listed translates of e_{J,J'}). Points and elements are moved by
 `operator.itemgetter`: s o p is `itemgetter(*p)(s)`, built in C.
 """

@@ -269,7 +269,8 @@ def _reference_cartans(rank):
     if rank == 4:
         candidates.append(("F", 4))
     for series, r in candidates:
-        yield f"{series}{r}", rootsys._cartan_rows(rootsys._gram(series, r))
+        label = f"{series}{r}"
+        yield label, rootsys._cartan_rows(build_root_system(label).gram)
 
 
 def _cartan_isomorphic(a, b):

@@ -55,6 +55,7 @@ from weylspecht.weyl import (
     GroupElement,
     compose,
     elements_of,
+    fold_preorder,
     fold_walk,
     generate_group,
     reflection_in,
@@ -268,6 +269,38 @@ def test_probe_trial_on_a_certified_pair_applies_kappa_at_most_twice(case_d4_deg
     # kappa M is spanned by e_{J,J'}, so the first nonzero kappa image holds it
     calls = _call_counts(submodule_theorem_probe, case_d4_deg6.module, 1)
     assert 0 < calls(apply_kappa) <= 2
+
+
+def test_kappa_reads_the_orbit_record_and_folds_no_column_word(case_d4_deg6):
+    # kappa sums the signed W(psi')-orbits that its vector meets, so neither
+    # a probe trial nor a build, with its e_{J,J'} and usefulness, folds
+    # W(psi'); on the A7 pair that group has 5040 elements
+    calls = _call_counts(submodule_theorem_probe, case_d4_deg6.module, 1)
+    assert calls(apply_kappa) > 0
+    assert calls(fold_preorder) == 0
+    system, psi, pp = benchmark_pair("A7")
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        calls = _call_counts(build_specht_module, system, psi, pp, QQ)
+    assert calls(apply_kappa) == 1
+    assert calls(fold_preorder) == 0
+
+
+A7_SPECHT = [
+    "specht", "--type", "A7", "--J", "1000000",
+    "--Jp", "1100000,0010000,0001000,0000100,0000010,0000001",
+    "--check", "useful,good", "--char", "1 2",
+]
+
+
+def test_only_a_killed_base_orbit_folds_the_column_stabilizer():
+    # N(psi) meet W(psi') holds no odd element when the base tabloid's orbit
+    # survives, so the D4 report folds no stabilizer; the A7 zero module
+    # folds it once, for its vanishing witness
+    for argv, folds in ((D4_SPECHT, 0), (A7_SPECHT, 1)):
+        with contextlib.redirect_stdout(io.StringIO()):
+            calls = _call_counts(cli.main, argv)
+        assert calls(subsystem.stabilizer) == folds
 
 
 def test_specht_report_lists_translates_up_to_the_dimension(case_d4_rank3):

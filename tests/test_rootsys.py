@@ -187,6 +187,45 @@ def test_inner_product_matches_fraction_gram(label):
             assert isinstance(value, Fraction) and value == _fraction_ip(system, u, v)
 
 
+ALL_LABELS = (
+    [f"{series}{n}" for series in "ABC" for n in range(1, 9)]
+    + [f"D{n}" for n in range(2, 9)] + ["G2", "F4"]
+)
+
+
+def _coordinate_simples(label):
+    # the usual coordinate model: a_i = e_i - e_{i+1}, ending in e_n (B),
+    # 2 e_n (C) or e_{n-1} + e_n (D); G2 in the plane x + y + z = 0
+    series, n = label[0], int(label[1])
+    if series == "G":
+        return [(1, -1, 0), (-2, 1, 1)]
+    if series == "F":
+        h = Fraction(1, 2)
+        return [(0, 1, -1, 0), (0, 0, 1, -1), (0, 0, 0, 1), (h, -h, -h, -h)]
+    dim = n + 1 if series == "A" else n
+    e = [tuple(int(k == i) for k in range(dim)) for i in range(dim)]
+
+    def plus(u, v, c=1):
+        return tuple(a + c * b for a, b in zip(u, v))
+
+    simples = [plus(e[i], e[i + 1], -1) for i in range(n if series == "A" else n - 1)]
+    if series == "B":
+        simples.append(e[n - 1])
+    elif series == "C":
+        simples.append(plus(e[n - 1], e[n - 1]))
+    elif series == "D":
+        simples.append(plus(e[n - 2], e[n - 1]))
+    return simples
+
+
+@pytest.mark.parametrize("label", ALL_LABELS)
+def test_gram_from_the_diagram_is_the_coordinate_model(label):
+    system, simples = build_root_system(label), _coordinate_simples(label)
+    assert len(simples) == system.rank
+    assert system.gram == tuple(tuple(eps_dot(u, v) for v in simples) for u in simples)
+    assert system.doubled_gram == tuple(tuple(2 * x for x in row) for row in system.gram)
+
+
 @pytest.mark.parametrize("label", ["A3", "G2"])
 def test_closure_and_involution(label):
     system = build_root_system(label)

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from oracles import (
     bareiss_rank,
+    benchmark_pair,
     benchmark_pair_module,
     character_norm_by_fold,
     character_norm_by_words,
@@ -60,7 +61,7 @@ from weylspecht.exactlin import (
 )
 from weylspecht.rootsys import parse_root
 from weylspecht.specht import _permuted
-from weylspecht.subsystem import distinguished_reps
+from weylspecht.subsystem import complements_meet_trivially, distinguished_reps
 from weylspecht.verify import DEFAULT_PROBE_SEED, probe_vector
 from weylspecht.weyl import (
     GroupLimitError,
@@ -79,6 +80,14 @@ from weylspecht.weyl import (
 
 def unit(dim, i):
     return SparseVector(dim, {i: QQ.one})
+
+
+CORPUS = load_workloads().PAIRS  # name: (ambient, J, J')
+# the pairs of rank above 4 are slow
+CORPUS_NAMES = [
+    pytest.param(n, marks=pytest.mark.slow) if int(CORPUS[n][0][1:]) > 4 else n
+    for n in sorted(CORPUS)
+]
 
 
 # --------------------------------------------------------------------------
@@ -248,46 +257,73 @@ def _kappa_by_keys(space):
     return kappas
 
 
-@pytest.mark.parametrize(
-    "label, j_texts, jp_texts",
-    [
-        ("A3", ("100", "001"), ("110",)),
-        ("G2", ("10",), ("01", "31")),
-        ("D4", ("1000", "0100", "0001"), ("1110",)),
-        ("D4", ("1000", "0100"), ("0001", "0110")),
-        ("F4", ("1000", "0100", "0010"), ("0001",)),
-        ("A5", ("10000", "01000", "00010"), ("11100", "01110")),
-        pytest.param(
-            "A6",
-            ("100000", "010000", "000100", "000010"),
-            ("111000", "011100"),
-            marks=pytest.mark.slow,
-        ),
-        pytest.param(
-            "A7",
-            ("1000000",),
-            ("1100000", "0010000", "0001000", "0000100", "0000010", "0000001"),
-            marks=pytest.mark.slow,
-        ),
-    ],
-    ids=["A3", "G2", "D4-3", "D4-6", "F4", "A5", "A6", "A7"],
-)
-def test_kappa_folds_the_column_words(label, j_texts, jp_texts):
-    # each sigma's permutation is one step from its prefix's, its sign is
-    # the parity of its word, and the sum over W(psi') equals the sum by
-    # keys; W is never generated
-    system = build_root_system(label)
-    psi, pp = (
-        closure_from_simples(system, [parse_root(system, t) for t in texts])
-        for texts in (j_texts, jp_texts)
-    )
+@pytest.mark.parametrize("name", CORPUS_NAMES)
+def test_orbit_signs_are_the_parities_of_the_column_words(name):
+    # each element's sign is the parity of its word, and on a surviving
+    # orbit it is the product of the signs of a point and of its image, as
+    # kappa by orbits reads it; a killed orbit has an odd element fixing a
+    # point; W is never generated
+    system, psi, pp = benchmark_pair(name)
     space = enumerate_tabloids(system, psi, psi_prime=pp)
-    for i, expected in enumerate(_kappa_by_keys(space)):
-        assert apply_kappa(space, QQ, unit(len(space), i)).entries == expected
+    signs = space.col_orbits[1]
     col_group = listed(space.col_group)
+    actions = []
     for w, word in zip(col_group, col_group.words):
-        assert sign(system, w) == (-1) ** len(word)
+        sgn = sign(system, w)
+        assert sgn == (-1) ** len(word)
+        actions.append((index_action_by_keys(space, w), sgn))
+    for t in range(len(space)):
+        if signs[t]:
+            assert all(signs[m[t]] * signs[t] == sgn for m, sgn in actions)
+        else:
+            assert any(m[t] == t and sgn == -1 for m, sgn in actions)
     assert "group" not in vars(space)
+
+
+def _check_kappa_by_orbits(space):
+    # kappa of every tabloid and of three seeded dense vectors, over Q, F2
+    # and F3, against the sum by keys; and the record's stabilizer orders
+    # against the elements of W(psi') fixing each orbit's first point
+    n, by_keys = len(space), _kappa_by_keys(space)
+    for field in FIELDS:
+        units = [SparseVector(n, {i: field.one}) for i in range(n)]
+        for v in units + [probe_vector(field, n, seed, 0) for seed in (1, 2, 3)]:
+            expected = vector(
+                field,
+                n,
+                ((j, field.mul(field.from_int(int(c)), x))
+                 for i, x in v.entries.items() for j, c in by_keys[i].items()),
+            )
+            assert apply_kappa(space, field, v) == expected
+    orbit, signs, orbits = space.col_orbits
+    fixing = [0] * n
+    for w in listed(space.col_group):
+        for t, image in enumerate(index_action_by_keys(space, w)):
+            fixing[t] += image == t
+    assert [stab for stab, _ in orbits] == [fixing[points[0]] for _, points in orbits]
+    assert all(orbit[t] == a for a, (_, points) in enumerate(orbits) for t in points)
+    # N(psi) meet W(psi') is the base tabloid's stabilizer in W(psi')
+    trivial = len(space.col_stabilizer) == 1
+    assert (signs[0] != 0 and orbits[0][0] == 1) == trivial
+    system, psi, pp = space.system, space.psi, space.psi_prime
+    assert space.useful == (trivial and complements_meet_trivially(system, psi, pp))
+    return any(stab % 2 == 0 for stab, _ in orbits)
+
+
+@pytest.mark.parametrize("label", ["A3", "G2", "B3", "D4"])
+def test_kappa_by_orbits_matches_the_sum_by_keys_on_every_pair(label):
+    system = build_root_system(label)
+    even = 0
+    for psi, pp in disjoint_pairs(system, max_size=2):
+        even += _check_kappa_by_orbits(enumerate_tabloids(system, psi, psi_prime=pp))
+    # some surviving orbit has a stabilizer of even order, which F2 kills
+    assert even > 0
+
+
+@pytest.mark.parametrize("name", CORPUS_NAMES)
+def test_kappa_by_orbits_matches_the_sum_by_keys_on_the_corpus(name):
+    system, psi, pp = benchmark_pair(name)
+    _check_kappa_by_orbits(enumerate_tabloids(system, psi, psi_prime=pp))
 
 
 def test_fold_walk_on_tabloids_matches_whole_word_folds(case_d4_deg6):
@@ -481,7 +517,6 @@ def test_cyclic_submodule_matches_orbit_span_a5_mod_p():
     _assert_spin_matches_orbit(space, PrimeField(2**31 - 1))
 
 
-CORPUS = load_workloads().PAIRS  # name: (ambient, J, J')
 SPIN_FIELDS = FIELDS + [PrimeField(2**31 - 1)]
 
 
@@ -494,13 +529,7 @@ def _sparse_vectors(field, dim):
     yield SparseVector(dim, {i: c for i, c in entries.items() if c != field.zero})
 
 
-@pytest.mark.parametrize(
-    "name",
-    [
-        pytest.param(n, marks=pytest.mark.slow) if int(CORPUS[n][0][1:]) > 4 else n
-        for n in sorted(CORPUS)
-    ],
-)
+@pytest.mark.parametrize("name", CORPUS_NAMES)
 def test_cyclic_submodule_matches_field_ops_spin(name):
     ambient, j_text, jp_text = CORPUS[name]
     space = _space(ambient, j_text.split(","), jp_text.split(","))
